@@ -14,8 +14,16 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import graphs
-from .games import HatGame, clique_criterion, glue_hatness, make_game
-from .graphs import Graph, complete_graph
+from .games import (
+    LOSING,
+    UNKNOWN,
+    WINNING,
+    HatGame,
+    clique_criterion,
+    glue_hatness,
+    make_game,
+)
+from .graphs import complete_graph
 
 
 class ExprError(ValueError):
@@ -31,58 +39,61 @@ class CliqueLeaf:
 
 @dataclass(frozen=True)
 class Sum:
-    left: "GameExpr"
+    left: GameExpr
     S: tuple[str, ...]
-    right: "GameExpr"
+    right: GameExpr
     v: str
 
 
 @dataclass(frozen=True)
 class Product:
-    left: "GameExpr"
+    left: GameExpr
     A: str
-    right: "GameExpr"
+    right: GameExpr
     v: str
 
 
 @dataclass(frozen=True)
 class Substitute:
     inner: CliqueLeaf
-    outer: "GameExpr"
+    outer: GameExpr
     at: str
 
 
 @dataclass(frozen=True)
 class SumLose:
-    left: "GameExpr"
+    left: GameExpr
     A: str
-    right: "GameExpr"
+    right: GameExpr
     v: str
 
 
 @dataclass(frozen=True)
 class PendantLose:
-    base: "GameExpr"
+    base: GameExpr
     B: str
     A: str  # name of the new pendant vertex
 
 
 GameExpr = Union[CliqueLeaf, Sum, Product, Substitute, SumLose, PendantLose]
 
-WINNING = "winning"
-LOSING = "losing"
-UNKNOWN = "unknown"
+LOSING_RULES = "expression uses constructors other than sum/product/substitute"
 
 
 @dataclass
 class Certificate:
     game: HatGame
     status: str
-    precise_bricks: bool
-    maximal: bool
+    # why the expression is not a sum/product/substitute composition of
+    # precise cliques; "" when it is
+    obstacle: str
     derivation: dict
-    hg_claim: Optional[Fraction] = None
-    muhat_claim: Optional[Fraction] = None
+
+    @property
+    def maximal(self) -> bool:
+        """Precise cliques are maximal and the winning constructors
+        preserve maximality."""
+        return not self.obstacle
 
 
 def _leaf_cert(leaf: CliqueLeaf) -> Certificate:
@@ -92,8 +103,7 @@ def _leaf_cert(leaf: CliqueLeaf) -> Certificate:
     return Certificate(
         game,
         status,
-        precise_bricks=crit.precise,
-        maximal=crit.precise,
+        "" if crit.precise else f"non-precise clique leaf on {list(leaf.vertices)}",
         derivation={
             "rule": "clique-criterion",
             "sum": str(crit.total),
@@ -104,6 +114,8 @@ def _leaf_cert(leaf: CliqueLeaf) -> Certificate:
 
 
 def _winning_join(rule, cl, S, cr, v) -> Certificate:
+    if not S:
+        raise ExprError(f"{rule}: the glued clique S must not be empty")
     for s in S:
         if s not in cl.game.graph._adj:
             raise ExprError(f"{rule}: vertex {s!r} missing from left operand")
@@ -121,8 +133,7 @@ def _winning_join(rule, cl, S, cr, v) -> Certificate:
     return Certificate(
         game,
         status,
-        precise_bricks=cl.precise_bricks and cr.precise_bricks,
-        maximal=cl.maximal and cr.maximal,
+        cl.obstacle or cr.obstacle,
         derivation={
             "rule": rule,
             "S": list(S),
@@ -180,8 +191,7 @@ def eval_expr(e: GameExpr) -> Certificate:
         return Certificate(
             game,
             LOSING,
-            precise_bricks=False,
-            maximal=False,
+            LOSING_RULES,
             derivation={
                 "rule": "sum_lose",
                 "A": e.A,
@@ -213,8 +223,7 @@ def eval_expr(e: GameExpr) -> Certificate:
         return Certificate(
             game,
             LOSING,
-            precise_bricks=False,
-            maximal=False,
+            LOSING_RULES,
             derivation={
                 "rule": "pendant_lose",
                 "B": e.B,
@@ -227,31 +236,6 @@ def eval_expr(e: GameExpr) -> Certificate:
     raise ExprError(f"not a game expression: {e!r}")
 
 
-def _only_winning_constructors(e: GameExpr) -> bool:
-    if isinstance(e, CliqueLeaf):
-        return True
-    if isinstance(e, (Sum, Product)):
-        return _only_winning_constructors(e.left) and _only_winning_constructors(
-            e.right
-        )
-    if isinstance(e, Substitute):
-        return _only_winning_constructors(e.outer)
-    return False
-
-
-def _leaves(e: GameExpr):
-    if isinstance(e, CliqueLeaf):
-        yield e
-    elif isinstance(e, (Sum, Product, SumLose)):
-        yield from _leaves(e.left)
-        yield from _leaves(e.right)
-    elif isinstance(e, Substitute):
-        yield e.inner
-        yield from _leaves(e.outer)
-    elif isinstance(e, PendantLose):
-        yield from _leaves(e.base)
-
-
 @dataclass(frozen=True)
 class Conclusion:
     value: Optional[Fraction]
@@ -262,45 +246,32 @@ class Conclusion:
         return self.value is not None
 
 
-def _precise_sum_shape(e: GameExpr) -> Optional[str]:
-    """Reason the corollary hypotheses fail, or None when they hold."""
-    if not _only_winning_constructors(e):
-        return "expression uses constructors other than sum/product/substitute"
-    for leaf in _leaves(e):
-        cert = _leaf_cert(leaf)
-        if not cert.precise_bricks:
-            return f"non-precise clique leaf on {list(leaf.vertices)}"
-    return None
-
-
 def conclude_hg(e: GameExpr) -> Conclusion:
     """Hat guessing number of a sum-composed game of precise classic
     clique bricks with constant resulting hatness."""
-    reason = _precise_sum_shape(e)
-    if reason is not None:
-        return Conclusion(None, reason)
-    for leaf in _leaves(e):
-        if any(gv != 1 for gv in _leaf_cert(leaf).game.g.values()):
-            return Conclusion(None, "a leaf uses multiple guesses (g != 1)")
     cert = eval_expr(e)
+    if cert.obstacle:
+        return Conclusion(None, cert.obstacle)
+    # gluing multiplies g on the nonempty S by g(v), and h with it, so
+    # the composite is classic exactly when every leaf is
+    if not cert.game.is_classic():
+        return Conclusion(None, "a leaf uses multiple guesses (g != 1)")
     values = set(cert.game.h.values())
     if len(values) != 1:
         return Conclusion(None, f"resulting hatness is not constant: {sorted(values)}")
-    h = values.pop()
     # maximality backs the upper bound HG <= mu-hat = h
-    from .certify import check_maximal_compositional
+    from .certify import maximality_from_composition
 
-    check_maximal_compositional(e)
-    return Conclusion(Fraction(h))
+    maximality_from_composition(cert)
+    return Conclusion(Fraction(values.pop()))
 
 
 def conclude_muhat(e: GameExpr) -> Conclusion:
     """Fractional hat chromatic number of a sum-composed game of precise
     clique bricks with constant h/g ratio."""
-    reason = _precise_sum_shape(e)
-    if reason is not None:
-        return Conclusion(None, reason)
     cert = eval_expr(e)
+    if cert.obstacle:
+        return Conclusion(None, cert.obstacle)
     ratios = {
         Fraction(cert.game.h[v], cert.game.g[v]) for v in cert.game.vertices
     }

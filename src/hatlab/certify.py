@@ -12,14 +12,13 @@ corner other than r by repeated affine-restriction descent.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import algebra
 from .games import HatGame, fraction_vector
-from .graphs import Graph, GraphError, is_chordal
+from .graphs import Graph, is_chordal
 from .indpoly import eval_Z, univariate_U, z_corner_evaluator
 from .poly import UnivariatePoly
 from .roots import IsolatingInterval, smallest_positive_root
@@ -30,9 +29,8 @@ CORNER_JUSTIFICATION = (
     "gives strict positivity on the box minus {r}."
 )
 
-
-def corner_cutoff() -> int:
-    return int(os.environ.get("HATLAB_CORNER_CUTOFF", "22"))
+# the corner sweep doubles with each vertex; larger games go compositional
+CORNER_GUARD = 22
 
 
 class CertifyError(ValueError):
@@ -68,14 +66,13 @@ class Inconclusive:
     reason: str
 
 
-def check_maximal_direct(game: HatGame, cutoff: Optional[int] = None):
+def check_maximal_direct(game: HatGame):
     """Decide maximality from the definition: Z(r) = 0 exactly and Z > 0
     at every box corner except r itself."""
-    cutoff = corner_cutoff() if cutoff is None else cutoff
     n = len(game.vertices)
-    if n > cutoff:
+    if n > CORNER_GUARD:
         raise CertifyError(
-            f"{n} vertices exceed the corner cutoff {cutoff}; "
+            f"{n} vertices exceed the corner cutoff {CORNER_GUARD}; "
             "use the compositional route"
         )
     r = fraction_vector(game)
@@ -106,21 +103,18 @@ def check_maximal_direct(game: HatGame, cutoff: Optional[int] = None):
 
 def check_maximal_compositional(e: "algebra.GameExpr"):
     """Maximality by induction: precise cliques are maximal and the sum
-    constructor preserves maximality.  The composite Z(r) = 0 is also
-    re-verified by exact evaluation as a consistency check."""
-    if not algebra._only_winning_constructors(e):
-        return Inconclusive(
-            "expression uses constructors other than sum/product/substitute"
-        )
-    for leaf in algebra._leaves(e):
-        cert = algebra._leaf_cert(leaf)
-        if not cert.precise_bricks:
-            return Inconclusive(
-                f"non-precise clique leaf on {list(leaf.vertices)}"
-            )
+    constructor preserves maximality."""
     cert = algebra.eval_expr(e)
-    r = fraction_vector(cert.game)
-    z_at_r = eval_Z(cert.game.graph, r)
+    if cert.obstacle:
+        return Inconclusive(cert.obstacle)
+    return maximality_from_composition(cert)
+
+
+def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertificate:
+    """Certificate of an evaluated composition of precise cliques; the
+    composite Z(r) = 0 is re-verified by exact evaluation as a
+    consistency check."""
+    z_at_r = eval_Z(cert.game.graph, fraction_vector(cert.game))
     if z_at_r != 0:
         raise CertifyError(
             f"inconsistency: compositional maximality but Z(r) = {z_at_r}"

@@ -285,7 +285,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    results = run_all(only=args.only, jobs=args.jobs)
+    results = run_all(only=args.only)
     if not results:
         print(f"no criteria match --only {args.only!r}", file=sys.stderr)
         return 2
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-paper", help="run the reproduction suite")
     v.add_argument("--only")
-    v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(fn=_cmd_verify_paper)
 
     return p
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,9 @@ tilde and minus variants), and the clique-extension examples.
 
 Each builder returns the certificate-ready expression tree and, where
 useful, the directly built graph.  Expression composition namespaces
-vertex names (L/, R/ prefixes); the helpers below track the names of
-designated vertices through that renaming so later compositions can
+vertex names (L/, R/ prefixes: left names gain 'L/', right names 'R/',
+and a glued vertex lives on under its left name); the builders below
+track the names of designated vertices through that renaming so later compositions can
 refer to them.
 """
 
@@ -42,13 +43,6 @@ def _clique(prefix: str, spec: list[tuple[str, int]], g=None) -> CliqueLeaf:
     return CliqueLeaf(names, h, gg)
 
 
-def _product(left: GameExpr, a: str, right: GameExpr, v: str):
-    """Product expression plus the renaming applied to operand vertices:
-    left names gain 'L/', right names gain 'R/', and the glued vertex
-    lives on as 'L/' + a."""
-    return Product(left, a, right, v)
-
-
 # -- Delta = 6, HG = 8 -------------------------------------------------
 
 
@@ -64,16 +58,16 @@ def build_delta6_hg8() -> GameExpr:
         k5a = _clique("", [("A", 2), ("p1", 8), ("p2", 8), ("p3", 8), ("p4", 8)])
         k3 = _clique("", [("A", 4), ("B", 4), ("c", 2)])
         k5b = _clique("", [("B", 2), ("q1", 8), ("q2", 8), ("q3", 8), ("q4", 8)])
-        e = _product(k5a, "A", k3, "A")
+        e = Product(k5a, "A", k3, "A")
         # center now "R/c", B now "R/B"
-        e = _product(e, "R/B", k5b, "B")
+        e = Product(e, "R/B", k5b, "B")
         return e, "L/R/c"
 
     c1, n1 = chain()
     c2, n2 = chain()
     c3, n3 = chain()
-    e = _product(c1, n1, c2, n2)
-    e = _product(e, "L/" + n1, c3, n3)
+    e = Product(c1, n1, c2, n2)
+    e = Product(e, "L/" + n1, c3, n3)
     return e
 
 
@@ -106,14 +100,14 @@ def build_scary(n: int) -> GameExpr:
             for i in range(2 ** (n - k)):
                 for _ in range(k - 1):
                     sub, sub_bottom = subtree(k - 1)
-                    e = _product(e, prefix + f"{tag}t{i}", sub, sub_bottom)
+                    e = Product(e, prefix + f"{tag}t{i}", sub, sub_bottom)
                     prefix = "L/" + prefix
         return e, prefix + f"{tag}b"
 
     e, root = subtree(n - 1)
     for _ in range(n - 1):
         copy, copy_root = subtree(n - 1)
-        e = _product(e, root, copy, copy_root)
+        e = Product(e, root, copy, copy_root)
         root = "L/" + root
     return e
 
@@ -229,10 +223,10 @@ def _even_chain_expr(n: int, k: int) -> GameExpr:
     e: GameExpr = end(0)
     marked = "e0m"
     for i in range(1, n):
-        e = _product(e, marked, edge(i), f"b{i}u")
+        e = Product(e, marked, edge(i), f"b{i}u")
         nxt = end(i) if i == n - 1 else inner(i)
         left_mark = f"e{i}m" if i == n - 1 else f"i{i}a"
-        e = _product(e, f"R/b{i}v", nxt, left_mark)
+        e = Product(e, f"R/b{i}v", nxt, left_mark)
         marked = f"R/i{i}b"
     return e
 
@@ -279,10 +273,10 @@ def _odd_chain_muhat_expr(n: int, k: int) -> GameExpr:
     e: GameExpr = end(0)
     marked = "e0m"
     for i in range(1, n):
-        e = _product(e, marked, edge(i), f"b{i}u")
+        e = Product(e, marked, edge(i), f"b{i}u")
         nxt = end(i) if i == n - 1 else inner(i)
         left_mark = f"e{i}m" if i == n - 1 else f"i{i}a"
-        e = _product(e, f"R/b{i}v", nxt, left_mark)
+        e = Product(e, f"R/b{i}v", nxt, left_mark)
         marked = f"R/i{i}b"
     return e
 

@@ -13,6 +13,11 @@ from fractions import Fraction
 from .graphs import Graph, GraphError
 
 
+WINNING = "winning"
+LOSING = "losing"
+UNKNOWN = "unknown"
+
+
 class GameError(ValueError):
     """Invalid hat game construction or operation input."""
 

@@ -8,6 +8,7 @@ byte-identical.  Schema errors carry JSON-pointer paths ("/hatness/x").
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +40,22 @@ def _write(path: str, text: str):
         f.write(text)
 
 
+def _names_from_json(obj, pointer: str) -> tuple:
+    if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
+        raise SchemaError(pointer, "expected a list of names")
+    return tuple(obj)
+
+
+def _counts_from_json(obj, pointer: str) -> dict:
+    """A hatness or guess vector: an object of positive integers."""
+    if not isinstance(obj, dict):
+        raise SchemaError(pointer, "expected an object")
+    for v, n in obj.items():
+        if not isinstance(n, int) or n < 1:
+            raise SchemaError(f"{pointer}/{v}", "expected a positive integer")
+    return dict(obj)
+
+
 # -- graphs ------------------------------------------------------------
 
 
@@ -55,9 +72,9 @@ def graph_from_json(obj, pointer: str = "") -> Graph:
     for key in ("vertices", "edges"):
         if key not in obj:
             raise SchemaError(f"{pointer}/{key}", "missing")
-    verts = obj["vertices"]
-    if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
-        raise SchemaError(f"{pointer}/vertices", "expected a list of names")
+    verts = _names_from_json(obj["vertices"], f"{pointer}/vertices")
+    if not isinstance(obj["edges"], list):
+        raise SchemaError(f"{pointer}/edges", "expected a list of name pairs")
     edges = []
     for i, e in enumerate(obj["edges"]):
         if not (isinstance(e, list) and len(e) == 2):
@@ -84,23 +101,14 @@ def game_from_json(obj) -> HatGame:
     graph = graph_from_json(obj)
     if "hatness" not in obj:
         raise SchemaError("/hatness", "missing")
-    h = obj["hatness"]
-    if not isinstance(h, dict):
-        raise SchemaError("/hatness", "expected an object")
-    for v, hv in h.items():
-        if v not in graph._adj:
-            raise SchemaError(f"/hatness/{v}", "unknown vertex")
-        if not isinstance(hv, int) or hv < 1:
-            raise SchemaError(f"/hatness/{v}", "hatness must be a positive integer")
+    h = _counts_from_json(obj["hatness"], "/hatness")
     g = obj.get("guesses")
     if g is not None:
-        if not isinstance(g, dict):
-            raise SchemaError("/guesses", "expected an object")
-        for v, gv in g.items():
+        g = _counts_from_json(g, "/guesses")
+    for key, vec in (("hatness", h), ("guesses", g or {})):
+        for v in vec:
             if v not in graph._adj:
-                raise SchemaError(f"/guesses/{v}", "unknown vertex")
-            if not isinstance(gv, int) or gv < 1:
-                raise SchemaError(f"/guesses/{v}", "guesses must be a positive integer")
+                raise SchemaError(f"/{key}/{v}", "unknown vertex")
     try:
         return make_game(graph, h, g)
     except ValueError as err:
@@ -123,102 +131,67 @@ def save_game(game: HatGame, path: str):
 # -- expressions -------------------------------------------------------
 
 
+_OPS = {
+    "clique": algebra.CliqueLeaf,
+    "sum": algebra.Sum,
+    "product": algebra.Product,
+    "substitute": algebra.Substitute,
+    "sum_lose": algebra.SumLose,
+    "pendant_lose": algebra.PendantLose,
+}
+_OP_NAMES = {cls: op for op, cls in _OPS.items()}
+
+
 def expr_to_json(e: algebra.GameExpr) -> dict:
-    if isinstance(e, algebra.CliqueLeaf):
-        return {
-            "op": "clique",
-            "vertices": list(e.vertices),
-            "h": dict(e.h),
-            "g": dict(e.g),
-        }
-    if isinstance(e, algebra.Sum):
-        return {
-            "op": "sum",
-            "left": expr_to_json(e.left),
-            "S": list(e.S),
-            "right": expr_to_json(e.right),
-            "v": e.v,
-        }
-    if isinstance(e, algebra.Product):
-        return {
-            "op": "product",
-            "left": expr_to_json(e.left),
-            "A": e.A,
-            "right": expr_to_json(e.right),
-            "v": e.v,
-        }
-    if isinstance(e, algebra.Substitute):
-        return {
-            "op": "substitute",
-            "inner": expr_to_json(e.inner),
-            "outer": expr_to_json(e.outer),
-            "at": e.at,
-        }
-    if isinstance(e, algebra.SumLose):
-        return {
-            "op": "sum_lose",
-            "left": expr_to_json(e.left),
-            "A": e.A,
-            "right": expr_to_json(e.right),
-            "v": e.v,
-        }
-    if isinstance(e, algebra.PendantLose):
-        return {
-            "op": "pendant_lose",
-            "base": expr_to_json(e.base),
-            "B": e.B,
-            "A": e.A,
-        }
-    raise SchemaError("/", f"not a game expression: {e!r}")
+    """One JSON object per node: "op" plus the dataclass fields by name."""
+    op = _OP_NAMES.get(type(e))
+    if op is None:
+        raise SchemaError("/", f"not a game expression: {e!r}")
+    obj = {"op": op}
+    for f in fields(e):
+        obj[f.name] = _CODECS[f.type][0](getattr(e, f.name))
+    return obj
 
 
 def expr_from_json(obj, pointer: str = "") -> algebra.GameExpr:
-    if not isinstance(obj, dict) or "op" not in obj:
+    op = obj.get("op") if isinstance(obj, dict) else None
+    if op is None:
         raise SchemaError(f"{pointer}/op", "missing")
+    cls = _OPS.get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise SchemaError(f"{pointer}/op", f"unknown operation {op!r}")
+    args = {}
+    for f in fields(cls):
+        where = f"{pointer}/{f.name}"
+        if f.name in obj:
+            args[f.name] = _CODECS[f.type][1](obj[f.name], where)
+        elif f.default_factory is MISSING:
+            raise SchemaError(where, "missing")
+    return cls(**args)
 
-    def need(key):
-        if key not in obj:
-            raise SchemaError(f"{pointer}/{key}", "missing")
-        return obj[key]
 
-    op = obj["op"]
-    if op == "clique":
-        return algebra.CliqueLeaf(
-            tuple(need("vertices")), dict(need("h")), dict(obj.get("g", {}))
-        )
-    if op == "sum":
-        return algebra.Sum(
-            expr_from_json(need("left"), f"{pointer}/left"),
-            tuple(need("S")),
-            expr_from_json(need("right"), f"{pointer}/right"),
-            need("v"),
-        )
-    if op == "product":
-        return algebra.Product(
-            expr_from_json(need("left"), f"{pointer}/left"),
-            need("A"),
-            expr_from_json(need("right"), f"{pointer}/right"),
-            need("v"),
-        )
-    if op == "substitute":
-        inner = expr_from_json(need("inner"), f"{pointer}/inner")
-        if not isinstance(inner, algebra.CliqueLeaf):
-            raise SchemaError(f"{pointer}/inner", "substitution inner must be a clique")
-        return algebra.Substitute(
-            inner, expr_from_json(need("outer"), f"{pointer}/outer"), need("at")
-        )
-    if op == "sum_lose":
-        return algebra.SumLose(
-            expr_from_json(need("left"), f"{pointer}/left"),
-            need("A"),
-            expr_from_json(need("right"), f"{pointer}/right"),
-            need("v"),
-        )
-    if op == "pendant_lose":
-        return algebra.PendantLose(
-            expr_from_json(need("base"), f"{pointer}/base"), need("B"), need("A")
-        )
-    raise SchemaError(f"{pointer}/op", f"unknown operation {op!r}")
+def _clique_from_json(obj, pointer: str) -> algebra.CliqueLeaf:
+    e = expr_from_json(obj, pointer)
+    if not isinstance(e, algebra.CliqueLeaf):
+        raise SchemaError(pointer, "substitution inner must be a clique")
+    return e
+
+
+def _name_from_json(obj, pointer: str) -> str:
+    if not isinstance(obj, str):
+        raise SchemaError(pointer, "expected a vertex name")
+    return obj
+
+
+# (encode, decode) per field annotation of the expression dataclasses;
+# algebra postpones annotations, so the keys are their source strings
+_CODECS = {
+    "GameExpr": (expr_to_json, expr_from_json),
+    "CliqueLeaf": (expr_to_json, _clique_from_json),
+    "tuple[str, ...]": (list, _names_from_json),
+    "dict[str, int]": (dict, _counts_from_json),
+    "str": (lambda name: name, _name_from_json),
+}
 
 
 def load_expr(path: str) -> algebra.GameExpr:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .games import HatGame
+from .games import LOSING, UNKNOWN, WINNING, HatGame
 from .graphs import Graph
 
 COLORING_GUARD = 10**7
@@ -120,10 +120,6 @@ def encode(game: HatGame) -> CNF:
 
 
 # -- DPLL with watched literals ---------------------------------------
-
-WINNING = "winning"
-LOSING = "losing"
-UNKNOWN = "unknown"
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .gallery import (
     build_scary,
     delta_plus_k_ratio,
 )
-from .games import clique_criterion, make_game, uniform_game
+from .games import LOSING, WINNING, clique_criterion, make_game, uniform_game
 from .graphs import (
     Graph,
     complete_graph,
@@ -42,9 +42,10 @@ from .graphs import (
     stats,
 )
 from .indpoly import eval_P, eval_P_brute
+from .io import frac_str
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, sturm_roots, verify_root_interval
-from .solver import LOSING, WINNING, hg_search
+from .solver import hg_search
 from .solver import decide_game as _decide_game_uncached
 
 # rational lower bound of e, enough digits for every corpus comparison
@@ -81,11 +82,6 @@ class CheckItem:
     name: str
     group: str
     fn: Callable[[], tuple[bool, str]]
-
-
-def _fr(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # -- 1. clique criterion vs solver -------------------------------------
@@ -158,7 +154,7 @@ def _check_four_thirds():
             return False, f"n={n}: Delta {st.max_degree} != {3 * 2 ** (n - 2)}"
         ratio = Fraction(int(hg.value), st.max_degree)
         if ratio != Fraction(4, 3):
-            return False, f"n={n}: ratio {_fr(ratio)} != 4/3"
+            return False, f"n={n}: ratio {frac_str(ratio)} != 4/3"
         details.append(f"n={n}: {len(game.vertices)} vertices, HG={2 ** n}, "
                        f"Delta={st.max_degree}")
     return True, "; ".join(details) + "; ratio 4/3 exact"
@@ -182,10 +178,10 @@ def _check_delta_plus_k():
     r100 = delta_plus_k_ratio(100)
     gap = abs(r100 - Fraction(8, 7))
     if r100 != Fraction(800, 699) or gap >= Fraction(1, 500):
-        return False, f"ratio at m=100 is {_fr(r100)}, gap {_fr(gap)}"
+        return False, f"ratio at m=100 is {frac_str(r100)}, gap {frac_str(gap)}"
     return True, (
         f"m=2: 62 vertices, Delta=13, HG=16=Delta+3; "
-        f"ratio(100)={_fr(r100)}, |ratio-8/7|={_fr(gap)} < 1/500"
+        f"ratio(100)={frac_str(r100)}, |ratio-8/7|={frac_str(gap)} < 1/500"
     )
 
 
@@ -202,7 +198,7 @@ def _check_minimal_roots():
                 if iso.exact_root != root:
                     return False, (
                         f"example {which}, n={n}, k={k}: min root "
-                        f"{iso.exact_root} != {_fr(root)}"
+                        f"{iso.exact_root} != {frac_str(root)}"
                     )
                 count += 1
     return True, f"{count} (example, n, k) cases: min roots 1/(k+4) and 1/(k+2)"
@@ -447,15 +443,9 @@ def run_check(item: CheckItem) -> CheckResult:
     return CheckResult(item.name, ok, details, time.monotonic() - start)
 
 
-def run_all(only: Optional[str] = None, jobs: int = 1) -> list[CheckResult]:
-    items = [
-        c for c in CHECKS if only is None or c.group == only or c.name == only
+def run_all(only: Optional[str] = None) -> list[CheckResult]:
+    return [
+        run_check(c)
+        for c in CHECKS
+        if only is None or c.group == only or c.name == only
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_check, items))
-    else:
-        results = [run_check(c) for c in items]
-    return results

@@ -29,13 +29,14 @@ def _k(verts, h, g=None):
 def test_precise_clique_leaf_is_winning_and_maximal():
     cert = eval_expr(_k("abc", 3))
     assert cert.status == WINNING
-    assert cert.precise_bricks and cert.maximal
+    assert cert.maximal and cert.obstacle == ""
 
 
 def test_losing_clique_leaf():
     cert = eval_expr(_k("abc", 4))
     assert cert.status == LOSING
-    assert not cert.precise_bricks
+    assert not cert.maximal
+    assert cert.obstacle == "non-precise clique leaf on ['a', 'b', 'c']"
 
 
 def test_product_of_precise_k2s_is_winning_path():
@@ -67,6 +68,20 @@ def test_substitute_complete_graph_multiplies_hatness():
 def test_sum_of_losing_operand_is_unknown():
     e = Sum(_k("ab", 3), ("a",), _k("vw", 2), "v")
     assert eval_expr(e).status == UNKNOWN
+
+
+def test_sum_with_empty_clique_is_rejected():
+    # S = () would drop v without gluing it anywhere: the disjoint union
+    # of two precise K2s minus a vertex is winning but not maximal
+    with pytest.raises(ExprError, match="empty"):
+        eval_expr(Sum(_k("ab", 2), (), _k("ab", 2), "a"))
+
+
+def test_obstacle_passes_on_first_operand_reason():
+    e = Product(_k("ab", 3), "a", _k("vw", 4), "v")
+    assert eval_expr(e).obstacle == "non-precise clique leaf on ['a', 'b']"
+    lose = PendantLose(_k("ab", 3), "a", "p")
+    assert "constructors" in eval_expr(lose).obstacle
 
 
 def test_sum_lose_requires_losing_operands():
@@ -140,3 +155,13 @@ def test_conclude_muhat_constant_ratio_chain():
 
     got = conclude_muhat(build_chain(2, 3).muhat_expr)
     assert got.value == Fraction(3)
+
+
+def test_conclude_hg_rejects_glued_multi_guess_leaf():
+    # the right leaf is precise (2/4 + 1/2 = 1) but guesses twice at v;
+    # gluing v away carries g(v) = 2 onto L/b, so the game is not classic
+    right = _k("vw", {"v": 4, "w": 2}, {"v": 2, "w": 1})
+    e = Product(_k("ab", 2), "b", right, "v")
+    assert eval_expr(e).maximal
+    got = conclude_hg(e)
+    assert not got.applicable and "g != 1" in got.reason

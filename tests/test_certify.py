@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hatlab.algebra import CliqueLeaf, Product, SumLose
+from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose
 from hatlab.certify import (
     CertifyError,
     Inconclusive,
@@ -42,9 +42,9 @@ def test_h2_path_is_maximal_direct():
 
 
 def test_direct_check_respects_cutoff():
-    game = uniform_game(complete_graph([f"v{i}" for i in range(5)]), 5)
+    game = uniform_game(path_graph([f"v{i}" for i in range(23)]), 2)
     with pytest.raises(CertifyError, match="cutoff"):
-        check_maximal_direct(game, cutoff=4)
+        check_maximal_direct(game)
 
 
 def test_compositional_maximality():
@@ -61,6 +61,14 @@ def test_compositional_inconclusive_on_losing_rules():
     e = SumLose(k3, "a", CliqueLeaf(("v", "w"), {"v": 2, "w": 3}, {}), "v")
     out = check_maximal_compositional(e)
     assert isinstance(out, Inconclusive)
+
+
+def test_compositional_raises_on_failed_sum_lose_hypothesis():
+    # h2(v) = 3, not 2: the losing-sum theorem does not apply
+    k3 = CliqueLeaf(("a", "b"), {"a": 3, "b": 3}, {})
+    e = SumLose(k3, "a", CliqueLeaf(("v", "w"), {"v": 3, "w": 3}, {}), "v")
+    with pytest.raises(ExprError, match="h2"):
+        check_maximal_compositional(e)
 
 
 def test_losing_by_Z_positive():

@@ -141,6 +141,24 @@ def test_missing_file_is_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_certify_malformed_expr_is_error(tmp_path, capsys):
+    ep = tmp_path / "bad.expr.json"
+    ep.write_text('{"op": "clique", "vertices": 5, "h": {}}')
+    code = main(["certify", "maximal", str(ep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: /vertices:")
+
+
+def test_certify_losing_deep_path_is_error(tmp_path, capsys):
+    gp = tmp_path / "p1200.json"
+    save_game(uniform_game(path_graph([f"v{i}" for i in range(1200)]), 3), str(gp))
+    code = main(["certify", "losing", str(gp)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "recursion" in err
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
