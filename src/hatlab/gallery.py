@@ -201,6 +201,26 @@ def build_chain_graph(n: int, l: int, variant: str = "standard") -> Graph:
     return make_graph(verts, edges)
 
 
+def _bridged_chain_expr(n: int, end, inner) -> GameExpr:
+    """Winning chain of precise bricks: end(0), inner(1), ..., inner(n-2),
+    end(n-1), each joined to the next by a (2,2) edge glued in by two
+    products.  end(i) marks its bridge vertex e{i}m; inner(i) marks
+    i{i}a (left bridge) and i{i}b (right bridge)."""
+
+    def edge(i: int) -> CliqueLeaf:
+        return _clique("", [(f"b{i}u", 2), (f"b{i}v", 2)])
+
+    e: GameExpr = end(0)
+    marked = "e0m"
+    for i in range(1, n):
+        e = Product(e, marked, edge(i), f"b{i}u")
+        nxt = end(i) if i == n - 1 else inner(i)
+        left_mark = f"e{i}m" if i == n - 1 else f"i{i}a"
+        e = Product(e, f"R/b{i}v", nxt, left_mark)
+        marked = f"R/i{i}b"
+    return e
+
+
 def _even_chain_expr(n: int, k: int) -> GameExpr:
     """Winning chain of precise bricks for l = 2k: end cliques K_{2k-1}
     with one h=k vertex, inner cliques K_{2k-2} with two, and (2,2)
@@ -217,18 +237,7 @@ def _even_chain_expr(n: int, k: int) -> GameExpr:
         spec += [(f"i{i}x{j}", 2 * k) for j in range(2 * k - 4)]
         return _clique("", spec)
 
-    def edge(i: int) -> CliqueLeaf:
-        return _clique("", [(f"b{i}u", 2), (f"b{i}v", 2)])
-
-    e: GameExpr = end(0)
-    marked = "e0m"
-    for i in range(1, n):
-        e = Product(e, marked, edge(i), f"b{i}u")
-        nxt = end(i) if i == n - 1 else inner(i)
-        left_mark = f"e{i}m" if i == n - 1 else f"i{i}a"
-        e = Product(e, f"R/b{i}v", nxt, left_mark)
-        marked = f"R/i{i}b"
-    return e
+    return _bridged_chain_expr(n, end, inner)
 
 
 def _odd_chain_lose_expr(n: int, k: int) -> GameExpr:
@@ -267,18 +276,7 @@ def _odd_chain_muhat_expr(n: int, k: int) -> GameExpr:
         spec += [(f"i{i}x{j}", 2 * k + 1) for j in range(2 * k - 3)]
         return _clique("", spec, g=g2(f"i{i}a", f"i{i}b"))
 
-    def edge(i: int) -> CliqueLeaf:
-        return _clique("", [(f"b{i}u", 2), (f"b{i}v", 2)])
-
-    e: GameExpr = end(0)
-    marked = "e0m"
-    for i in range(1, n):
-        e = Product(e, marked, edge(i), f"b{i}u")
-        nxt = end(i) if i == n - 1 else inner(i)
-        left_mark = f"e{i}m" if i == n - 1 else f"i{i}a"
-        e = Product(e, f"R/b{i}v", nxt, left_mark)
-        marked = f"R/i{i}b"
-    return e
+    return _bridged_chain_expr(n, end, inner)
 
 
 def build_chain(n: int, l: int, variant: str = "standard") -> ChainBuild:

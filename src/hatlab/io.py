@@ -217,13 +217,33 @@ def strategy_to_json(strategy: dict) -> dict:
     }
 
 
+def _config_from_json(key: str, pointer: str) -> tuple:
+    """A visible configuration: its colors joined by commas, "" for none."""
+    parts = key.split(",") if key else []
+    if not all(c.isascii() and c.isdigit() for c in parts):
+        raise SchemaError(pointer, "expected comma-separated colors")
+    return tuple(int(c) for c in parts)
+
+
+def _colors_from_json(obj, pointer: str) -> tuple:
+    if not isinstance(obj, list) or not all(
+        isinstance(c, int) and c >= 0 for c in obj
+    ):
+        raise SchemaError(pointer, "expected a list of colors")
+    return tuple(obj)
+
+
 def strategy_from_json(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError("/", "expected an object of vertex tables")
     out = {}
     for v, table in obj.items():
-        out[v] = {
-            tuple(int(c) for c in key.split(",")) if key else (): tuple(guesses)
-            for key, guesses in table.items()
-        }
+        if not isinstance(table, dict):
+            raise SchemaError(f"/{v}", "expected an object of guess lists")
+        rows = out[v] = {}
+        for key, guesses in table.items():
+            where = f"/{v}/{key}"
+            rows[_config_from_json(key, where)] = _colors_from_json(guesses, where)
     return out
 
 

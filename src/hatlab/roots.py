@@ -71,40 +71,6 @@ def cauchy_bound(p: UnivariatePoly) -> Fraction:
     return b + 1
 
 
-def _divisors(n: int, cap: int = 200_000):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n and len(out) < cap:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out) if d * d > n else None
-
-
-def _smallest_positive_rational_root(p: UnivariatePoly):
-    """Rational-root search on the integer-cleared polynomial; None when
-    no positive rational root is found (or the search is infeasible)."""
-    cs = p.integer_cleared()
-    lead = cs[-1]
-    i0 = next(i for i, c in enumerate(cs) if c != 0)
-    const = cs[i0]
-    if abs(const) > 10**12 or abs(lead) > 10**12:
-        return None
-    nums, dens = _divisors(const), _divisors(lead)
-    if nums is None or dens is None:
-        return None
-    best = None
-    for den in dens:
-        for num in nums:
-            cand = Fraction(num, den)
-            if (best is None or cand < best) and p(cand) == 0:
-                best = cand
-    return best
-
-
 @dataclass(frozen=True)
 class IsolatingInterval:
     lower: Fraction
@@ -115,29 +81,44 @@ class IsolatingInterval:
         return self.upper - self.lower
 
 
-def smallest_positive_root(
-    p: UnivariatePoly,
-    candidate: Fraction | None = None,
-    width: Fraction = Fraction(1, 10**12),
-):
+# an irrational root is isolated to an interval no wider than this
+WIDTH = Fraction(1, 10**12)
+
+
+def smallest_positive_root(p: UnivariatePoly, candidate: Fraction | None = None):
     """Isolate the smallest positive real root of p, or return None when
     there is none.
 
+    Both routes build one Sturm sequence and count sign variations of it.
     With a rational candidate: confirm p(candidate) == 0 exactly and
-    that the Sturm count strictly below it is zero (the cheapest exact
-    minimality proof).  Without one: bisect down to the requested width,
-    reporting exact rational endpoints."""
+    that no root lies strictly below it (the cheapest exact minimality
+    proof).  Without one: bisect (lo, hi] around the smallest positive
+    root, keeping (0, lo] root-free.
+
+    Exact rational roots come from the denominator bound.  Let L be the
+    leading coefficient of the square-free part of p scaled to coprime
+    integers (the first polynomial of the Sturm sequence).  A rational
+    root a/b in lowest terms has b | L, so two distinct rational roots
+    lie at least 1/L^2 apart.  Once (lo, hi] holds exactly one root, any
+    c in it with p(c) == 0 is that root; once also hi - lo < 1/L^2, the
+    midpoint's closest fraction with denominator <= L is the root
+    whenever the root is rational.  Otherwise the root is irrational and
+    comes back as (lo, hi] with hi - lo <= WIDTH, the square-free part of
+    p changing sign across it."""
     if p.is_zero():
         raise RootError("zero polynomial")
     if p(Fraction(0)) == 0:
         raise RootError("p(0) = 0; smallest positive root is ill-posed")
+    seq = sturm_sequence(p)
+    lo = Fraction(0)
+    v_lo = _variations_at(seq, lo)
     if candidate is not None:
         candidate = Fraction(candidate)
         if candidate <= 0:
             raise RootError("candidate must be positive")
         if p(candidate) != 0:
             raise RootError(f"candidate {candidate} is not a root")
-        below = sturm_roots(p, Fraction(0), candidate) - 1
+        below = v_lo - _variations_at(seq, candidate) - 1
         if below != 0:
             raise RootError(
                 f"candidate {candidate} is not minimal: {below} roots below it"
@@ -145,25 +126,24 @@ def smallest_positive_root(
         return IsolatingInterval(candidate, candidate, candidate)
 
     hi = cauchy_bound(p)
-    if sturm_roots(p, Fraction(0), hi) == 0:
+    v_hi = _variations_at(seq, hi)
+    if v_lo == v_hi:
         return None
-    exact = _smallest_positive_rational_root(p)
-    if exact is not None and sturm_roots(p, Fraction(0), exact) == 1:
-        return IsolatingInterval(exact, exact, exact)
-    lo = Fraction(0)
-    while hi - lo > width:
+    den = abs(int(seq[0].leading()))
+    separation = Fraction(1, den * den)
+    while True:
+        if v_lo - v_hi == 1:
+            c = ((lo + hi) / 2).limit_denominator(den)
+            if lo < c <= hi and p(c) == 0:
+                return IsolatingInterval(c, c, c)
+            if hi - lo < separation and hi - lo <= WIDTH:
+                return IsolatingInterval(lo, hi, None)
         mid = (lo + hi) / 2
-        if p(mid) == 0:
-            # bisection landed exactly on a rational root; check minimality
-            if sturm_roots(p, lo, mid) == 1 and (
-                lo == 0 or sturm_roots(p, Fraction(0), lo) == 0
-            ):
-                return IsolatingInterval(mid, mid, mid)
-        if sturm_roots(p, lo, mid) >= 1:
-            hi = mid
+        v_mid = _variations_at(seq, mid)
+        if v_lo > v_mid:
+            hi, v_hi = mid, v_mid
         else:
-            lo = mid
-    return IsolatingInterval(lo, hi, None)
+            lo, v_lo = mid, v_mid
 
 
 # -- the recurrence families ------------------------------------------
@@ -257,5 +237,6 @@ def verify_root_interval(tag: str, n: int, interval=None) -> bool:
     p = family(tag, n).poly
     if p.degree() == 0:
         return True
-    inside = sturm_roots(p, lo, hi) + (1 if p(lo) == 0 else 0)
-    return inside == count_real_roots(p)
+    seq = sturm_sequence(p)
+    inside = _variations_at(seq, lo) - _variations_at(seq, hi) + (p(lo) == 0)
+    return inside == _variations_at_inf(seq, False) - _variations_at_inf(seq, True)

@@ -12,7 +12,6 @@ sound: extra guesses never hurt the sages.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -130,11 +129,6 @@ class GameVerdict:
     num_clauses: int = 0
     decisions: int = 0
     reason: str = ""
-
-
-def solver_timeout_ms() -> Optional[int]:
-    raw = os.environ.get("HATLAB_SOLVER_TIMEOUT_MS")
-    return int(raw) if raw else None
 
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
@@ -323,8 +317,6 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """Winning with an extracted (verified) strategy, or Losing after
     exhaustive refutation; Unknown only on timeout, never a guess."""
-    if timeout_ms is None:
-        timeout_ms = solver_timeout_ms()
     cnf = encode(game)
     try:
         model, decisions = _dpll(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import conclude_hg, conclude_muhat, eval_expr
+from .algebra import CliqueLeaf, Product, conclude_hg, conclude_muhat, eval_expr
 from .certify import (
     LosingCertificate,
     MaximalityCertificate,
@@ -22,7 +22,14 @@ from .certify import (
     losing_by_Z_positive,
     mu_hat_chordal,
 )
-from .extensions import leading_f, reduced_P_first, reduced_P_second
+from .extensions import (
+    build_first_kind,
+    build_second_kind,
+    clique_of_vertex,
+    leading_f,
+    reduced_P_first,
+    reduced_P_second,
+)
 from .gallery import (
     build_chain,
     build_chain_graph,
@@ -44,7 +51,7 @@ from .graphs import (
 from .indpoly import eval_P, eval_P_brute
 from .io import frac_str
 from .poly import UnivariatePoly
-from .roots import family, smallest_positive_root, sturm_roots, verify_root_interval
+from .roots import family, smallest_positive_root, verify_root_interval
 from .solver import hg_search
 from .solver import decide_game as _decide_game_uncached
 
@@ -118,7 +125,10 @@ def _check_clique_criterion():
 
 def _check_delta6():
     e = build_delta6_hg8()
-    game = eval_expr(e).game
+    cert = check_maximal_compositional(e)
+    if not isinstance(cert, MaximalityCertificate) or cert.z_at_r != 0:
+        return False, "compositional maximality certificate failed"
+    game = cert.game
     st = stats(game.graph)
     if len(game.vertices) != 31:
         return False, f"vertex count {len(game.vertices)} != 31"
@@ -126,9 +136,6 @@ def _check_delta6():
         return False, f"max degree {st.max_degree} != 6"
     if set(game.h.values()) != {8}:
         return False, f"hatness values {sorted(set(game.h.values()))} != {{8}}"
-    cert = check_maximal_compositional(e)
-    if not isinstance(cert, MaximalityCertificate) or cert.z_at_r != 0:
-        return False, "compositional maximality certificate failed"
     hg = conclude_hg(e)
     if hg.value != 8:
         return False, f"conclude_hg {hg.value} != 8 ({hg.reason})"
@@ -338,8 +345,6 @@ def _check_oracles():
         ]
         for sizes in size_choices:
             x = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
-            from .extensions import build_first_kind, build_second_kind, clique_of_vertex
-
             built = build_first_kind(base, sizes)
             cl = clique_of_vertex(base, sizes)
             direct = eval_P(built, {v: x[cl[v]] for v in built.vertices})
@@ -393,8 +398,6 @@ def _check_soundness():
             return False, f"{label}: Z-positivity vs solver {verdict.status}"
         checked.append(f"{label} losing both ways")
     # small product certificate vs solver
-    from .algebra import CliqueLeaf, Product
-
     k2 = CliqueLeaf(("a", "b"), {"a": 2, "b": 2}, {})
     p3 = Product(k2, "b", CliqueLeaf(("b", "c"), {"b": 2, "c": 2}, {}), "b")
     p3cert = eval_expr(p3)
@@ -404,12 +407,12 @@ def _check_soundness():
     checked.append("P3 (2,4,2) winning both ways")
     # every certified HG satisfies HG < e * Delta (exact rational bound)
     hg_cases = [
-        (build_delta6_hg8(), None),
-        (build_scary(3), None),
-        (build_chain(2, 4).expr, None),
-        (build_chain(3, 6).expr, None),
+        build_delta6_hg8(),
+        build_scary(3),
+        build_chain(2, 4).expr,
+        build_chain(3, 6).expr,
     ]
-    for e, _ in hg_cases:
+    for e in hg_cases:
         cert = eval_expr(e)
         hg = conclude_hg(e)
         delta = stats(cert.game.graph).max_degree

@@ -228,6 +228,22 @@ def test_strategy_round_trip():
     assert strategy_from_json(strategy_to_json(strategy)) == strategy
 
 
+@pytest.mark.parametrize(
+    "obj, pointer",
+    [
+        ({"a": 5}, "/a"),
+        ({"a": {"x": [0]}}, "/a/x"),
+        ({"a": {"0": 3}}, "/a/0"),
+        ({"a": {"0": [0, "1"]}}, "/a/0"),
+        ([], "/"),
+    ],
+)
+def test_strategy_schema_errors_carry_pointers(obj, pointer):
+    with pytest.raises(SchemaError) as info:
+        strategy_from_json(obj)
+    assert info.value.pointer == pointer
+
+
 def test_canonical_dumps_sorted_with_newline():
     s = canonical_dumps({"b": 1, "a": 2})
     assert s.endswith("\n")

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab import roots
+from hatlab.gallery import build_extension_example
 from hatlab.poly import UnivariatePoly
 from hatlab.roots import (
+    WIDTH,
     RootError,
     cauchy_bound,
     count_real_roots,
@@ -81,6 +84,58 @@ def test_smallest_positive_root_irrational_isolated():
 
 def test_smallest_positive_root_none_when_all_negative():
     assert smallest_positive_root(X + 1) is None
+
+
+def test_smallest_positive_root_not_fooled_by_nearby_rational_root():
+    # 8(x - 5)(x^2 - 23): the rational root 5 lies within 1/L^2 = 1 of the
+    # smaller irrational root sqrt(23) ~ 4.796
+    p = UnivariatePoly.of(920, -184, -40, 8)
+    iso = smallest_positive_root(p)
+    assert iso.exact_root is None
+    assert iso.lower * iso.lower < 23 < iso.upper * iso.upper
+    assert p(iso.lower) * p(iso.upper) < 0
+    assert iso.width() <= WIDTH
+
+
+def test_smallest_positive_root_exact_with_large_coefficients():
+    p = (10**13 * X - 1) * (X + 1)
+    assert smallest_positive_root(p).exact_root == Fraction(1, 10**13)
+    q = (X * X - 2) * (12345678901 * X - 98765432109)
+    iso = smallest_positive_root(q)
+    assert iso.exact_root is None and iso.lower * iso.lower < 2 < iso.upper**2
+    assert iso.width() <= WIDTH
+
+
+@pytest.mark.parametrize("which, root_of_k", [(2, 4), (3, 2)])
+def test_smallest_positive_root_finds_minimal_root_without_candidate(which, root_of_k):
+    for k in range(4):
+        for n in range(2, 9):
+            u = build_extension_example(which, n, k).u_poly
+            root = Fraction(1, k + root_of_k)
+            plain = smallest_positive_root(u)
+            assert plain.exact_root == root, (which, n, k)
+            assert plain == smallest_positive_root(u, candidate=root)
+
+
+def test_smallest_positive_root_builds_one_sturm_sequence(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return sturm_sequence(p)
+
+    monkeypatch.setattr(roots, "sturm_sequence", counted)
+    polys = [
+        (UnivariatePoly.of(1, -4, 3), None),
+        (UnivariatePoly.of(1, -4, 3), Fraction(1, 3)),
+        (X * X - 2, None),
+        (UnivariatePoly.of(920, -184, -40, 8), None),
+        (X + 1, None),
+    ]
+    for p, candidate in polys:
+        calls.clear()
+        smallest_positive_root(p, candidate=candidate)
+        assert len(calls) == 1
 
 
 def test_family_values():
