@@ -137,26 +137,21 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     integer conflict-activity branching (ties to the lowest variable
     index, false first with phase saving) and geometric restarts.
     Returns (model | None, decisions), or raises TimeoutError."""
-    assign = [0] * (num_vars + 1)  # 0 unknown, 1 true, -1 false
+    # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
+    # negative literals index from the end, so val[-v] == -val[v]
+    val = [0] * (2 * num_vars + 1)
     level = [0] * (num_vars + 1)
     reason: list = [None] * (num_vars + 1)  # clause index for implied vars
     activity = [0] * (num_vars + 1)
     phase = [-1] * (num_vars + 1)  # last assigned polarity; initially false
-    watches: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-
-    def windex(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
+    watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
 
     def watch_clause(ci: int):
         cl = clauses[ci]
         if len(cl) == 1:
             cl.append(cl[0])  # duplicate literal; keeps two watch slots
-        watches[windex(cl[0])].append(ci)
-        watches[windex(cl[1])].append(ci)
+        watches[cl[0]].append(ci)
+        watches[cl[1]].append(ci)
 
     for ci in range(len(clauses)):
         watch_clause(ci)
@@ -169,8 +164,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
 
     def enqueue(lit: int, why):
+        val[lit] = 1
+        val[-lit] = -1
         v = abs(lit)
-        assign[v] = 1 if lit > 0 else -1
         level[v] = len(trail_lim)
         reason[v] = why
         trail.append(lit)
@@ -178,35 +174,35 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     def propagate():
         nonlocal qhead
         while qhead < len(trail):
-            lit = trail[qhead]
+            fl = -trail[qhead]  # literal that became false
             qhead += 1
-            fl = -lit  # literal that became false
-            wl = watches[windex(fl)]
+            wl = watches[fl]
             i = 0
             while i < len(wl):
                 ci = wl[i]
                 cl = clauses[ci]
-                if cl[0] == fl:
-                    cl[0], cl[1] = cl[1], cl[0]
+                first = cl[0]
+                if first == fl:
+                    first = cl[0] = cl[1]
+                    cl[1] = fl
                 # cl[1] is the false watch now
-                if value(cl[0]) == 1:
+                if val[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches[windex(cl[1])].append(ci)
+                    other = cl[k]
+                    if val[other] != -1:
+                        cl[1] = other
+                        cl[k] = fl
+                        watches[other].append(ci)
                         wl[i] = wl[-1]
                         wl.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if value(cl[0]) == -1:
-                    return ci  # conflict
-                enqueue(cl[0], ci)
-                i += 1
+                else:
+                    if val[first] == -1:
+                        return ci  # conflict
+                    enqueue(first, ci)
+                    i += 1
         return None
 
     def analyze(conflict_ci: int):
@@ -262,8 +258,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         target = trail_lim[lvl]
         while len(trail) > target:
             v = abs(trail.pop())
-            phase[v] = assign[v]
-            assign[v] = 0
+            phase[v] = val[v]
+            val[v] = val[-v] = 0
             reason[v] = None
         del trail_lim[lvl:]
         qhead = len(trail)
@@ -300,11 +296,11 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         best = 0
         best_act = -1
         for v in range(1, num_vars + 1):
-            if assign[v] == 0 and activity[v] > best_act:
+            if val[v] == 0 and activity[v] > best_act:
                 best = v
                 best_act = activity[v]
         if best == 0:
-            model = [assign[v] == 1 for v in range(num_vars + 1)]
+            model = [val[v] == 1 for v in range(num_vars + 1)]
             return model, decisions
         if deadline and time.monotonic() > deadline:
             raise TimeoutError
