@@ -240,6 +240,7 @@ def eval_expr(e: GameExpr) -> Certificate:
 class Conclusion:
     value: Optional[Fraction]
     reason: str = ""
+    game: Optional[HatGame] = None  # the evaluated composite game
 
     @property
     def applicable(self) -> bool:
@@ -251,19 +252,21 @@ def conclude_hg(e: GameExpr) -> Conclusion:
     clique bricks with constant resulting hatness."""
     cert = eval_expr(e)
     if cert.obstacle:
-        return Conclusion(None, cert.obstacle)
+        return Conclusion(None, cert.obstacle, cert.game)
     # gluing multiplies g on the nonempty S by g(v), and h with it, so
     # the composite is classic exactly when every leaf is
     if not cert.game.is_classic():
-        return Conclusion(None, "a leaf uses multiple guesses (g != 1)")
+        return Conclusion(None, "a leaf uses multiple guesses (g != 1)", cert.game)
     values = set(cert.game.h.values())
     if len(values) != 1:
-        return Conclusion(None, f"resulting hatness is not constant: {sorted(values)}")
+        return Conclusion(
+            None, f"resulting hatness is not constant: {sorted(values)}", cert.game
+        )
     # maximality backs the upper bound HG <= mu-hat = h
     from .certify import maximality_from_composition
 
     maximality_from_composition(cert)
-    return Conclusion(Fraction(values.pop()))
+    return Conclusion(Fraction(values.pop()), game=cert.game)
 
 
 def conclude_muhat(e: GameExpr) -> Conclusion:
@@ -271,10 +274,10 @@ def conclude_muhat(e: GameExpr) -> Conclusion:
     clique bricks with constant h/g ratio."""
     cert = eval_expr(e)
     if cert.obstacle:
-        return Conclusion(None, cert.obstacle)
+        return Conclusion(None, cert.obstacle, cert.game)
     ratios = {
         Fraction(cert.game.h[v], cert.game.g[v]) for v in cert.game.vertices
     }
     if len(ratios) != 1:
-        return Conclusion(None, "h/g is not a constant function")
-    return Conclusion(ratios.pop())
+        return Conclusion(None, "h/g is not a constant function", cert.game)
+    return Conclusion(ratios.pop(), game=cert.game)

@@ -121,6 +121,8 @@ def _cmd_solve(args) -> int:
         "num_vars": verdict.num_vars,
         "num_clauses": verdict.num_clauses,
         "decisions": verdict.decisions,
+        "conflicts": verdict.conflicts,
+        "restarts": verdict.restarts,
     }
     if verdict.reason:
         payload["reason"] = verdict.reason

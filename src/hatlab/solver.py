@@ -5,8 +5,45 @@ configuration sigma (colors of the open neighborhood in fixed vertex
 order) and color c, meaning "on seeing sigma, sage v guesses c".  For
 every full coloring phi there is one clause requiring some sage to guess
 his own color, plus at-most-g(v) cardinality constraints per (v, sigma).
-Satisfiable iff the sages win.  "At most" (not "exactly") g guesses is
-sound: extra guesses never hurt the sages.
+Satisfiable iff the sages win.  Two families of symmetry-breaking
+clauses follow, which keep satisfiability but not every model:
+
+* Exactly one guess: for g(v) = 1, at least one guess per (v, sigma).
+* Value precedence: for each v of a first-fit independent set I, in
+  vertex order, of the vertices with g = 1 and h >= 2, v's table read in
+  `itertools.product` order of its configurations uses color c >= 1 only
+  after it has used color c - 1.  State variables m[j][c] mean "color c
+  appears on configurations 0..j"; row 0 is the first configuration's own
+  y-variables, so a table with at most 2 configurations adds none.
+
+Soundness.  Suppose a winning strategy exists; we build one that also
+satisfies the added clauses.
+
+1. Completion.  Winning is monotone in the guess sets: adding a guess
+   to a table entry can only add correct guesses on each coloring.  So
+   any entry of a g = 1 table with no guess can be given one (color 0,
+   say) and the strategy still wins, now with exactly one guess.
+2. Relabelling.  Let pi be a permutation of v's colors.  Replace v's
+   table T_v by pi(T_v(sigma)), and every neighbor w's table T_w by
+   sigma' -> T_w(sigma with v's coordinate pi^-1(sigma'_v)); all other
+   tables stay.  On the coloring phi' that recolors v by pi, the new
+   strategy makes the same correct guesses as the old one on phi, and
+   phi -> phi' is a bijection of colorings, so the new strategy wins
+   exactly when the old one does.  Entry sizes do not change, so guess
+   counts, and exactly one guess, are kept.
+3. Independence.  For v in I, pi_v changes the outputs of T_v and the
+   inputs of the tables of v's neighbors, none of which is in I.  So
+   pi_v moves no output and no input of the table of any other u in I.
+   Choose pi_v to number v's colors in the order in which T_v first
+   uses them; this makes T_v value-precedent.  Applying all pi_v, v in
+   I, one after another, leaves the earlier tables of I as they were, so
+   at the end every table of I is value-precedent and the strategy still
+   wins with exactly one guess wherever g = 1.
+
+Hence the formula with the added clauses is satisfiable iff the plain one
+is.  The clauses are not implied by the plain formula (they cut off
+models, not colorings), so a refutation is a proof relative to them.
+`CNF.symmetry_clauses` counts them; they come last in `CNF.clauses`.
 """
 
 from __future__ import annotations
@@ -39,6 +76,8 @@ class CNF:
     var_of: dict[tuple, int]
     visible: dict[str, tuple[str, ...]]
     coloring_clauses: int
+    # exactly-one and value-precedence clauses, at the end of `clauses`
+    symmetry_clauses: int
 
 
 def _visible_order(game: HatGame) -> dict[str, tuple[str, ...]]:
@@ -47,6 +86,18 @@ def _visible_order(game: HatGame) -> dict[str, tuple[str, ...]]:
         v: tuple(sorted(game.graph.neighbors(v), key=order.get))
         for v in game.vertices
     }
+
+
+def _precedence_vertices(game: HatGame) -> list[str]:
+    """First-fit independent set, in vertex order, of the vertices with
+    g = 1 and h >= 2: the tables whose colors value precedence orders."""
+    chosen: list[str] = []
+    taken: set[str] = set()
+    for v in game.vertices:
+        if game.g[v] == 1 and game.h[v] >= 2 and v not in taken:
+            chosen.append(v)
+            taken.update(game.graph.neighbors(v))
+    return chosen
 
 
 def _at_most(k: int, lits: list[int], fresh: int) -> tuple[list[list[int]], int]:
@@ -77,6 +128,28 @@ def _at_most(k: int, lits: list[int], fresh: int) -> tuple[list[list[int]], int]
     return clauses, fresh
 
 
+def _value_precedence(
+    rows: list[list[int]], fresh: int
+) -> tuple[list[list[int]], int]:
+    """Clauses making a table, given as one row of per-color variables per
+    configuration, use color c >= 1 only on a row after one that uses
+    c - 1.  seen[c] stands for "color c is used on the rows before this
+    one"; the first row's own variables serve as seen, so two rows need no
+    new variable.  Returns (clauses, next fresh variable index)."""
+    seen = rows[0]
+    clauses = [[-y] for y in seen[1:]]
+    for j, row in enumerate(rows[1:], 1):
+        clauses.extend([-row[c], seen[c - 1]] for c in range(1, len(row)))
+        if j == len(rows) - 1:
+            break
+        nxt = list(range(fresh, fresh + len(row) - 1))
+        fresh += len(nxt)
+        for c, m in enumerate(nxt):  # m <-> seen[c] or row[c]
+            clauses += [[-m, seen[c], row[c]], [-seen[c], m], [-row[c], m]]
+        seen = nxt
+    return clauses, fresh
+
+
 def encode(game: HatGame) -> CNF:
     """CNF whose satisfiability is equivalent to the sages winning."""
     if game.num_colorings() > COLORING_GUARD:
@@ -94,12 +167,17 @@ def encode(game: HatGame) -> CNF:
                 f"guard is {CONFIG_GUARD}"
             )
     var_of: dict[tuple, int] = {}
+    # rows[v][j]: v's variables on its j-th configuration, one per color
+    rows: dict[str, list[list[int]]] = {}
     fresh = 1
     for v in game.vertices:
+        rows[v] = []
         for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
-            for c in range(game.h[v]):
-                var_of[(v, sigma, c)] = fresh
-                fresh += 1
+            row = list(range(fresh, fresh + game.h[v]))
+            fresh += game.h[v]
+            rows[v].append(row)
+            for c, y in enumerate(row):
+                var_of[(v, sigma, c)] = y
     clauses: list[list[int]] = []
     coloring_clauses = 0
     names = game.vertices
@@ -111,11 +189,19 @@ def encode(game: HatGame) -> CNF:
         clauses.append(clause)
         coloring_clauses += 1
     for v in names:
-        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
-            lits = [var_of[(v, sigma, c)] for c in range(game.h[v])]
-            extra, fresh = _at_most(game.g[v], lits, fresh)
+        for row in rows[v]:
+            extra, fresh = _at_most(game.g[v], row, fresh)
             clauses.extend(extra)
-    return CNF(fresh - 1, clauses, var_of, visible, coloring_clauses)
+    # symmetry breaking comes last, so that dropping the last
+    # symmetry_clauses clauses leaves the plain formula
+    symmetry = [list(row) for v in names if game.g[v] == 1 for row in rows[v]]
+    for v in _precedence_vertices(game):
+        extra, fresh = _value_precedence(rows[v], fresh)
+        symmetry.extend(extra)
+    clauses.extend(symmetry)
+    return CNF(
+        fresh - 1, clauses, var_of, visible, coloring_clauses, len(symmetry)
+    )
 
 
 # -- DPLL with watched literals ---------------------------------------
@@ -128,6 +214,8 @@ class GameVerdict:
     num_vars: int = 0
     num_clauses: int = 0
     decisions: int = 0
+    conflicts: int = 0
+    restarts: int = 0
     reason: str = ""
 
 
@@ -136,7 +224,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     first-UIP clause learning with non-chronological backjumping,
     integer conflict-activity branching (ties to the lowest variable
     index, false first with phase saving) and geometric restarts.
-    Returns (model | None, decisions), or raises TimeoutError."""
+    Returns (model | None, decisions, conflicts, restarts), or raises
+    TimeoutError."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
@@ -161,6 +250,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     qhead = 0
     decisions = 0
     conflicts = 0
+    restarts = 0
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
 
     def enqueue(lit: int, why):
@@ -276,7 +366,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             conflicts += 1
             conflicts_since_restart += 1
             if not trail_lim:
-                return None, decisions
+                return None, decisions, conflicts, restarts
             learned, bj = analyze(conflict)
             backjump(bj)
             clauses.append(learned)
@@ -289,6 +379,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             continue
         if conflicts_since_restart >= restart_limit:
             conflicts_since_restart = 0
+            restarts += 1
             restart_limit = restart_limit * 3 // 2
             if trail_lim:
                 backjump(0)
@@ -301,7 +392,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
                 best_act = activity[v]
         if best == 0:
             model = [val[v] == 1 for v in range(num_vars + 1)]
-            return model, decisions
+            return model, decisions, conflicts, restarts
         if deadline and time.monotonic() > deadline:
             raise TimeoutError
         decisions += 1
@@ -315,7 +406,7 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     exhaustive refutation; Unknown only on timeout, never a guess."""
     cnf = encode(game)
     try:
-        model, decisions = _dpll(
+        model, decisions, conflicts, restarts = _dpll(
             cnf.num_vars, [list(c) for c in cnf.clauses], timeout_ms
         )
     except TimeoutError:
@@ -325,24 +416,20 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
             num_clauses=len(cnf.clauses),
             reason=f"timeout after {timeout_ms} ms",
         )
+    counts = dict(
+        num_vars=cnf.num_vars,
+        num_clauses=len(cnf.clauses),
+        decisions=decisions,
+        conflicts=conflicts,
+        restarts=restarts,
+    )
     if model is None:
-        return GameVerdict(
-            LOSING,
-            num_vars=cnf.num_vars,
-            num_clauses=len(cnf.clauses),
-            decisions=decisions,
-        )
+        return GameVerdict(LOSING, **counts)
     strategy = extract_strategy(game, cnf, model)
     bad = verify_strategy(game, strategy)
     if bad is not None:
         raise SolverError(f"internal error: model strategy misses coloring {bad}")
-    return GameVerdict(
-        WINNING,
-        strategy=strategy,
-        num_vars=cnf.num_vars,
-        num_clauses=len(cnf.clauses),
-        decisions=decisions,
-    )
+    return GameVerdict(WINNING, strategy=strategy, **counts)
 
 
 def extract_strategy(game: HatGame, cnf: CNF, model: list[bool]) -> dict:

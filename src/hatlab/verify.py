@@ -151,10 +151,9 @@ def _check_delta6():
 def _check_four_thirds():
     details = []
     for n in (3, 4):
-        e = build_scary(n)
-        game = eval_expr(e).game
+        hg = conclude_hg(build_scary(n))
+        game = hg.game
         st = stats(game.graph)
-        hg = conclude_hg(e)
         if hg.value != 2**n:
             return False, f"n={n}: conclude_hg {hg.value} != {2 ** n}"
         if st.max_degree != 3 * 2 ** (n - 2):
@@ -171,15 +170,14 @@ def _check_four_thirds():
 
 
 def _check_delta_plus_k():
-    built = build_delta_plus_k(3)
-    game = eval_expr(built.expr).game
+    hg = conclude_hg(build_delta_plus_k(3).expr)
+    game = hg.game
     st = stats(game.graph)
     if len(game.vertices) != 62 or st.max_degree != 13:
         return False, (
             f"m=2: {len(game.vertices)} vertices, Delta {st.max_degree} "
             "(expected 62, 13)"
         )
-    hg = conclude_hg(built.expr)
     if hg.value != 16:
         return False, f"m=2: conclude_hg {hg.value} != 16"
     r100 = delta_plus_k_ratio(100)
@@ -413,9 +411,8 @@ def _check_soundness():
         build_chain(3, 6).expr,
     ]
     for e in hg_cases:
-        cert = eval_expr(e)
         hg = conclude_hg(e)
-        delta = stats(cert.game.graph).max_degree
+        delta = stats(hg.game.graph).max_degree
         if hg.value is None or not hg.value < E_LOWER * delta:
             return False, f"HG {hg.value} vs e*Delta bound with Delta={delta}"
     checked.append(f"{len(hg_cases)} HG < e*Delta bounds")

@@ -56,6 +56,8 @@ def test_solve_losing(tmp_path, capsys):
     save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), str(gp))
     obj = _run_json(capsys, "solve", str(gp))
     assert obj["status"] == "losing"
+    assert obj["conflicts"] >= 1
+    assert "restarts" in obj
 
 
 def test_certify_maximal_direct(tmp_path, capsys):
