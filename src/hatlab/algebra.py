@@ -240,7 +240,7 @@ def eval_expr(e: GameExpr) -> Certificate:
 class Conclusion:
     value: Optional[Fraction]
     reason: str = ""
-    game: Optional[HatGame] = None  # the evaluated composite game
+    game: Optional[HatGame] = None  # conclude_hg: the evaluated composite game
 
     @property
     def applicable(self) -> bool:
@@ -274,10 +274,10 @@ def conclude_muhat(e: GameExpr) -> Conclusion:
     clique bricks with constant h/g ratio."""
     cert = eval_expr(e)
     if cert.obstacle:
-        return Conclusion(None, cert.obstacle, cert.game)
+        return Conclusion(None, cert.obstacle)
     ratios = {
         Fraction(cert.game.h[v], cert.game.g[v]) for v in cert.game.vertices
     }
     if len(ratios) != 1:
-        return Conclusion(None, "h/g is not a constant function", cert.game)
-    return Conclusion(ratios.pop(), game=cert.game)
+        return Conclusion(None, "h/g is not a constant function")
+    return Conclusion(ratios.pop())

@@ -38,7 +38,8 @@ satisfies the added clauses.
    uses them; this makes T_v value-precedent.  Applying all pi_v, v in
    I, one after another, leaves the earlier tables of I as they were, so
    at the end every table of I is value-precedent and the strategy still
-   wins with exactly one guess wherever g = 1.
+   wins with exactly one guess wherever g = 1.  Each state variable
+   m[j][c] takes the value its definition gives.
 
 Hence the formula with the added clauses is satisfiable iff the plain one
 is.  The clauses are not implied by the plain formula (they cut off

@@ -129,24 +129,19 @@ def test_hg_search_reports_bracket_on_guard():
 @pytest.mark.parametrize("order", ["abcde", "cebda"])
 def test_p5_h3_loses(order):
     # HG of a tree is 2
-    graph = make_graph(list(order), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")})
+    edges = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")}
+    graph = make_graph(list(order), edges)
     assert decide_game(uniform_game(graph, 3)).status == LOSING
 
 
 @pytest.mark.parametrize("order", ["abcd", "acbd"])
 def test_c4_h3_wins(order):
-    graph = make_graph(list(order), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
+    edges = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
+    graph = make_graph(list(order), edges)
     game = uniform_game(graph, 3)
     verdict = decide_game(game)
     assert verdict.status == WINNING
     assert verify_strategy(game, verdict.strategy) is None
-
-
-def test_verdict_counts_conflicts():
-    verdict = decide_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}))
-    assert verdict.status == LOSING
-    assert verdict.conflicts >= 1
-    assert verdict.restarts >= 0
 
 
 # -- symmetry breaking: same verdict with and without its clauses -------
@@ -202,10 +197,13 @@ def test_symmetry_clauses_encoding():
     assert cnf.clauses[plain] == [1, 2, 3]  # a's first row, at least one
 
 
-# Left out: C5 at h = 3, which neither formula settles in 20 s (the
-# benchmark's known-hard item), and P6 at h = 3, which takes ~10 s
-# without the symmetry clauses; both are losing.
-_TOO_SLOW = {(("c0", "c1", "c2", "c3", "c4"), 3), (tuple(f"p{i}" for i in range(6)), 3)}
+# Left out, both losing: C5 at h = 3, which neither formula settles in
+# 20 s (the benchmark's known-hard item), and P6 at h = 3, which takes
+# ~10 s without the symmetry clauses (2-core machine, CPython 3.11).
+_TOO_SLOW = {
+    (tuple(f"c{i}" for i in range(5)), 3),
+    (tuple(f"p{i}" for i in range(6)), 3),
+}
 
 
 def test_symmetry_clauses_keep_verdict_on_corpus():
