@@ -203,13 +203,14 @@ def is_chordal(g: Graph):
     if not g.vertices:
         return []
     weight = {v: 0 for v in g.vertices}
+    position = {v: i for i, v in enumerate(g.vertices)}
     order = []  # MCS visit order
     visited = set()
     for _ in range(len(g.vertices)):
         # deterministic tie-break by declaration order
         best = max(
             (v for v in g.vertices if v not in visited),
-            key=lambda v: (weight[v], -g.vertices.index(v)),
+            key=lambda v: (weight[v], -position[v]),
         )
         visited.add(best)
         order.append(best)

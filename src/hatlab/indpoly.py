@@ -5,19 +5,64 @@ uses the clique recurrence
 
     P_G = P_{G\\K} + sum_{u in K} x_u * P_{G\\N+(u)}
 
-with the pivot clique K chosen as a maximal clique containing a
-minimum-degree vertex, factorization over connected components, and
-memoization on vertex subsets.  On tree-of-cliques graphs the recursion
-stays linear, which is what makes the large gallery graphs feasible.
+with factorization over connected components and memoization on vertex
+subsets.  Subsets are int bitmasks, and each step does Python-level
+work in proportion to the vertices it removes, not to the size of the
+subset:
+
+* Pivot.  The vertices are relabelled once per evaluator by an
+  elimination order: repeatedly remove a vertex of minimum (degree,
+  index) from what is left of the whole graph.  The pivot of a subset is
+  its first vertex in that order (its lowest bit), and K is the greedy
+  maximal clique of the pivot with its neighbours taken in the same
+  order.  The pivot's neighbours in the subset come later in the order,
+  so there are at most degeneracy(G) of them.  On a path the order runs
+  from one end, and the recurrence stays linear on tree-of-cliques
+  graphs, which is what makes the large gallery graphs feasible.
+* Connectivity.  A child C - X of a connected subset C is searched for
+  components only when the removed set X borders two or more of the
+  remaining vertices.  Every component D of C - X contains a neighbour
+  of X: C is connected, so a path in C runs from D to X, and it can
+  leave D only into X.  With at most one such neighbour, C - X is
+  therefore connected (or empty).  Otherwise the search grows a
+  component from one neighbour at a time, and once a single neighbour
+  is left unplaced, the rest is its component.
+
+There is no recursion: the recurrence runs on an explicit stack of
+tasks, so its depth is bounded only by memory.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from fractions import Fraction
 
 from .graphs import Graph, GraphError, independent_sets
 from .poly import UnivariatePoly
+
+# stack tasks: evaluate a subset, or combine the values of its children
+_EVAL, _PRODUCT, _CLIQUE = range(3)
+
+
+def _elimination_order(adj: list[list[int]]) -> list[int]:
+    """Vertex indices in the order of repeatedly removing a vertex of
+    minimum (degree, index) from the rest of the graph."""
+    deg = [len(a) for a in adj]
+    heap = [(d, i) for i, d in enumerate(deg)]
+    heapq.heapify(heap)
+    gone = [False] * len(deg)
+    order = []
+    while heap:
+        d, i = heapq.heappop(heap)
+        if gone[i] or d != deg[i]:
+            continue  # stale entry
+        gone[i] = True
+        order.append(i)
+        for w in adj[i]:
+            if not gone[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return order
 
 
 class _Evaluator:
@@ -25,69 +70,118 @@ class _Evaluator:
 
     Values may be Fractions (point evaluation) or UnivariatePoly (all
     variables identified); the recurrence only needs ring operations.
-    The memo is keyed by the induced vertex subset, so one evaluator can
-    serve many induced-subgraph queries (e.g. the box-corner sweep)."""
+    The memo is keyed by the induced vertex subset (a bitmask), so one
+    evaluator can serve many induced-subgraph queries (e.g. the box-corner
+    sweep)."""
 
     def __init__(self, graph: Graph, x):
-        self.names = graph.vertices
-        self.index = {v: i for i, v in enumerate(self.names)}
-        self.adj = [
-            frozenset(self.index[u] for u in graph.neighbors(v))
-            for v in self.names
-        ]
+        names = graph.vertices
+        index = {v: i for i, v in enumerate(names)}
         if callable(x):
-            self.x = [x(v) for v in self.names]
+            xs = [x(v) for v in names]
         else:
-            self.x = [x[v] for v in self.names]
-        self.memo: dict[frozenset, object] = {}
+            xs = [x[v] for v in names]
+        nbrs = [[index[u] for u in graph.neighbors(v)] for v in names]
+        order = _elimination_order(nbrs)
+        # bit[i]: the bit of vertex index i; adj and x are by bit position
+        self.bit = [0] * len(names)
+        for pos, i in enumerate(order):
+            self.bit[i] = 1 << pos
+        self.adj = [sum(self.bit[u] for u in nbrs[i]) for i in order]
+        self.x = [xs[i] for i in order]
+        self.memo: dict[int, object] = {}
 
     def full(self):
-        return self.value(frozenset(range(len(self.names))))
+        return self._eval((1 << len(self.x)) - 1)
 
     def value(self, sub: frozenset):
-        got = self.memo.get(sub)
-        if got is not None:
-            return got
-        if not sub:
-            return 1
-        comps = self._components(sub)
-        if len(comps) == 1:
-            out = self._component_value(comps[0])
-        else:
-            out = 1
-            for comp in comps:
-                out = out * self.value(comp)
-        self.memo[sub] = out
+        """P of the subgraph induced by a set of vertex indices."""
+        mask = 0
+        for i in sub:
+            mask |= self.bit[i]
+        return self._eval(mask)
+
+    def _eval(self, root: int):
+        adj, x, memo = self.adj, self.x, self.memo
+        vals = []
+        # (_EVAL, sub, gone): sub is a connected subset less the vertices
+        # gone, or any subset when gone is None
+        stack = [(_EVAL, root, None)]
+        while stack:
+            kind, sub, arg = stack.pop()
+            if kind == _EVAL:
+                if not sub:
+                    vals.append(1)
+                    continue
+                got = memo.get(sub)
+                if got is not None:
+                    vals.append(got)
+                    continue
+                # every component of sub holds a vertex of seeds
+                seeds = sub if arg is None else self._border(arg) & sub
+                if seeds & (seeds - 1):
+                    comps = self._components(sub, seeds)
+                    if len(comps) > 1:
+                        stack.append((_PRODUCT, sub, len(comps)))
+                        # a component is connected: nothing gone, no search
+                        stack.extend((_EVAL, c, 0) for c in comps)
+                        continue
+                # sub is connected; the pivot is its lowest bit, and K its
+                # greedy maximal clique among the later neighbours
+                kmask = sub & -sub
+                clique = [kmask.bit_length() - 1]
+                cand = adj[clique[0]] & sub
+                while cand:
+                    b = cand & -cand
+                    clique.append(b.bit_length() - 1)
+                    kmask |= b
+                    cand &= adj[clique[-1]]
+                stack.append((_CLIQUE, sub, clique))
+                # P(sub - K) is evaluated first, then P(sub - N[u]) for u in K
+                removed = [kmask] + [(adj[u] & sub) | (1 << u) for u in clique]
+                for gone in reversed(removed):
+                    stack.append((_EVAL, sub & ~gone, gone))
+            else:
+                # _PRODUCT: arg counts the factors; _CLIQUE: arg is K
+                n = arg if kind == _PRODUCT else len(arg) + 1
+                args = vals[-n:]
+                del vals[-n:]
+                if kind == _PRODUCT:
+                    out = 1
+                    for v in args:
+                        out = out * v
+                else:
+                    out = args[0]
+                    for u, v in zip(arg, args[1:]):
+                        out = out + x[u] * v
+                memo[sub] = out
+                vals.append(out)
+        return vals[0]
+
+    def _border(self, mask: int) -> int:
+        """Union of the neighbourhoods of the vertices in mask."""
+        adj = self.adj
+        out = 0
+        while mask:
+            b = mask & -mask
+            out |= adj[b.bit_length() - 1]
+            mask ^= b
         return out
 
-    def _components(self, sub: frozenset) -> list[frozenset]:
-        todo = set(sub)
+    def _components(self, sub: int, seeds: int) -> list[int]:
+        """Components of sub, each of which holds a vertex of seeds."""
         comps = []
-        while todo:
-            start = min(todo)
-            seen = {start}
-            q = deque([start])
-            while q:
-                u = q.popleft()
-                for w in self.adj[u] & sub:
-                    if w not in seen:
-                        seen.add(w)
-                        q.append(w)
-            comps.append(frozenset(seen))
-            todo -= seen
+        while seeds & (seeds - 1):
+            comp = frontier = seeds & -seeds
+            while frontier:
+                frontier = self._border(frontier) & sub & ~comp
+                comp |= frontier
+            comps.append(comp)
+            sub &= ~comp
+            seeds &= ~comp
+        if sub:
+            comps.append(sub)
         return comps
-
-    def _component_value(self, sub: frozenset):
-        # pivot: maximal clique around a minimum-degree vertex
-        u0 = min(sub, key=lambda u: (len(self.adj[u] & sub), u))
-        clique = [u0]
-        for w in sorted(self.adj[u0] & sub):
-            if all(w in self.adj[c] for c in clique):
-                clique.append(w)
-        out = self.value(sub - frozenset(clique))
-        for u in clique:
-            out = out + self.x[u] * self.value(sub - self.adj[u] - {u})
-        return out
 
 
 def eval_P(graph: Graph, x: dict[str, Fraction]) -> Fraction:

@@ -220,13 +220,17 @@ class GameVerdict:
     reason: str = ""
 
 
+class _Timeout(Exception):
+    """The search passed its deadline; args are its counts so far."""
+
+
 def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     """Deterministic CDCL: unit propagation over two watched literals,
     first-UIP clause learning with non-chronological backjumping,
     integer conflict-activity branching (ties to the lowest variable
     index, false first with phase saving) and geometric restarts.
     Returns (model | None, decisions, conflicts, restarts), or raises
-    TimeoutError."""
+    _Timeout with args (decisions, conflicts, restarts)."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
@@ -376,7 +380,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             if conflicts % 256 == 0:
                 rescale()
             if deadline and time.monotonic() > deadline:
-                raise TimeoutError
+                raise _Timeout(decisions, conflicts, restarts)
             continue
         if conflicts_since_restart >= restart_limit:
             conflicts_since_restart = 0
@@ -395,7 +399,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             model = [val[v] == 1 for v in range(num_vars + 1)]
             return model, decisions, conflicts, restarts
         if deadline and time.monotonic() > deadline:
-            raise TimeoutError
+            raise _Timeout(decisions, conflicts, restarts)
         decisions += 1
         trail_lim.append(len(trail))
         enqueue(best * phase[best], None)  # saved phase; false on first use
@@ -410,11 +414,15 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
         model, decisions, conflicts, restarts = _dpll(
             cnf.num_vars, [list(c) for c in cnf.clauses], timeout_ms
         )
-    except TimeoutError:
+    except _Timeout as stop:
+        decisions, conflicts, restarts = stop.args
         return GameVerdict(
             UNKNOWN,
             num_vars=cnf.num_vars,
             num_clauses=len(cnf.clauses),
+            decisions=decisions,
+            conflicts=conflicts,
+            restarts=restarts,
             reason=f"timeout after {timeout_ms} ms",
         )
     counts = dict(

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from hatlab.cli import main
 from hatlab.games import make_game, uniform_game
 from hatlab.graphs import complete_graph, path_graph
-from hatlab.io import save_game
+from hatlab.io import frac_str, save_game
 
 
 def _run(capsys, *argv):
@@ -152,10 +153,30 @@ def test_certify_malformed_expr_is_error(tmp_path, capsys):
     assert err.startswith("error: /vertices:")
 
 
-def test_certify_losing_deep_path_is_error(tmp_path, capsys):
+def test_certify_losing_deep_path(tmp_path, capsys):
+    n = 1200
     gp = tmp_path / "p1200.json"
-    save_game(uniform_game(path_graph([f"v{i}" for i in range(1200)]), 3), str(gp))
-    code = main(["certify", "losing", str(gp)])
+    save_game(uniform_game(path_graph([f"v{i}" for i in range(n)]), 3), str(gp))
+    # z_k = z_{k-1} - x_k z_{k-2} with z_0 = z_{-1} = 1 and x_k = 1/3
+    z, z_prev = Fraction(1), Fraction(1)
+    for _ in range(n):
+        z, z_prev = z - Fraction(1, 3) * z_prev, z
+    assert z > 0
+    obj = _run_json(capsys, "certify", "losing", str(gp))
+    assert obj == {
+        "verdict": "losing",
+        "z_at_r": frac_str(z),
+        "rule": "Z(r) > 0 implies losing",
+    }
+
+
+def test_certify_deeply_nested_expr_is_error(tmp_path, capsys):
+    depth = 3000
+    leaf = '{"op": "clique", "vertices": ["a"], "h": {"a": 1}}'
+    text = '{"op": "sum", "S": [], "v": "a", "right": %s, "left": ' % leaf
+    ep = tmp_path / "deep.expr.json"
+    ep.write_text(text * depth + leaf + "}" * depth)
+    code = main(["certify", "maximal", str(ep)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "recursion" in err

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -78,3 +80,42 @@ def test_missing_vertex_value_raises():
     g = complete_graph(["a", "b"])
     with pytest.raises(Exception):
         eval_P(g, {"a": Fraction(1)})
+
+
+def test_z_of_5000_vertex_path_matches_recurrence():
+    rng = random.Random(5000)
+    g = path_graph([f"v{i}" for i in range(5000)])
+    r = {v: Fraction(1, rng.randint(2, 5)) for v in g.vertices}
+    # z_k = z_{k-1} - x_k z_{k-2} along the path, z_0 = z_{-1} = 1
+    z, z_prev = Fraction(1), Fraction(1)
+    for v in g.vertices:
+        z, z_prev = z - r[v] * z_prev, z
+    assert eval_Z(g, r) == z
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_corner_matches_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    verts = [f"v{i}" for i in range(n)]
+    p = rng.random()
+    edges = {
+        (u, w) for i, u in enumerate(verts) for w in verts[i + 1:] if rng.random() < p
+    }
+    g = make_graph(rng.sample(verts, n), edges)
+    r = {v: Fraction(rng.randint(1, 4), rng.randint(2, 9)) for v in verts}
+    ev = z_corner_evaluator(g, r)
+    for bits in range(2 ** n):
+        sub = frozenset(i for i in range(n) if bits >> i & 1)
+        induced = g.induced(g.vertices[i] for i in sub)
+        expect = eval_P_brute(induced, {v: -r[v] for v in induced.vertices})
+        assert ev.value(sub) == expect
+
+
+def test_univariate_p_of_cycles_counts_independent_sets():
+    for n in range(3, 31):
+        verts = [f"v{i}" for i in range(n)]
+        g = make_graph(verts, {(verts[i], verts[(i + 1) % n]) for i in range(n)})
+        # C_n has n/(n-k) * binom(n-k, k) independent k-sets
+        counts = [n * comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
+        assert univariate_P(g) == UnivariatePoly.of(*counts)

@@ -111,6 +111,12 @@ def test_timeout_yields_unknown():
     assert verdict.status in (UNKNOWN, LOSING)
 
 
+def test_timeout_keeps_search_counts():
+    verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5), timeout_ms=200)
+    assert verdict.status == UNKNOWN
+    assert verdict.decisions > 0
+
+
 def test_hg_search_k3():
     assert hg_search(complete_graph(["a", "b", "c"]), 5) == 3
 
