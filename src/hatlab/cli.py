@@ -33,7 +33,7 @@ from .gallery import (
     build_scary,
 )
 from .games import uniform_game
-from .graphs import diameter, is_chordal, stats
+from .graphs import is_chordal, stats
 from .indpoly import eval_P, eval_Z, univariate_P, univariate_U
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
@@ -123,6 +123,8 @@ def _cmd_solve(args) -> int:
         "decisions": verdict.decisions,
         "conflicts": verdict.conflicts,
         "restarts": verdict.restarts,
+        "propagations": verdict.propagations,
+        "learned": verdict.learned,
     }
     if verdict.reason:
         payload["reason"] = verdict.reason
@@ -269,7 +271,7 @@ def _cmd_stats(args) -> int:
         "chordal": is_chordal(graph) is not None,
     }
     if st.connected:
-        payload["diameter"] = diameter(graph)
+        payload["diameter"] = st.diameter
     if hasattr(loaded, "h"):
         payload["hatness"] = dict(loaded.h)
         payload["guesses"] = dict(loaded.g)

@@ -256,7 +256,8 @@ def _odd_chain_lose_expr(n: int, k: int) -> GameExpr:
         spec += [(f"c{i}x{j}", 2 * k + 1) for j in range(size - 1)]
         brick: GameExpr = PendantLose(_clique("", spec), f"c{i}B", f"c{i}P")
         e = SumLose(e, marked, brick, f"c{i}P")
-        marked = f"R/c{i}x0"
+        # for k = 1 an inner clique is K_1, so the next brick glues at B
+        marked = f"R/c{i}x0" if size > 1 else f"R/c{i}B"
     return e
 
 

@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .games import LOSING, UNKNOWN, WINNING, HatGame
@@ -107,9 +109,8 @@ def _at_most(k: int, lits: list[int], fresh: int) -> tuple[list[list[int]], int]
     if len(lits) <= k:
         return [], fresh
     if k <= 2:
-        return [
-            [-a for a in combo] for combo in itertools.combinations(lits, k + 1)
-        ], fresh
+        negs = [-a for a in lits]  # one int per literal, shared by the clauses
+        return [list(combo) for combo in itertools.combinations(negs, k + 1)], fresh
     # sequential counter s[i][j]: among lits[0..i] at least j+1 are true
     n = len(lits)
     clauses = []
@@ -217,11 +218,13 @@ class GameVerdict:
     decisions: int = 0
     conflicts: int = 0
     restarts: int = 0
+    propagations: int = 0  # assignments made other than decisions
+    learned: int = 0  # learned clauses
     reason: str = ""
 
 
 class _Timeout(Exception):
-    """The search passed its deadline; args are its counts so far."""
+    """The search passed its deadline; args is (counts so far,)."""
 
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
@@ -229,26 +232,60 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     first-UIP clause learning with non-chronological backjumping,
     integer conflict-activity branching (ties to the lowest variable
     index, false first with phase saving) and geometric restarts.
-    Returns (model | None, decisions, conflicts, restarts), or raises
-    _Timeout with args (decisions, conflicts, restarts)."""
+
+    Decisions come from a binary heap with lazy deletion (the order heap
+    of MiniSat, Een & Sorensson, SAT 2003).  Variable v's entry is the int
+    v - activity[v] * (num_vars + 1), so entries order as the pairs
+    (-activity[v], v); an entry is current while v's activity is the one
+    it was made from.  Every unassigned variable keeps a current entry:
+    `analyze` bumps only assigned variables, `backjump` pushes each
+    variable it unassigns unless that variable's current entry is still
+    queued, and `rescale`, which changes every activity, rebuilds the
+    heap from the unassigned variables.  A popped entry is used only when
+    its variable is unassigned and the entry is current; any other is
+    dropped.  So the entry used is the one of the unassigned variable of
+    highest activity, ties to the lowest index: exactly the variable a
+    scan of all variables picks.  The search is the scan's, at O(log n)
+    per heap entry instead of O(n) per decision.
+
+    The search works on `clauses` in place and appends the clauses it
+    learns, as int arrays.  Returns (model | None, counts), or raises
+    _Timeout with args (counts,).  counts holds decisions, conflicts,
+    restarts, propagations (assignments other than decisions) and learned
+    (clauses added)."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
+    # neg[lit] is -lit, one int object per literal: propagate stores
+    # false literals into clauses, and fresh ints there would pile up
+    neg = [0] * (2 * num_vars + 1)
+    for v in range(1, num_vars + 1):
+        neg[v], neg[-v] = -v, v
     level = [0] * (num_vars + 1)
-    reason: list = [None] * (num_vars + 1)  # clause index for implied vars
+    reason: list = [None] * (num_vars + 1)  # clause of implied vars
     activity = [0] * (num_vars + 1)
     phase = [-1] * (num_vars + 1)  # last assigned polarity; initially false
-    watches: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]  # by literal
+    # watched clauses by literal; lists hold the clauses themselves, not
+    # their indices, which spares a lookup per visit and an int per clause
+    watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
 
-    def watch_clause(ci: int):
-        cl = clauses[ci]
+    def watch_clause(cl: list[int]):
         if len(cl) == 1:
             cl.append(cl[0])  # duplicate literal; keeps two watch slots
-        watches[cl[0]].append(ci)
-        watches[cl[1]].append(ci)
+        watches[cl[0]].append(cl)
+        watches[cl[1]].append(cl)
 
-    for ci in range(len(clauses)):
-        watch_clause(ci)
+    for cl in clauses:
+        watch_clause(cl)
+    given = len(clauses)
+    # the order heap; all activities start at 0, so the sorted entries
+    # form a heap.  queued[v] is v's newest entry still in order, or 0; a
+    # variable gets no second copy of a current entry, so the heap holds
+    # one entry per variable plus the stale ones that bumps leave until
+    # they pop or a rescale drops them
+    stride = num_vars + 1
+    queued = list(range(num_vars + 1))
+    order = queued[1:]
 
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
@@ -256,6 +293,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     decisions = 0
     conflicts = 0
     restarts = 0
+    undone = 0  # trail entries popped by backjumps
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
 
     def enqueue(lit: int, why):
@@ -269,13 +307,12 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     def propagate():
         nonlocal qhead
         while qhead < len(trail):
-            fl = -trail[qhead]  # literal that became false
+            fl = neg[trail[qhead]]  # literal that became false
             qhead += 1
             wl = watches[fl]
             i = 0
             while i < len(wl):
-                ci = wl[i]
-                cl = clauses[ci]
+                cl = wl[i]
                 first = cl[0]
                 if first == fl:
                     first = cl[0] = cl[1]
@@ -289,28 +326,27 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
                     if val[other] != -1:
                         cl[1] = other
                         cl[k] = fl
-                        watches[other].append(ci)
+                        watches[other].append(cl)
                         wl[i] = wl[-1]
                         wl.pop()
                         break
                 else:
                     if val[first] == -1:
-                        return ci  # conflict
-                    enqueue(first, ci)
+                        return cl  # conflict
+                    enqueue(first, cl)
                     i += 1
         return None
 
-    def analyze(conflict_ci: int):
+    def analyze(cl: list[int]):
         """First-UIP learned clause and the backjump level."""
-        learned = [0]  # slot 0 for the asserting (UIP) literal
+        lower = []  # the clause's literals below the current level
         seen = [False] * (num_vars + 1)
         counter = 0  # literals of the current level still to resolve
         lit = 0
-        ci = conflict_ci
         idx = len(trail) - 1
         cur_level = len(trail_lim)
         while True:
-            for q in clauses[ci] if lit == 0 else clauses[ci][1:]:
+            for q in cl if lit == 0 else cl[1:]:
                 v = abs(q)
                 if seen[v] or level[v] == 0:
                     continue
@@ -319,7 +355,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
                 if level[v] == cur_level:
                     counter += 1
                 else:
-                    learned.append(q)
+                    lower.append(q)
             while not seen[abs(trail[idx])]:
                 idx -= 1
             lit = trail[idx]
@@ -329,18 +365,20 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             counter -= 1
             if counter == 0:
                 break
-            ci = reason[v]
+            cl = reason[v]
             # put the resolved variable's literal first so the [1:] skip
             # above drops it
-            cl = clauses[ci]
             if cl[0] != lit:
                 cl[cl.index(lit)] = cl[0]
                 cl[0] = lit
-        learned[0] = -lit
-        if len(learned) == 1:
+        # the asserting (UIP) literal first.  No learned clause is ever
+        # deleted, so they are most of a long search's memory; an array
+        # takes 4 bytes a literal where a list takes 8 and a larger header
+        learned = array("i", [-lit, *lower])
+        if not lower:
             return learned, 0
         # backjump to the second-highest level in the clause
-        bj = max(level[abs(q)] for q in learned[1:])
+        bj = max(level[abs(q)] for q in lower)
         # watch a literal of the backjump level in slot 1
         for k in range(1, len(learned)):
             if level[abs(learned[k])] == bj:
@@ -349,19 +387,37 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         return learned, bj
 
     def backjump(lvl: int):
-        nonlocal qhead
+        nonlocal qhead, undone
         target = trail_lim[lvl]
-        while len(trail) > target:
-            v = abs(trail.pop())
+        for lit in trail[target:]:
+            v = abs(lit)
             phase[v] = val[v]
             val[v] = val[-v] = 0
             reason[v] = None
+            entry = v - activity[v] * stride
+            if queued[v] != entry:
+                queued[v] = entry
+                heappush(order, entry)
+        undone += len(trail) - target
+        del trail[target:]
         del trail_lim[lvl:]
-        qhead = len(trail)
+        qhead = target
 
     def rescale():
-        for v in range(num_vars + 1):
+        for v in range(1, num_vars + 1):
             activity[v] >>= 1
+            queued[v] = v - activity[v] * stride if val[v] == 0 else 0
+        order[:] = [entry for entry in queued if entry]
+        heapify(order)
+
+    def counts() -> dict:
+        return dict(
+            decisions=decisions,
+            conflicts=conflicts,
+            restarts=restarts,
+            propagations=undone + len(trail) - decisions,
+            learned=len(clauses) - given,
+        )
 
     restart_limit = 100
     conflicts_since_restart = 0
@@ -371,16 +427,16 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             conflicts += 1
             conflicts_since_restart += 1
             if not trail_lim:
-                return None, decisions, conflicts, restarts
+                return None, counts()
             learned, bj = analyze(conflict)
             backjump(bj)
             clauses.append(learned)
-            watch_clause(len(clauses) - 1)
-            enqueue(learned[0], len(clauses) - 1)
+            watch_clause(learned)
+            enqueue(learned[0], learned)
             if conflicts % 256 == 0:
                 rescale()
             if deadline and time.monotonic() > deadline:
-                raise _Timeout(decisions, conflicts, restarts)
+                raise _Timeout(counts())
             continue
         if conflicts_since_restart >= restart_limit:
             conflicts_since_restart = 0
@@ -389,49 +445,38 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             if trail_lim:
                 backjump(0)
             continue
-        best = 0
-        best_act = -1
-        for v in range(1, num_vars + 1):
-            if val[v] == 0 and activity[v] > best_act:
-                best = v
-                best_act = activity[v]
-        if best == 0:
+        while order:
+            entry = heappop(order)
+            best = entry % stride
+            if queued[best] == entry:
+                queued[best] = 0
+            if val[best] == 0 and entry == best - activity[best] * stride:
+                break
+        else:
             model = [val[v] == 1 for v in range(num_vars + 1)]
-            return model, decisions, conflicts, restarts
+            return model, counts()
         if deadline and time.monotonic() > deadline:
-            raise _Timeout(decisions, conflicts, restarts)
+            raise _Timeout(counts())
         decisions += 1
         trail_lim.append(len(trail))
         enqueue(best * phase[best], None)  # saved phase; false on first use
-
 
 
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """Winning with an extracted (verified) strategy, or Losing after
     exhaustive refutation; Unknown only on timeout, never a guess."""
     cnf = encode(game)
+    size = dict(num_vars=cnf.num_vars, num_clauses=len(cnf.clauses))
     try:
-        model, decisions, conflicts, restarts = _dpll(
-            cnf.num_vars, [list(c) for c in cnf.clauses], timeout_ms
-        )
+        # the search rewrites and extends the clause list in place; no one
+        # reads cnf.clauses after it, so it gets the list and not a copy
+        model, counts = _dpll(cnf.num_vars, cnf.clauses, timeout_ms)
     except _Timeout as stop:
-        decisions, conflicts, restarts = stop.args
+        (counts,) = stop.args
         return GameVerdict(
-            UNKNOWN,
-            num_vars=cnf.num_vars,
-            num_clauses=len(cnf.clauses),
-            decisions=decisions,
-            conflicts=conflicts,
-            restarts=restarts,
-            reason=f"timeout after {timeout_ms} ms",
+            UNKNOWN, **size, **counts, reason=f"timeout after {timeout_ms} ms"
         )
-    counts = dict(
-        num_vars=cnf.num_vars,
-        num_clauses=len(cnf.clauses),
-        decisions=decisions,
-        conflicts=conflicts,
-        restarts=restarts,
-    )
+    counts.update(size)
     if model is None:
         return GameVerdict(LOSING, **counts)
     strategy = extract_strategy(game, cnf, model)

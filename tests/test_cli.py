@@ -59,6 +59,8 @@ def test_solve_losing(tmp_path, capsys):
     assert obj["status"] == "losing"
     assert obj["conflicts"] >= 1
     assert "restarts" in obj
+    assert obj["learned"] == obj["conflicts"] - 1
+    assert obj["propagations"] >= 1
 
 
 def test_certify_maximal_direct(tmp_path, capsys):

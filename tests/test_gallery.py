@@ -103,6 +103,21 @@ def test_odd_chain_certificates():
     assert conclude_muhat(built.muhat_expr).value == 3
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_l3_chain_certificate_is_the_chain(n):
+    # for l = 3 the inner cliques are K_1 and the chain is the path P_{n+2}
+    lose = eval_expr(build_chain(n, 3).expr)
+    assert lose.status == LOSING
+    assert set(lose.game.h.values()) == {3}
+    chain = build_chain_graph(n, 3)
+    got, want = stats(lose.game.graph), stats(chain)
+    # connected, n + 1 edges and degrees at most 2: both are P_{n+2}
+    assert got.connected and want.connected
+    assert len(lose.game.graph.edges) == len(chain.edges) == n + 1
+    assert sorted(got.degrees.values()) == sorted(want.degrees.values())
+    assert want.max_degree == 2
+
+
 def test_chain_rejects_bad_variant():
     with pytest.raises(GalleryError):
         build_chain_graph(2, 4, "plus")

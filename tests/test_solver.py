@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hatlab.gallery import build_chain
 from hatlab.games import make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.solver import (
@@ -115,6 +116,58 @@ def test_timeout_keeps_search_counts():
     verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5), timeout_ms=200)
     assert verdict.status == UNKNOWN
     assert verdict.decisions > 0
+    assert verdict.propagations > 0
+    assert verdict.learned == verdict.conflicts
+
+
+def _assert_learned_count(verdict):
+    # every conflict learns one clause, except the last conflict of a
+    # refutation, which happens at level 0
+    if verdict.status == LOSING:
+        assert verdict.learned == verdict.conflicts - 1
+    else:
+        assert verdict.learned == verdict.conflicts
+
+
+# The search is deterministic; these pin its exact path.  A change to
+# the search (branching, learning, restarts, encoding) updates the pins,
+# with a note in CHANGES.md saying why the counts moved.
+_C4_EDGES = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
+_PINNED = {
+    "K3 (4,4,4)": (
+        lambda: uniform_game(complete_graph(list("abc")), 4),
+        (LOSING, 1826, 1511, 5),
+    ),
+    "K4 h=4": (
+        lambda: uniform_game(complete_graph(list("abcd")), 4),
+        (WINNING, 6220, 1400, 5),
+    ),
+    "C4 h=3": (
+        lambda: uniform_game(make_graph(list("abcd"), _C4_EDGES), 3),
+        (WINNING, 123, 33, 0),
+    ),
+    "P5 h=3": (
+        lambda: uniform_game(path_graph(list("abcde")), 3),
+        (LOSING, 123, 38, 0),
+    ),
+    "H2^4 h=4": (
+        lambda: uniform_game(build_chain(2, 4).graph, 4),
+        (WINNING, 3135, 543, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_search_counts_are_pinned(name):
+    make, expected = _PINNED[name]
+    game = make()
+    verdict = decide_game(game)
+    got = (verdict.status, verdict.decisions, verdict.conflicts, verdict.restarts)
+    assert got == expected
+    _assert_learned_count(verdict)
+    assert verdict.propagations > 0
+    if verdict.status == WINNING:
+        assert verify_strategy(game, verdict.strategy) is None
 
 
 def test_hg_search_k3():
@@ -176,6 +229,7 @@ def _differential(game) -> tuple[bool, int]:
     """(winning, precedence tables checked), asserting that the formula
     without the symmetry clauses has the same verdict."""
     verdict = decide_game(game)
+    _assert_learned_count(verdict)
     wins = verdict.status == WINNING
     assert wins == _wins_without_symmetry_clauses(game), game
     return wins, _precedent_tables(game, verdict.strategy) if wins else 0
