@@ -2,35 +2,79 @@
 fractional hat chromatic number of chordal graphs.
 
 A game is maximal when Z vanishes at r = (g/h) and is strictly positive
-on the box below r minus the corner r.  Box positivity is decided by
-corner enumeration: Z is multilinear (each vertex occurs at most once
-per independent set), a multilinear function on a box attains its
-minimum at a corner, and an interior zero minimizer would force a zero
-corner other than r by repeated affine-restriction descent.
+on the box [0, r] minus the corner r.  Write Z_W for Z of the subgraph
+induced by W.  Each vertex occurs at most once per independent set, so
+for v in W
+
+    Z_W(p) = Z_{W-v}(p) - p_v * Z_{W-N[v]}(p),                        (1)
+
+Z_W is affine in each coordinate, and dZ_W/dp_v = -Z_{W-N[v]}.
+
+Ray lemma (Shearer, Combinatorica 1985; Scott & Sokal, J. Stat. Phys.
+2005, section 2).  Let G = (V, E) be connected, r > 0 and Z_V(r) = 0.
+Then the game is maximal exactly when q(t) = Z_V(t r) has no root in
+(0, 1).
+
+Proof.  A root t in (0, 1) is a zero t r of Z in the box minus r.
+Conversely, let t1 be the least t > 0 at which some Z_W(t r) vanishes;
+every Z_W is 1 at t = 0, and t1 <= 1 because Z_V(r) = 0.
+
+(a) t1 is the first positive root of q.  For t < t1 every Z_U(t r) is
+    positive, so (1) gives Z_W <= Z_{W-v} at t r, and deleting the
+    vertices of V - W one at a time gives Z_V <= Z_W.  In the limit
+    0 <= Z_V(t1 r) <= Z_W(t1 r) = 0 for the W that vanishes.
+(b) At p = t1 r, Z_W(p) > 0 for every proper subset W.  All Z_U(p) >= 0
+    by continuity.  Take a nonempty proper W with Z_W(p) = 0 of least
+    size.  G is connected, so a vertex v outside W has a neighbour in W,
+    and (1) on W + v gives 0 <= Z_{W+v}(p) = -p_v Z_{W-N(v)}(p) <= 0.  So
+    Z_{W-N(v)}(p) = 0 on a smaller set, which is impossible: it is
+    either empty (Z = 1) or contradicts the choice of W.
+(c) q'(t1) = -sum_v r_v Z_{V-N[v]}(t1 r) < 0 by (b), so t1 is a simple
+    root and q changes sign there.
+
+If q has no root in (0, 1), then t1 = 1 and (b) says Z > 0 at every
+corner other than r.  Suppose Z(p) <= 0 at some other p in the box.
+Fix the coordinates one at a time, starting with one where p_u < r_u,
+to the end of their interval where the affine restriction is smaller,
+0 on a tie.  Z never grows, and the first step either sets p_u = 0 or
+makes Z negative, so this ends at a corner other than r with Z <= 0: a
+contradiction.  The same descent, started at t0 r with t0 < 1 and
+q(t0) <= 0, gives the witness corner of a refutation.
+
+Deciding the ray.  q has degree at most the independence number of G.
+Its roots in (0, 1) number at most the sign variations of
+(1 + x)^d q(1/(1 + x)) (Descartes' rule of signs), which integer Taylor
+shifts compute; zero variations prove maximality, and a root of q at
+t = 1 does not count.  Otherwise Descartes bisection searches (0, 1)
+from the left (roots.unit_interval_root).  It ends, because by (c) a
+first root there is simple, at that root or at the upper end t0 of an
+interval (a, t0) that holds exactly one root, simple, with q(a) > 0;
+q changes sign once between them, so q(t0) <= 0.
+
+A disconnected graph is never maximal: Z is the product of Z over the
+components, so Z(r) = 0 makes it vanish on some component W, and the
+corner that keeps only W is a zero other than r.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import algebra
 from .games import HatGame, fraction_vector
-from .graphs import Graph, is_chordal
-from .indpoly import eval_Z, univariate_U, z_corner_evaluator
+from .graphs import Graph, components, is_chordal
+from .indpoly import eval_Z, univariate_U, z_ray
 from .poly import UnivariatePoly
-from .roots import IsolatingInterval, smallest_positive_root
+from .roots import IsolatingInterval, smallest_positive_root, unit_interval_root
 
-CORNER_JUSTIFICATION = (
-    "Z is multilinear, so its minimum over the box [0, r] is attained at a "
-    "corner; positivity at every corner except r, together with Z(r) = 0, "
-    "gives strict positivity on the box minus {r}."
+RAY_JUSTIFICATION = (
+    "G is connected and Z(t r) has no root for 0 < t < 1, so by the ray "
+    "lemma (Shearer; Scott & Sokal) Z > 0 at every box corner except r; "
+    "Z is multilinear, so with Z(r) = 0 it is strictly positive on the box "
+    "minus {r}."
 )
-
-# the corner sweep doubles with each vertex; larger games go compositional
-CORNER_GUARD = 22
 
 
 class CertifyError(ValueError):
@@ -41,10 +85,10 @@ class CertifyError(ValueError):
 class MaximalityCertificate:
     game: HatGame
     z_at_r: Fraction
-    method: str  # "corner-check" | "compositional"
+    method: str  # "ray" | "compositional"
     corner_count: int = 0
     derivation: Optional[dict] = None
-    justification: str = CORNER_JUSTIFICATION
+    justification: str = RAY_JUSTIFICATION
 
 
 @dataclass
@@ -68,37 +112,49 @@ class Inconclusive:
 
 def check_maximal_direct(game: HatGame):
     """Decide maximality from the definition: Z(r) = 0 exactly and Z > 0
-    at every box corner except r itself."""
-    n = len(game.vertices)
-    if n > CORNER_GUARD:
-        raise CertifyError(
-            f"{n} vertices exceed the corner cutoff {CORNER_GUARD}; "
-            "use the compositional route"
-        )
+    on the box below r minus r, by the ray lemma of the module docstring.
+    A maximal game certifies the 2^n - 1 corners other than r."""
     r = fraction_vector(game)
-    ev = z_corner_evaluator(game.graph, r)
-    full = frozenset(range(n))
-    z_at_r = Fraction(ev.value(full))
+    z_at_r = eval_Z(game.graph, r)
     if z_at_r != 0:
         return Refutation("Z(r) != 0", witness_point=r, witness_value=z_at_r)
-    corners = 0
-    for bits in itertools.product((False, True), repeat=n):
-        sub = frozenset(i for i, b in enumerate(bits) if b)
-        if sub == full:
-            continue
-        corners += 1
-        val = Fraction(ev.value(sub))
-        if val <= 0:
-            point = {
-                v: (r[v] if i in sub else Fraction(0))
-                for i, v in enumerate(game.vertices)
-            }
-            return Refutation(
-                "nonpositive corner value", witness_point=point, witness_value=val
-            )
-    return MaximalityCertificate(
-        game, z_at_r, method="corner-check", corner_count=corners
+    comps = components(game.graph)
+    if len(comps) > 1:
+        for comp in comps:
+            if eval_Z(game.graph.induced(comp), r) == 0:
+                point = {v: (r[v] if v in comp else Fraction(0)) for v in r}
+                return Refutation(
+                    "disconnected: Z vanishes on one component",
+                    witness_point=point,
+                    witness_value=Fraction(0),
+                )
+    t0 = unit_interval_root(z_ray(game.graph, r))
+    if t0 is None:
+        return MaximalityCertificate(
+            game, z_at_r, method="ray", corner_count=2 ** len(r) - 1
+        )
+    point, value = _descend(game.graph, r, t0)
+    return Refutation(
+        f"Z(t r) <= 0 at t = {t0} < 1; nonpositive corner value",
+        witness_point=point,
+        witness_value=value,
     )
+
+
+def _descend(graph: Graph, r: dict, t0: Fraction):
+    """A corner other than r with Z <= 0, by affine descent from t0 r,
+    where Z <= 0 and every coordinate lies strictly inside its interval;
+    returns the corner and its Z value."""
+    p = {v: t0 * rv for v, rv in r.items()}
+    value = eval_Z(graph, p)
+    for v in graph.vertices:
+        # Z = a - p_v * b, with b = Z of G - N[v] at p
+        gone = graph.neighbors(v) | {v}
+        b = eval_Z(graph.induced(u for u in graph.vertices if u not in gone), p)
+        a = value + p[v] * b
+        p[v] = r[v] if b > 0 else Fraction(0)
+        value = a - p[v] * b
+    return p, value
 
 
 def check_maximal_compositional(e: "algebra.GameExpr"):
@@ -148,9 +204,7 @@ class MuHatResult:
 
 
 def mu_hat_chordal(
-    graph: Graph,
-    max_n: int = 40,
-    candidate: Optional[Fraction] = None,
+    graph: Graph, candidate: Optional[Fraction] = None
 ) -> MuHatResult:
     """mu-hat of a chordal graph: 1/r for the smallest positive root r
     of U_G.  Exact rational when the root is rational, else an isolating
@@ -158,7 +212,7 @@ def mu_hat_chordal(
     ordering = is_chordal(graph)
     if ordering is None:
         raise CertifyError("graph is not chordal; the corollary does not apply")
-    u = univariate_U(graph, max_n=max_n)
+    u = univariate_U(graph)
     iso = smallest_positive_root(u, candidate=candidate)
     if iso is None:
         raise CertifyError("U_G has no positive real root")

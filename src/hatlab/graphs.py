@@ -9,6 +9,7 @@ vertex keeps the left operand's (prefixed) name.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -187,6 +188,19 @@ def stats(g: Graph, need_diameter: bool = True) -> GraphStats:
     return GraphStats(degrees, max_degree, connected, diameter)
 
 
+def components(g: Graph) -> list[set[str]]:
+    """Vertex sets of the connected components, in declaration order of
+    their first vertices."""
+    seen: set[str] = set()
+    comps = []
+    for v in g.vertices:
+        if v not in seen:
+            comp = set(_bfs_dist(g, v))
+            seen |= comp
+            comps.append(comp)
+    return comps
+
+
 def diameter(g: Graph) -> int:
     st = stats(g)
     if not st.connected:
@@ -204,19 +218,21 @@ def is_chordal(g: Graph):
         return []
     weight = {v: 0 for v in g.vertices}
     position = {v: i for i, v in enumerate(g.vertices)}
+    # max (weight, -position) first, so ties go by declaration order; an
+    # entry is stale once its vertex is visited or its weight has grown
+    heap = [(0, i, v) for i, v in enumerate(g.vertices)]
     order = []  # MCS visit order
     visited = set()
-    for _ in range(len(g.vertices)):
-        # deterministic tie-break by declaration order
-        best = max(
-            (v for v in g.vertices if v not in visited),
-            key=lambda v: (weight[v], -position[v]),
-        )
+    while heap:
+        w, _, best = heapq.heappop(heap)
+        if best in visited or -w != weight[best]:
+            continue
         visited.add(best)
         order.append(best)
-        for w in g.neighbors(best):
-            if w not in visited:
-                weight[w] += 1
+        for u in g.neighbors(best):
+            if u not in visited:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], position[u], u))
     elim = list(reversed(order))
     # verify: each vertex's not-yet-eliminated neighborhood is a clique
     remaining = set(g.vertices)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, independent_sets
+from .graphs import Graph, independent_sets
 from .poly import UnivariatePoly
 
 # stack tasks: evaluate a subset, or combine the values of its children
@@ -212,22 +212,29 @@ def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fract
     return total
 
 
-def univariate_P(graph: Graph, max_n: int = 40) -> UnivariatePoly:
-    """P_G with all variables identified: coefficient k counts the
-    independent k-sets.  Computed by the clique recurrence over
-    polynomial values, so tree-of-cliques graphs well beyond brute-force
-    scale are fine; the guard is a safety net for dense inputs."""
-    if len(graph.vertices) > max_n:
-        raise GraphError(
-            f"graph has {len(graph.vertices)} vertices, univariate guard is {max_n}"
-        )
-    val = _Evaluator(graph, lambda v: UnivariatePoly.x()).full()
+def _polynomial(graph: Graph, slope) -> UnivariatePoly:
+    """P_G at x_v = slope(v) * t, as a polynomial in t, computed by the
+    clique recurrence over polynomial values."""
+    t = UnivariatePoly.x()
+    val = _Evaluator(graph, lambda v: slope(v) * t).full()
     if not isinstance(val, UnivariatePoly):
         val = UnivariatePoly.const(val)
     return val
 
 
-def univariate_U(graph: Graph, max_n: int = 40) -> UnivariatePoly:
+def univariate_P(graph: Graph) -> UnivariatePoly:
+    """P_G with all variables identified: coefficient k counts the
+    independent k-sets."""
+    return _polynomial(graph, lambda v: 1)
+
+
+def univariate_U(graph: Graph) -> UnivariatePoly:
     """Monovariate signed independence polynomial U_G(x): coefficient k
     is (-1)^k times the number of independent k-sets."""
-    return univariate_P(graph, max_n=max_n).compose_neg_x()
+    return univariate_P(graph).compose_neg_x()
+
+
+def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
+    """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
+    independence number of G."""
+    return _polynomial(graph, lambda v: -Fraction(r[v]))

@@ -1,5 +1,6 @@
-"""Exact real-root counting (Sturm sequences) and the recurrence-defined
-polynomial families used for the minimal-root theorems.
+"""Exact real-root counting (Sturm sequences), Descartes bisection on
+(0, 1), and the recurrence-defined polynomial families used for the
+minimal-root theorems.
 
 All counting is over exact rationals.  Sequences are content-normalized
 at every step to keep coefficients tractable.
@@ -32,6 +33,56 @@ def sturm_sequence(p: UnivariatePoly) -> list[UnivariatePoly]:
 def _sign_variations(values) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1), low degree first, by integer additions."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
+    """Locate the first root of p in (0, 1) by Descartes bisection
+    (Vincent-Collins-Akritas: Collins & Akritas, SYMSAC 1976; Rouillier
+    & Zimmermann, J. Comput. Appl. Math. 2004).
+
+    Each interval (a, b) keeps integer coefficients c proportional to
+    p(a + (b - a) y).  t = 1/(1 + x) maps x > 0 onto 0 < t < 1, so the
+    roots of c in (0, 1) are the positive roots of (1 + x)^d c(1/(1 + x)),
+    the reversed coefficients shifted by x -> x + 1, and by Descartes'
+    rule of signs their number is at most its sign variations and of the
+    same parity.  Intervals are searched left to right: one with no
+    variations holds no root and is dropped, one with two or more is
+    halved (2^d c(y/2) and its shift give the halves), and an interval
+    whose disk holds no root eventually shows none (the one-circle
+    theorem).
+
+    Returns None when p has no root in (0, 1).  Otherwise returns t < 1:
+    the first root itself when a midpoint hits it, or the upper end of an
+    interval (a, t) that holds exactly one root, simple, and no root in
+    (0, a].  The search ends when that first root is simple."""
+    stack = [(Fraction(0), Fraction(1), p.integer_cleared())]
+    while stack:
+        a, b, c = stack.pop()
+        if c is None:
+            return a  # p(a) = 0, and no root lies below it
+        variations = _sign_variations(_taylor_shift(c[::-1]))
+        if variations == 0:
+            continue
+        if variations == 1 and b < 1:
+            return b
+        mid = (a + b) / 2
+        d = len(c) - 1
+        left = [ck << (d - k) for k, ck in enumerate(c)]
+        right = _taylor_shift(left)
+        stack.append((mid, b, right))
+        if right[0] == 0:
+            stack.append((mid, mid, None))
+        stack.append((a, mid, left))
+    return None
 
 
 def _variations_at(seq, x) -> int:

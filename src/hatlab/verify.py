@@ -270,7 +270,7 @@ def _check_stegosaur():
         if not isinstance(cert, LosingCertificate):
             return False, f"{variant} variant: Z-positivity inconclusive"
     return True, (
-        "H2^4 maximal winning (corners + composition + solver); P4 losing "
+        "H2^4 maximal winning (ray + composition + solver); P4 losing "
         "by solver; all 7 edge deletions and both variants losing by Z > 0"
     )
 

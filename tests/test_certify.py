@@ -1,8 +1,12 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose
+from hatlab import gallery
+from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose, conclude_hg, eval_expr
 from hatlab.certify import (
     CertifyError,
     Inconclusive,
@@ -14,8 +18,9 @@ from hatlab.certify import (
     losing_by_Z_positive,
     mu_hat_chordal,
 )
-from hatlab.games import make_game, uniform_game
-from hatlab.graphs import complete_graph, make_graph, path_graph
+from hatlab.games import fraction_vector, make_game, uniform_game
+from hatlab.graphs import complete_graph, make_graph, path_graph, stats
+from hatlab.indpoly import eval_Z, z_corner_evaluator
 
 
 def test_precise_clique_is_maximal_direct():
@@ -23,7 +28,7 @@ def test_precise_clique_is_maximal_direct():
     cert = check_maximal_direct(game)
     assert isinstance(cert, MaximalityCertificate)
     assert cert.z_at_r == 0
-    assert cert.method == "corner-check"
+    assert cert.method == "ray"
     assert cert.corner_count == 7
 
 
@@ -41,10 +46,117 @@ def test_h2_path_is_maximal_direct():
     assert isinstance(cert, MaximalityCertificate)
 
 
-def test_direct_check_respects_cutoff():
+def test_direct_check_has_no_size_cutoff():
+    # a 23-vertex path and the 31-vertex delta6 both get verdicts
     game = uniform_game(path_graph([f"v{i}" for i in range(23)]), 2)
-    with pytest.raises(CertifyError, match="cutoff"):
-        check_maximal_direct(game)
+    assert isinstance(check_maximal_direct(game), Refutation)
+    cert = check_maximal_direct(eval_expr(gallery.build_delta6_hg8()).game)
+    assert isinstance(cert, MaximalityCertificate)
+    assert cert.corner_count == 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        gallery.build_delta6_hg8,
+        lambda: gallery.build_scary(3),
+        lambda: gallery.build_scary(4),
+        lambda: gallery.build_delta_plus_k(3).expr,
+    ],
+    ids=["delta6", "scary3", "scary4", "delta_plus_3"],
+)
+def test_gallery_games_are_maximal_direct(expr):
+    cert = check_maximal_direct(eval_expr(expr()).game)
+    assert isinstance(cert, MaximalityCertificate)
+    assert cert.method == "ray"
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 50])
+def test_chain_diameter_grows_at_degree_three(n):
+    # the diameter claim: H_n^4 keeps max degree 3 and HG = 4 while its
+    # diameter is 2n - 1; maximal both directly and by composition
+    chain = gallery.build_chain(n, 4)
+    st = stats(chain.graph)
+    assert (st.max_degree, st.diameter) == (3, 2 * n - 1)
+    assert conclude_hg(chain.expr).value == 4
+    direct = check_maximal_direct(uniform_game(chain.graph, 4))
+    assert isinstance(direct, MaximalityCertificate)
+    assert direct.method == "ray"
+    comp = check_maximal_compositional(chain.expr)
+    assert isinstance(comp, MaximalityCertificate)
+
+
+# -- differential against the corner sweep -----------------------------
+
+
+def _sweep_is_maximal(game) -> bool:
+    """The definition on a small game: Z(r) = 0 and Z > 0 at every other
+    box corner."""
+    n = len(game.vertices)
+    ev = z_corner_evaluator(game.graph, fraction_vector(game))
+    if ev.value(frozenset(range(n))) != 0:
+        return False
+    return all(
+        ev.value(frozenset(sub)) > 0
+        for k in range(n)
+        for sub in itertools.combinations(range(n), k)
+    )
+
+
+def _random_graph(rng, names, p):
+    edges = {(u, v) for u, v in itertools.combinations(names, 2) if rng.random() < p}
+    if names and rng.random() < 0.8:
+        # a random spanning tree keeps most of them connected
+        for i in range(1, len(names)):
+            edges.add((names[rng.randrange(i)], names[i]))
+    return make_graph(names, edges)
+
+
+def _boundary_game(rng, graph, hmin, hmax):
+    """A game with Z(r) = 0 when one coordinate can be solved for it:
+    Z = A - r_v B is affine in r_v, and r_v = A/B must lie in (0, 1]."""
+    h = {v: rng.randint(hmin, hmax) for v in graph.vertices}
+    v = rng.choice(graph.vertices)
+    r = {u: Fraction(1, h[u]) for u in graph.vertices}
+    rest = [u for u in graph.vertices if u != v]
+    a = eval_Z(graph.induced(rest), r)
+    b = eval_Z(graph.induced(u for u in rest if u not in graph.neighbors(v)), r)
+    if b == 0 or not 0 < a / b <= 1:
+        return make_game(graph, h)  # Z(r) != 0 in general
+    rv = a / b
+    h[v] = rv.denominator
+    return make_game(graph, h, {v: rv.numerator})
+
+
+def test_ray_agrees_with_corner_sweep():
+    rng = random.Random(7)
+    seen = {"maximal": 0, "Z(r) != 0": 0, "ray": 0, "disconnected": 0}
+    for _ in range(500):
+        n = rng.randint(1, 10)
+        graph = _random_graph(rng, [f"v{i}" for i in range(n)], rng.choice((0.2, 0.4)))
+        game = _boundary_game(rng, graph, *rng.choice(((2, 3), (2, 4), (3, 8), (6, 12))))
+        out = check_maximal_direct(game)
+        r = fraction_vector(game)
+        assert isinstance(out, MaximalityCertificate) == _sweep_is_maximal(game)
+        if isinstance(out, MaximalityCertificate):
+            assert out.corner_count == 2**n - 1
+            seen["maximal"] += 1
+            continue
+        assert isinstance(out, Refutation)
+        if eval_Z(game.graph, r) != 0:
+            assert (out.witness_point, out.witness_value) == (r, eval_Z(game.graph, r))
+            seen["Z(r) != 0"] += 1
+            continue
+        point = out.witness_point
+        assert all(point[v] in (0, r[v]) for v in game.vertices)
+        keep = {i for i, v in enumerate(game.vertices) if point[v] != 0}
+        assert len(keep) < n
+        value = z_corner_evaluator(game.graph, r).value(frozenset(keep))
+        assert value == out.witness_value <= 0
+        connected = stats(game.graph, need_diameter=False).connected
+        seen["ray" if connected else "disconnected"] += 1
+    # every branch is exercised
+    assert min(seen.values()) >= 10, seen
 
 
 def test_compositional_maximality():
@@ -108,3 +220,10 @@ def test_mu_hat_rejects_non_chordal():
 def test_mu_hat_candidate_speedup():
     res = mu_hat_chordal(path_graph(["a", "b", "c", "d"]), candidate=Fraction(1, 3))
     assert res.value == 3
+
+
+def test_mu_hat_of_long_path():
+    # U of P_n has its smallest root at 1/(4 cos^2(pi/(n+2)))
+    res = mu_hat_chordal(path_graph([f"v{i}" for i in range(60)]))
+    assert res.value is None
+    assert res.interval.lower < 4 * math.cos(math.pi / 62) ** 2 < res.interval.upper

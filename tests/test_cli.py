@@ -69,7 +69,7 @@ def test_certify_maximal_direct(tmp_path, capsys):
     obj = _run_json(capsys, "certify", "maximal", str(gp))
     assert obj["verdict"] == "maximal"
     assert obj["z_at_r"] == "0"
-    assert obj["method"] == "corner-check"
+    assert obj["method"] == "ray"
 
 
 def test_certify_losing(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hatlab.graphs import (
@@ -127,6 +129,63 @@ def test_chordal_order_is_perfect_elimination():
     g = complete_graph(["a", "b", "c"])
     order = is_chordal(g)
     assert sorted(order) == ["a", "b", "c"]
+
+
+def _chordal_by_scan(g):
+    """The former is_chordal: MCS choosing each vertex by a scan of the
+    unvisited ones for the largest (weight, -position)."""
+    weight = {v: 0 for v in g.vertices}
+    position = {v: i for i, v in enumerate(g.vertices)}
+    order = []
+    visited = set()
+    for _ in range(len(g.vertices)):
+        best = max(
+            (v for v in g.vertices if v not in visited),
+            key=lambda v: (weight[v], -position[v]),
+        )
+        visited.add(best)
+        order.append(best)
+        for w in g.neighbors(best):
+            if w not in visited:
+                weight[w] += 1
+    elim = list(reversed(order))
+    remaining = set(g.vertices)
+    for v in elim:
+        remaining.discard(v)
+        if not g.is_clique([u for u in g.neighbors(v) if u in remaining]):
+            return None
+    return elim
+
+
+def _random_chordal(rng, n):
+    """Each new vertex joins a subset of a known clique, so it is
+    simplicial when added and the graph stays chordal."""
+    cliques, edges = [[]], set()
+    for v in range(n):
+        base = rng.choice(cliques)
+        nbrs = [u for u in base if rng.random() < 0.7]
+        edges |= {(f"v{u}", f"v{v}") for u in nbrs}
+        cliques.append(nbrs + [v])
+    names = [f"v{v}" for v in range(n)]
+    rng.shuffle(names)
+    return make_graph(names, edges)
+
+
+def test_chordal_heap_matches_scan():
+    rng = random.Random(11)
+    chordal = 0
+    for i in range(300):
+        n = rng.randint(0, 25)
+        if i % 3:
+            g = _random_chordal(rng, n)
+        else:
+            names = [f"v{v}" for v in range(n)]
+            g = make_graph(names, {(u, v) for u in names for v in names
+                                   if u < v and rng.random() < 0.3})
+        expected = _chordal_by_scan(g)
+        assert is_chordal(g) == expected
+        chordal += expected is not None
+    assert chordal >= 200
 
 
 def test_independent_sets_p4():

@@ -14,6 +14,7 @@ from hatlab.roots import (
     smallest_positive_root,
     sturm_roots,
     sturm_sequence,
+    unit_interval_root,
     verify_root_interval,
 )
 
@@ -162,3 +163,43 @@ def test_root_intervals_hold():
 
 def test_root_interval_custom_fails_when_too_small():
     assert not verify_root_interval("Phi", 5, interval=(Fraction(-1), Fraction(1)))
+
+
+_PAIR = UnivariatePoly.of(1, -3, 3)  # complex roots only
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        UnivariatePoly.of(1, -1),  # root 1 is not inside
+        UnivariatePoly.of(3),
+        _PAIR,  # two sign variations and no real root
+        _PAIR * UnivariatePoly.of(2, -1),  # root 2
+        _PAIR * UnivariatePoly.of(2, 0, -1),  # root sqrt 2
+    ],
+)
+def test_unit_interval_root_none(p):
+    assert unit_interval_root(p) is None
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # the first root 1/sqrt(k) is irrational; for the second k it lies
+        # within 1e-12 of 1
+        UnivariatePoly.of(1, 0, Fraction(-6, 5)),
+        UnivariatePoly.of(1, 0, Fraction(-(10**12 + 1), 10**12)),
+        UnivariatePoly.of(1, -3) * UnivariatePoly.of(1, -2),
+        UnivariatePoly.of(1, -3) * UnivariatePoly.of(5, -6),  # second root 5/6
+        _PAIR * UnivariatePoly.of(2, -3) * UnivariatePoly.of(1, -1),
+    ],
+)
+def test_unit_interval_root_is_past_a_sign_change(p):
+    t = unit_interval_root(p)
+    assert 0 < t < 1
+    assert p(t) * p(0) <= 0
+
+
+def test_unit_interval_root_hits_a_rational_midpoint():
+    p = UnivariatePoly.of(1, -2) * UnivariatePoly.of(4, -5)
+    assert unit_interval_root(p) == Fraction(1, 2)
