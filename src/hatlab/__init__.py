@@ -75,6 +75,7 @@ from .solver import (
     decide_game,
     encode,
     hg_search,
+    search_game,
     verify_strategy,
 )
 

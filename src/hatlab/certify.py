@@ -1,5 +1,5 @@
-"""Certification: maximal games, losing-by-positivity, and the
-fractional hat chromatic number of chordal graphs.
+"""Certification: maximal games, losing games in Shearer's region, and
+the fractional hat chromatic number of chordal graphs.
 
 A game is maximal when Z vanishes at r = (g/h) and is strictly positive
 on the box [0, r] minus the corner r.  Write Z_W for Z of the subgraph
@@ -54,6 +54,35 @@ q changes sign once between them, so q(t0) <= 0.
 A disconnected graph is never maximal: Z is the product of Z over the
 components, so Z(r) = 0 makes it vanish on some component W, and the
 corner that keeps only W is a zero other than r.
+
+Losing rule.  r lies in Shearer's region when Z_W(r) > 0 for every W.
+Then the sages lose.  Colour at random, uniformly.  Given the colours
+of all other sages, sage v guesses right with probability r_v, and
+whether a non-neighbour of v guesses right depends on those colours
+alone; so v's success is independent of the successes of its
+non-neighbours together, and G is a dependency graph of the events.  By
+Shearer's lemma (Shearer, Combinatorica 1985; Scott & Sokal, J. Stat.
+Phys. 2005) every sage misses with probability at least Z_V(r) > 0, so
+some colouring beats every strategy.  Z(r) > 0 alone is not enough:
+P_7 and P_8 at h = 2 have Z(r) > 0 and are winning.
+
+Deciding the region.  If q(t) = Z_V(t r) > 0 for every t in [0, 1],
+then r lies in the region: were some Z_W(t r) to vanish for a t in
+(0, 1], the least such t would be a root of q by (a), whose proof uses
+neither connectivity nor Z_V(r) = 0.  The converse holds because the
+region is closed downwards (Scott & Sokal, section 2), so the test
+misses no point of it.  Z factors over the components, and so does the
+region, so each component W is tested on its own: q_W(1) > 0, and no
+root in (0, 1) by Descartes' rule and bisection as above.  On a
+component the bisection ends because a first root is simple by (c); a
+product of components can have a double root, on which it need not
+end.
+
+The region contains the counting bound sum_v r_v < 1.  For p >= 0 with
+sum_V p < 1, every W has 1 - sum_W p <= Z_W(p) <= 1, by induction on |W|
+from Z_{} = 1: in (1), Z_{W-N[v]}(p) lies in [0, 1], so
+Z_{W-v}(p) - p_v <= Z_W(p) <= Z_{W-v}(p).  Hence Z_W(r) > 0 for every
+W, and the region test needs no separate counting route.
 """
 
 from __future__ import annotations
@@ -102,7 +131,10 @@ class Refutation:
 class LosingCertificate:
     game: HatGame
     z_at_r: Fraction
-    rule: str = "Z(r) > 0 implies losing"
+    rule: str = (
+        "r in Shearer's region (Z(t r) > 0 for 0 <= t <= 1 on every "
+        "component) implies losing"
+    )
 
 
 @dataclass
@@ -186,12 +218,25 @@ def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertific
 
 
 def losing_by_Z_positive(game: HatGame):
-    """Losing certificate whenever Z(r) > 0; inconclusive otherwise."""
+    """Losing certificate when r lies in Shearer's region, decided one
+    component at a time by the ray (module docstring); inconclusive
+    otherwise.  Z(r) is the product of the components' q_W(1)."""
     r = fraction_vector(game)
-    z = eval_Z(game.graph, r)
-    if z > 0:
+    z = Fraction(1)
+    inside = True
+    for comp in components(game.graph):
+        q = z_ray(game.graph.induced(comp), r)
+        at_r = q(1)
+        z *= at_r
+        inside = inside and at_r > 0 and unit_interval_root(q) is None
+    if inside:
         return LosingCertificate(game, z)
-    return Inconclusive(f"Z(r) = {z} is not positive; the rule is silent")
+    if z <= 0:
+        return Inconclusive(f"Z(r) = {z} is not positive; the rule is silent")
+    return Inconclusive(
+        f"Z(r) = {z} > 0, but Z(t r) vanishes for some 0 < t <= 1 on a "
+        "component: r lies outside Shearer's region; the rule is silent"
+    )
 
 
 @dataclass

@@ -118,6 +118,7 @@ def _cmd_solve(args) -> int:
     verdict = decide_game(game, timeout_ms=args.timeout_ms)
     payload = {
         "status": verdict.status,
+        "route": verdict.route,
         "num_vars": verdict.num_vars,
         "num_clauses": verdict.num_clauses,
         "decisions": verdict.decisions,
@@ -323,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--expr", dest="expr_output")
     b.set_defaults(fn=_cmd_build)
 
-    s = sub.add_parser("solve", help="decide a game by exhaustive search")
+    s = sub.add_parser(
+        "solve", help="decide a game: Shearer's region, then exhaustive search"
+    )
     s.add_argument("game")
     s.add_argument("--emit-strategy")
     s.add_argument("--timeout-ms", type=int)

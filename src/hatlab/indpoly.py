@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
 
 from .graphs import Graph, independent_sets
 from .poly import UnivariatePoly
@@ -68,19 +69,18 @@ def _elimination_order(adj: list[list[int]]) -> list[int]:
 class _Evaluator:
     """Evaluates P of induced subgraphs of one graph at a fixed point.
 
-    Values may be Fractions (point evaluation) or UnivariatePoly (all
-    variables identified); the recurrence only needs ring operations.
-    The memo is keyed by the induced vertex subset (a bitmask), so one
-    evaluator can serve many induced-subgraph queries (e.g. the box-corner
-    sweep)."""
+    Values are Fractions here (point evaluation), but the recurrence
+    only needs ring operations: `one`, `_product` and `_clique` are all
+    it uses, and `_RayEvaluator` replaces them.  The memo is keyed by
+    the induced vertex subset (a bitmask), so one evaluator can serve
+    many induced-subgraph queries."""
+
+    one = 1
 
     def __init__(self, graph: Graph, x):
         names = graph.vertices
         index = {v: i for i, v in enumerate(names)}
-        if callable(x):
-            xs = [x(v) for v in names]
-        else:
-            xs = [x[v] for v in names]
+        xs = [x[v] for v in names]
         nbrs = [[index[u] for u in graph.neighbors(v)] for v in names]
         order = _elimination_order(nbrs)
         # bit[i]: the bit of vertex index i; adj and x are by bit position
@@ -102,7 +102,7 @@ class _Evaluator:
         return self._eval(mask)
 
     def _eval(self, root: int):
-        adj, x, memo = self.adj, self.x, self.memo
+        adj, memo = self.adj, self.memo
         vals = []
         # (_EVAL, sub, gone): sub is a connected subset less the vertices
         # gone, or any subset when gone is None
@@ -111,7 +111,7 @@ class _Evaluator:
             kind, sub, arg = stack.pop()
             if kind == _EVAL:
                 if not sub:
-                    vals.append(1)
+                    vals.append(self.one)
                     continue
                 got = memo.get(sub)
                 if got is not None:
@@ -147,16 +147,26 @@ class _Evaluator:
                 args = vals[-n:]
                 del vals[-n:]
                 if kind == _PRODUCT:
-                    out = 1
-                    for v in args:
-                        out = out * v
+                    out = self._product(args)
                 else:
-                    out = args[0]
-                    for u, v in zip(arg, args[1:]):
-                        out = out + x[u] * v
+                    out = self._clique(args[0], arg, args[1:])
                 memo[sub] = out
                 vals.append(out)
         return vals[0]
+
+    @staticmethod
+    def _product(factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = out * f
+        return out
+
+    def _clique(self, rest, clique, values):
+        """P(sub - K) + sum over u in K of x_u * P(sub - N[u])."""
+        out = rest
+        for u, v in zip(clique, values):
+            out = out + self.x[u] * v
+        return out
 
     def _border(self, mask: int) -> int:
         """Union of the neighbourhoods of the vertices in mask."""
@@ -212,20 +222,45 @@ def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fract
     return total
 
 
-def _polynomial(graph: Graph, slope) -> UnivariatePoly:
-    """P_G at x_v = slope(v) * t, as a polynomial in t, computed by the
-    clique recurrence over polynomial values."""
-    t = UnivariatePoly.x()
-    val = _Evaluator(graph, lambda v: slope(v) * t).full()
-    if not isinstance(val, UnivariatePoly):
-        val = UnivariatePoly.const(val)
-    return val
+class _RayEvaluator(_Evaluator):
+    """P at x_v = a_v * s for integer slopes a_v, as the integer
+    coefficients of a polynomial in s, low degree first."""
+
+    one = [1]  # shared, never mutated: every combination builds a new list
+
+    @staticmethod
+    def _product(factors):
+        out = factors[0]
+        for f in factors[1:]:
+            prod = [0] * (len(out) + len(f) - 1)
+            for i, a in enumerate(out):
+                if a:
+                    for j, b in enumerate(f, i):
+                        prod[j] += a * b
+            out = prod
+        return out
+
+    def _clique(self, rest, clique, values):
+        out = list(rest)
+        for u, v in zip(clique, values):
+            a = self.x[u]
+            n = len(v) + 1
+            if len(out) < n:
+                out += [0] * (n - len(out))
+            out[1:n] = [o + a * c for o, c in zip(out[1:n], v)]
+        return out
+
+
+def _polynomial(graph: Graph, slope: dict[str, int]) -> list[int]:
+    """Integer coefficients, low degree first, of P_G at
+    x_v = slope[v] * s, by the clique recurrence."""
+    return _RayEvaluator(graph, slope).full()
 
 
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return _polynomial(graph, lambda v: 1)
+    return UnivariatePoly.of(*_polynomial(graph, dict.fromkeys(graph.vertices, 1)))
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
@@ -236,5 +271,10 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
-    independence number of G."""
-    return _polynomial(graph, lambda v: -Fraction(r[v]))
+    independence number of G.  With L the least common denominator of r
+    and t = L * s, the slopes -L * r_v are integers, so the recurrence
+    runs over integers; coefficient k of q is that of s^k over L^k."""
+    rs = {v: Fraction(r[v]) for v in graph.vertices}
+    big = lcm(*(x.denominator for x in rs.values()))
+    coeffs = _polynomial(graph, {v: -int(x * big) for v, x in rs.items()})
+    return UnivariatePoly.of(*(Fraction(c, big**k) for k, c in enumerate(coeffs)))

@@ -1,5 +1,9 @@
 """Exact decision of small hat games by propositional search.
 
+`decide_game` first settles, without encoding anything, the games whose
+point r = g/h lies in Shearer's region, which are losing (the proof is
+in the `certify` docstring); `search_game` is the search alone.
+
 The encoding has one boolean y[v][sigma][c] per vertex v, visible
 configuration sigma (colors of the open neighborhood in fixed vertex
 order) and color c, meaning "on seeing sigma, sage v guesses c".  For
@@ -56,6 +60,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
+from . import certify
 from .games import LOSING, UNKNOWN, WINNING, HatGame
 from .graphs import Graph
 
@@ -221,6 +226,7 @@ class GameVerdict:
     propagations: int = 0  # assignments made other than decisions
     learned: int = 0  # learned clauses
     reason: str = ""
+    route: str = "sat"  # "region" (certified before any search) or "sat"
 
 
 class _Timeout(Exception):
@@ -463,6 +469,20 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 
 
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
+    """Losing by certificate when r = g/h lies in Shearer's region (route
+    "region", nothing is encoded; the proof, which covers the counting
+    bound sum g/h < 1, is in the `certify` docstring); otherwise the
+    verdict of `search_game`."""
+    # through the module attribute, so that a wrapper installed on it sees
+    # the call
+    cert = certify.losing_by_Z_positive(game)
+    if isinstance(cert, certify.LosingCertificate):
+        reason = f"r in Shearer's region, Z(r) = {cert.z_at_r}"
+        return GameVerdict(LOSING, route="region", reason=reason)
+    return search_game(game, timeout_ms)
+
+
+def search_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """Winning with an extracted (verified) strategy, or Losing after
     exhaustive refutation; Unknown only on timeout, never a guess."""
     cnf = encode(game)

@@ -53,7 +53,7 @@ from .io import frac_str
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
 from .solver import hg_search
-from .solver import decide_game as _decide_game_uncached
+from .solver import search_game as _decide_game_uncached
 
 # rational lower bound of e, enough digits for every corpus comparison
 E_LOWER = Fraction(2718281828, 10**9)
@@ -62,8 +62,11 @@ _VERDICT_CACHE: dict = {}
 
 
 def decide_game(game):
-    """decide_game with memoization so cross-checking items do not pay
-    for the same search twice."""
+    """search_game with memoization so cross-checking items do not pay
+    for the same search twice.  The criteria use the search alone: with
+    the region route of solver.decide_game, the checks of the solver
+    against the clique criterion and the region rule would compare a
+    routine with itself."""
     key = (
         game.vertices,
         game.graph.edges,
@@ -258,20 +261,20 @@ def _check_stegosaur():
     if p4.status != LOSING:
         return False, f"solver on H2^3 = P4 at h=3: {p4.status}"
     # minimality: every single-edge deletion (covering both named
-    # edge-deleted variants) is losing by Z-positivity
+    # edge-deleted variants) is losing by Shearer's region
     for edge in sorted(chain.graph.edges):
         sub = make_graph(chain.graph.vertices, set(chain.graph.edges) - {edge})
         cert = losing_by_Z_positive(uniform_game(sub, 4))
         if not isinstance(cert, LosingCertificate):
-            return False, f"H2^4 minus {edge}: Z-positivity inconclusive"
+            return False, f"H2^4 minus {edge}: region rule inconclusive"
     for variant in ("tilde", "minus"):
         sub = build_chain_graph(2, 4, variant)
         cert = losing_by_Z_positive(uniform_game(sub, 4))
         if not isinstance(cert, LosingCertificate):
-            return False, f"{variant} variant: Z-positivity inconclusive"
+            return False, f"{variant} variant: region rule inconclusive"
     return True, (
         "H2^4 maximal winning (ray + composition + solver); P4 losing "
-        "by solver; all 7 edge deletions and both variants losing by Z > 0"
+        "by solver; all 7 edge deletions and both variants losing by region"
     )
 
 
@@ -386,14 +389,14 @@ def _check_soundness():
             f"P4: expression {lose_cert.status}, solver {p4verdict.status}"
         )
     checked.append("P4 losing")
-    # solver vs Z-positivity on losing instances
+    # solver vs the region rule on losing instances
     p2 = make_game(path_graph(["a", "b"]), {"a": 2, "b": 3})
     k3 = uniform_game(complete_graph(["a", "b", "c"]), 4)
     for label, game in (("P2 (2,3)", p2), ("K3 h=4", k3)):
         zcert = losing_by_Z_positive(game)
         verdict = decide_game(game)
         if not (isinstance(zcert, LosingCertificate) and verdict.status == LOSING):
-            return False, f"{label}: Z-positivity vs solver {verdict.status}"
+            return False, f"{label}: region rule vs solver {verdict.status}"
         checked.append(f"{label} losing both ways")
     # small product certificate vs solver
     k2 = CliqueLeaf(("a", "b"), {"a": 2, "b": 2}, {})

@@ -18,9 +18,10 @@ from hatlab.certify import (
     losing_by_Z_positive,
     mu_hat_chordal,
 )
-from hatlab.games import fraction_vector, make_game, uniform_game
+from hatlab.games import WINNING, fraction_vector, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph, stats
 from hatlab.indpoly import eval_Z, z_corner_evaluator
+from hatlab.solver import search_game, verify_strategy
 
 
 def test_precise_clique_is_maximal_direct():
@@ -188,6 +189,52 @@ def test_losing_by_Z_positive():
     cert = losing_by_Z_positive(game)
     assert isinstance(cert, LosingCertificate)
     assert cert.z_at_r == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_losing_rule_needs_shearer_region(n):
+    # Z(r) = 1/16 > 0 on P7 and P8 at h=2, but r lies outside Shearer's
+    # region, and the sages win
+    game = uniform_game(path_graph([f"p{i}" for i in range(n)]), 2)
+    assert eval_Z(game.graph, fraction_vector(game)) == Fraction(1, 16)
+    out = losing_by_Z_positive(game)
+    assert isinstance(out, Inconclusive)
+    assert "outside Shearer's region" in out.reason
+    verdict = search_game(game)
+    assert verdict.status == WINNING
+    assert verify_strategy(game, verdict.strategy) is None
+
+
+def test_losing_rule_outside_region_on_seeded_games():
+    # games that the unsound rule "Z(r) > 0 implies losing" got wrong:
+    # r lies outside Shearer's region on each, and each is winning
+    rng = random.Random(7)
+    outside = []
+    for _ in range(1500):
+        names = [f"v{j}" for j in range(rng.randint(1, 6))]
+        edges = {e for e in itertools.combinations(names, 2) if rng.random() < 0.5}
+        h = {v: rng.randint(1, 5) for v in names}
+        g = {v: min(rng.randint(1, 2), h[v]) for v in names}
+        game = make_game(make_graph(names, edges), h, g)
+        if eval_Z(game.graph, fraction_vector(game)) > 0:
+            out = losing_by_Z_positive(game)
+            if isinstance(out, Inconclusive):
+                outside.append(game)
+    assert len(outside) == 39
+    for game in outside:
+        verdict = search_game(game)
+        assert verdict.status == WINNING
+        assert verify_strategy(game, verdict.strategy) is None
+
+
+def test_losing_rule_tests_components_apart():
+    # two copies of K2 at (2,3): each is inside the region, and Z(r) is
+    # the product of the components' values
+    graph = make_graph(list("abcd"), {("a", "b"), ("c", "d")})
+    game = make_game(graph, {"a": 2, "b": 3, "c": 2, "d": 3})
+    cert = losing_by_Z_positive(game)
+    assert isinstance(cert, LosingCertificate)
+    assert cert.z_at_r == Fraction(1, 36)
 
 
 def test_losing_rule_silent_at_zero():

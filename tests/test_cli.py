@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab.certify import LosingCertificate
 from hatlab.cli import main
 from hatlab.games import make_game, uniform_game
 from hatlab.graphs import complete_graph, path_graph
@@ -53,14 +54,26 @@ def test_solve_winning_with_strategy(tmp_path, capsys):
 
 
 def test_solve_losing(tmp_path, capsys):
-    gp = tmp_path / "k2.json"
-    save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), str(gp))
+    # Z(r) = 0 on P4 at h=3, so r is outside Shearer's region: SAT route
+    gp = tmp_path / "p4.json"
+    save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 3), str(gp))
     obj = _run_json(capsys, "solve", str(gp))
     assert obj["status"] == "losing"
+    assert obj["route"] == "sat"
     assert obj["conflicts"] >= 1
     assert "restarts" in obj
     assert obj["learned"] == obj["conflicts"] - 1
     assert obj["propagations"] >= 1
+
+
+def test_solve_losing_by_region(tmp_path, capsys):
+    gp = tmp_path / "k2.json"
+    save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), str(gp))
+    obj = _run_json(capsys, "solve", str(gp))
+    assert obj["status"] == "losing"
+    assert obj["route"] == "region"
+    assert obj["num_clauses"] == obj["decisions"] == 0
+    assert "Z(r) = 1/6" in obj["reason"]
 
 
 def test_certify_maximal_direct(tmp_path, capsys):
@@ -156,19 +169,21 @@ def test_certify_malformed_expr_is_error(tmp_path, capsys):
 
 
 def test_certify_losing_deep_path(tmp_path, capsys):
+    # Shearer's region of a long path ends near r = 1/4, so h = 5 is
+    # inside it (h = 3 would not be, although Z(r) > 0 there)
     n = 1200
     gp = tmp_path / "p1200.json"
-    save_game(uniform_game(path_graph([f"v{i}" for i in range(n)]), 3), str(gp))
-    # z_k = z_{k-1} - x_k z_{k-2} with z_0 = z_{-1} = 1 and x_k = 1/3
+    save_game(uniform_game(path_graph([f"v{i}" for i in range(n)]), 5), str(gp))
+    # z_k = z_{k-1} - x_k z_{k-2} with z_0 = z_{-1} = 1 and x_k = 1/5
     z, z_prev = Fraction(1), Fraction(1)
     for _ in range(n):
-        z, z_prev = z - Fraction(1, 3) * z_prev, z
+        z, z_prev = z - Fraction(1, 5) * z_prev, z
     assert z > 0
     obj = _run_json(capsys, "certify", "losing", str(gp))
     assert obj == {
         "verdict": "losing",
         "z_at_r": frac_str(z),
-        "rule": "Z(r) > 0 implies losing",
+        "rule": LosingCertificate.rule,
     }
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.indpoly import (
+    _Evaluator,
     eval_P,
     eval_P_brute,
     eval_Z,
     univariate_P,
     univariate_U,
     z_corner_evaluator,
+    z_ray,
 )
 from hatlab.poly import UnivariatePoly
 
@@ -119,3 +121,48 @@ def test_univariate_p_of_cycles_counts_independent_sets():
         # C_n has n/(n-k) * binom(n-k, k) independent k-sets
         counts = [n * comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
         assert univariate_P(g) == UnivariatePoly.of(*counts)
+
+
+def _fraction_ray(graph, r):
+    """q(t) = Z_G(t r) by the clique recurrence over polynomials with
+    Fraction coefficients, the way z_ray built it before it ran over the
+    integers."""
+    t = UnivariatePoly.x()
+    val = _Evaluator(graph, {v: -r[v] * t for v in graph.vertices}).full()
+    return val if isinstance(val, UnivariatePoly) else UnivariatePoly.const(val)
+
+
+def _ray_cases():
+    from hatlab import gallery
+    from hatlab.algebra import eval_expr
+    from hatlab.games import fraction_vector
+
+    rng = random.Random(2026)
+    for n in (1, 2, 7, 40, 90):
+        g = path_graph([f"v{i}" for i in range(n)])
+        yield f"P{n}", g, {v: Fraction(1, rng.randint(2, 7)) for v in g.vertices}
+    for n, l in ((2, 4), (5, 4), (3, 6)):
+        g = gallery.build_chain_graph(n, l)
+        yield f"H{n}^{l}", g, dict.fromkeys(g.vertices, Fraction(1, l))
+    for name, expr in (("delta6", gallery.build_delta6_hg8()),
+                       ("scary3", gallery.build_scary(3))):
+        game = eval_expr(expr).game
+        yield name, game.graph, fraction_vector(game)
+    for i in range(20):
+        n = rng.randint(1, 9)
+        verts = [f"v{j}" for j in range(n)]
+        edges = {(u, w) for j, u in enumerate(verts) for w in verts[j + 1:]
+                 if rng.random() < 0.4}
+        r = {v: Fraction(rng.randint(1, 5), rng.randint(1, 9)) for v in verts}
+        yield f"random{i}", make_graph(rng.sample(verts, n), edges), r
+
+
+def test_integer_ray_matches_fraction_build():
+    cases = 0
+    for name, g, r in _ray_cases():
+        q = z_ray(g, r)
+        assert q == _fraction_ray(g, r), name
+        assert q(1) == eval_Z(g, r), name
+        cases += 1
+    assert cases == 30
+

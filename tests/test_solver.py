@@ -18,6 +18,7 @@ from hatlab.solver import (
     decide_game,
     encode,
     hg_search,
+    search_game,
     verify_strategy,
 )
 from hatlab.verify import _corpus_graphs
@@ -113,7 +114,7 @@ def test_timeout_yields_unknown():
 
 
 def test_timeout_keeps_search_counts():
-    verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5), timeout_ms=200)
+    verdict = search_game(uniform_game(complete_graph(list("abcd")), 5), timeout_ms=200)
     assert verdict.status == UNKNOWN
     assert verdict.decisions > 0
     assert verdict.propagations > 0
@@ -161,7 +162,7 @@ _PINNED = {
 def test_search_counts_are_pinned(name):
     make, expected = _PINNED[name]
     game = make()
-    verdict = decide_game(game)
+    verdict = search_game(game)
     got = (verdict.status, verdict.decisions, verdict.conflicts, verdict.restarts)
     assert got == expected
     _assert_learned_count(verdict)
@@ -178,11 +179,20 @@ def test_hg_search_p4():
     assert hg_search(path_graph(["a", "b", "c", "d"]), 3) == 2
 
 
-def test_hg_search_reports_bracket_on_guard():
-    # 25 isolated vertices: h=1 is trivially winning, h=2 already has
-    # 2^25 colorings and trips the enumeration guard
+def test_hg_search_settles_isolated_vertices_by_region():
+    # 25 isolated vertices at h=2 have 2^25 colorings, beyond the
+    # enumeration guard, but r = 1/2 lies in Shearer's region
     big = make_graph([f"v{i}" for i in range(25)], set())
-    assert hg_search(big, 5) == (1, 2)
+    assert hg_search(big, 5) == 1
+
+
+def test_hg_search_reports_bracket_on_guard():
+    # a perfect matching on 26 vertices: h=1 is trivially winning; at h=2,
+    # Z = 0 on every edge, so the search must run, and 2^26 colorings trip
+    # the enumeration guard
+    names = [f"v{i}" for i in range(26)]
+    matching = make_graph(names, set(zip(names[::2], names[1::2])))
+    assert hg_search(matching, 5) == (1, 2)
 
 
 @pytest.mark.parametrize("order", ["abcde", "cebda"])
@@ -228,7 +238,7 @@ def _precedent_tables(game, strategy) -> int:
 def _differential(game) -> tuple[bool, int]:
     """(winning, precedence tables checked), asserting that the formula
     without the symmetry clauses has the same verdict."""
-    verdict = decide_game(game)
+    verdict = search_game(game)
     _assert_learned_count(verdict)
     wins = verdict.status == WINNING
     assert wins == _wins_without_symmetry_clauses(game), game
@@ -283,3 +293,31 @@ def test_symmetry_clauses_keep_verdict_on_random_games():
     wins = sum(w for w, _ in results)
     assert 0 < wins < 300  # both sides of the boundary
     assert sum(tables for _, tables in results) > 150
+
+
+# -- routes: the region pre-check against the search ------------------
+
+
+def test_region_route_agrees_with_search_on_random_games():
+    # off the region route, decide_game returns search_game's verdict, so
+    # only the region verdicts need a search to compare with
+    rng = random.Random(20261019)
+    region = 0
+    for _ in range(200):
+        game = _random_game(rng)
+        verdict = decide_game(game)
+        if verdict.route == "region":
+            assert verdict.status == LOSING
+            assert verdict.num_clauses == verdict.decisions == 0
+            assert search_game(game).status == LOSING, game
+            region += 1
+        else:
+            assert verdict.route == "sat"
+    assert 20 < region < 200
+
+
+def test_region_route_settles_k4_h5():
+    # the known-hard pigeonhole instance: sum g/h = 4/5 < 1
+    verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5))
+    assert (verdict.status, verdict.route) == (LOSING, "region")
+    assert "Z(r) = 1/5" in verdict.reason
