@@ -3,7 +3,7 @@
 Construct games by the theorem-constructors (sums, products,
 substitutions, losing compositions), certify winning/losing/maximal
 status through independence-polynomial arithmetic, isolate polynomial
-roots with Sturm sequences, and decide small games exhaustively with a
+roots by Descartes bisection, and decide small games exhaustively with a
 built-in SAT search.  All arithmetic is exact rational; no floating
 point touches any certificate.
 """

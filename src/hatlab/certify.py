@@ -252,8 +252,10 @@ def mu_hat_chordal(
     graph: Graph, candidate: Optional[Fraction] = None
 ) -> MuHatResult:
     """mu-hat of a chordal graph: 1/r for the smallest positive root r
-    of U_G.  Exact rational when the root is rational, else an isolating
-    interval; comparisons downstream must use Sturm counts."""
+    of U_G.  Exact rational when the root is rational, else the open
+    interval (1/upper, 1/lower) that holds mu-hat and no other reciprocal
+    of a root of U_G; compare against it by exact rationals, never by a
+    rounded value."""
     ordering = is_chordal(graph)
     if ordering is None:
         raise CertifyError("graph is not chordal; the corollary does not apply")

@@ -33,7 +33,7 @@ from .gallery import (
     build_scary,
 )
 from .games import uniform_game
-from .graphs import is_chordal, stats
+from .graphs import diameter, is_chordal, stats
 from .indpoly import eval_P, eval_Z, univariate_P, univariate_U
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
@@ -59,10 +59,17 @@ def _emit(payload: dict):
     sys.stdout.write(hio.canonical_dumps(payload))
 
 
-def _load_game_or_graph(path: str):
-    """A game when hatness is present, else the bare graph."""
+def _load_object(path: str) -> dict:
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise hio.SchemaError("/", "expected an object")
+    return obj
+
+
+def _load_game_or_graph(path: str):
+    """A game when hatness is present, else the bare graph."""
+    obj = _load_object(path)
     if "hatness" in obj:
         return hio.game_from_json(obj)
     return hio.graph_from_json(obj)
@@ -172,8 +179,7 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.path) as f:
-        obj = json.load(f)
+    obj = _load_object(args.path)
     if args.what == "maximal":
         if "op" in obj:
             cert = check_maximal_compositional(hio.expr_from_json(obj))
@@ -272,7 +278,7 @@ def _cmd_stats(args) -> int:
         "chordal": is_chordal(graph) is not None,
     }
     if st.connected:
-        payload["diameter"] = st.diameter
+        payload["diameter"] = diameter(graph)
     if hasattr(loaded, "h"):
         payload["hatness"] = dict(loaded.h)
         payload["guesses"] = dict(loaded.g)

@@ -158,7 +158,6 @@ class GraphStats:
     degrees: dict[str, int] = field(compare=False)
     max_degree: int = 0
     connected: bool = False
-    diameter: int | None = None
 
 
 def _bfs_dist(g: Graph, src: str) -> dict[str, int]:
@@ -173,19 +172,10 @@ def _bfs_dist(g: Graph, src: str) -> dict[str, int]:
     return dist
 
 
-def stats(g: Graph, need_diameter: bool = True) -> GraphStats:
+def stats(g: Graph) -> GraphStats:
     degrees = {v: g.degree(v) for v in g.vertices}
     max_degree = max(degrees.values(), default=0)
-    if not g.vertices:
-        return GraphStats(degrees, 0, True, 0)
-    dist0 = _bfs_dist(g, g.vertices[0])
-    connected = len(dist0) == len(g.vertices)
-    diameter = None
-    if need_diameter and connected:
-        diameter = 0
-        for v in g.vertices:
-            diameter = max(diameter, max(_bfs_dist(g, v).values()))
-    return GraphStats(degrees, max_degree, connected, diameter)
+    return GraphStats(degrees, max_degree, len(components(g)) <= 1)
 
 
 def components(g: Graph) -> list[set[str]]:
@@ -202,10 +192,9 @@ def components(g: Graph) -> list[set[str]]:
 
 
 def diameter(g: Graph) -> int:
-    st = stats(g)
-    if not st.connected:
+    if len(components(g)) > 1:
         raise GraphError("diameter is undefined for a disconnected graph")
-    return st.diameter
+    return max((max(_bfs_dist(g, v).values()) for v in g.vertices), default=0)
 
 
 # -- chordality --------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Exact real-root counting (Sturm sequences), Descartes bisection on
-(0, 1), and the recurrence-defined polynomial families used for the
-minimal-root theorems.
+"""Exact real-root isolation over the rationals, and the recurrence
+polynomial families of the minimal-root theorems.
 
-All counting is over exact rationals.  Sequences are content-normalized
-at every step to keep coefficients tractable.
+One Descartes bisection routine, _first_root, serves the Shearer ray
+(unit_interval_root), the smallest positive root and the family root
+intervals.  Sturm sequences (sturm_sequence, sturm_roots,
+count_real_roots) are an independent reference the tests check it by.
 """
 
 from __future__ import annotations
@@ -16,18 +17,6 @@ from .poly import UnivariatePoly
 
 class RootError(ValueError):
     pass
-
-
-def sturm_sequence(p: UnivariatePoly) -> list[UnivariatePoly]:
-    if p.is_zero():
-        raise RootError("zero polynomial has no Sturm sequence")
-    p = p.square_free().normalized()
-    seq = [p, p.derivative().normalized()]
-    while not seq[-1].is_zero():
-        r = seq[-2].rem(seq[-1])
-        seq.append((-r).normalized())
-    seq.pop()
-    return seq
 
 
 def _sign_variations(values) -> int:
@@ -44,79 +33,64 @@ def _taylor_shift(a: list[int]) -> list[int]:
     return a
 
 
-def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
-    """Locate the first root of p in (0, 1) by Descartes bisection
-    (Vincent-Collins-Akritas: Collins & Akritas, SYMSAC 1976; Rouillier
-    & Zimmermann, J. Comput. Appl. Math. 2004).
+def _first_root(p: UnivariatePoly, a: Fraction, b: Fraction):
+    """The first root of p in the open interval (a, b) by Descartes
+    bisection (Vincent-Collins-Akritas: Collins & Akritas, SYMSAC 1976;
+    Rouillier & Zimmermann, J. Comput. Appl. Math. 2004).
 
-    Each interval (a, b) keeps integer coefficients c proportional to
-    p(a + (b - a) y).  t = 1/(1 + x) maps x > 0 onto 0 < t < 1, so the
-    roots of c in (0, 1) are the positive roots of (1 + x)^d c(1/(1 + x)),
-    the reversed coefficients shifted by x -> x + 1, and by Descartes'
-    rule of signs their number is at most its sign variations and of the
-    same parity.  Intervals are searched left to right: one with no
-    variations holds no root and is dropped, one with two or more is
-    halved (2^d c(y/2) and its shift give the halves), and an interval
-    whose disk holds no root eventually shows none (the one-circle
-    theorem).
+    A subinterval (lo, hi) keeps integer coefficients c proportional to
+    p(lo + (hi - lo) y).  Its roots in (0, 1) are the positive roots of
+    (1 + x)^d c(1/(1 + x)), the reversed c shifted by x -> x + 1, and by
+    Descartes' rule of signs number at most its sign variations, with
+    the same parity.  Subintervals go left to right: one with no
+    variations holds no root, one with two or more is halved (2^d c(y/2)
+    and its shift), and one whose disk holds no root eventually shows
+    none (the one-circle theorem).
 
-    Returns None when p has no root in (0, 1).  Otherwise returns t < 1:
-    the first root itself when a midpoint hits it, or the upper end of an
-    interval (a, t) that holds exactly one root, simple, and no root in
-    (0, a].  The search ends when that first root is simple."""
-    stack = [(Fraction(0), Fraction(1), p.integer_cleared())]
+    Returns None when (a, b) holds no root; else the first root itself
+    when a midpoint hits it, or (lo, hi) with hi < b holding exactly one
+    root, simple, and no root in (a, lo].  The search ends when that
+    first root is simple."""
+    if a == 0:  # p(b y): coefficient k scaled by b^k, O(d) products
+        n, m, c = b.numerator, b.denominator, p.integer_cleared()
+        c = [ck * n**k * m ** (len(c) - 1 - k) for k, ck in enumerate(c)]
+    else:
+        line, q = UnivariatePoly.of(a, b - a), UnivariatePoly.ZERO
+        for ck in reversed(p.coeffs):
+            q = q * line + ck
+        c = q.integer_cleared()
+    stack = [(a, b, c)]
     while stack:
-        a, b, c = stack.pop()
+        lo, hi, c = stack.pop()
         if c is None:
-            return a  # p(a) = 0, and no root lies below it
+            return lo  # p(lo) = 0, and no root lies below it
         variations = _sign_variations(_taylor_shift(c[::-1]))
         if variations == 0:
             continue
-        if variations == 1 and b < 1:
-            return b
-        mid = (a + b) / 2
+        if variations == 1 and hi < b:
+            return lo, hi
+        mid = (lo + hi) / 2
         d = len(c) - 1
         left = [ck << (d - k) for k, ck in enumerate(c)]
         right = _taylor_shift(left)
-        stack.append((mid, b, right))
+        stack.append((mid, hi, right))
         if right[0] == 0:
             stack.append((mid, mid, None))
-        stack.append((a, mid, left))
+        stack.append((lo, mid, left))
     return None
 
 
-def _variations_at(seq, x) -> int:
-    return _sign_variations([q(x) for q in seq])
-
-
-def _variations_at_inf(seq, positive: bool) -> int:
-    vals = []
-    for q in seq:
-        lc = q.leading()
-        if not positive and q.degree() % 2 == 1:
-            lc = -lc
-        vals.append(lc)
-    return _sign_variations(vals)
-
-
-def sturm_roots(p: UnivariatePoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    if p.is_zero():
-        raise RootError("zero polynomial")
-    if not lo < hi:
-        raise RootError("empty interval")
-    seq = sturm_sequence(p)
-    return _variations_at(seq, lo) - _variations_at(seq, hi)
-
-
-def count_real_roots(p: UnivariatePoly) -> int:
-    """Number of distinct real roots over the whole real line."""
-    seq = sturm_sequence(p)
-    return _variations_at_inf(seq, False) - _variations_at_inf(seq, True)
+def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
+    """The first root of p in (0, 1), or None when there is none: the
+    root itself when a bisection midpoint hits it, else the upper end t
+    of an interval (a, t) that holds exactly one root, simple, and no
+    root in (0, a].  The search ends when that first root is simple."""
+    found = _first_root(p, Fraction(0), Fraction(1))
+    return found[1] if isinstance(found, tuple) else found
 
 
 def cauchy_bound(p: UnivariatePoly) -> Fraction:
-    """All real roots lie in (-B, B]."""
+    """All real roots lie in (-B, B)."""
     lc = abs(p.leading())
     b = max((abs(c) / lc for c in p.coeffs[:-1]), default=Fraction(0))
     return b + 1
@@ -137,64 +111,87 @@ WIDTH = Fraction(1, 10**12)
 
 
 def smallest_positive_root(p: UnivariatePoly, candidate: Fraction | None = None):
-    """Isolate the smallest positive real root of p, or return None when
-    there is none.
-
-    Both routes build one Sturm sequence and count sign variations of it.
-    With a rational candidate: confirm p(candidate) == 0 exactly and
-    that no root lies strictly below it (the cheapest exact minimality
-    proof).  Without one: bisect (lo, hi] around the smallest positive
-    root, keeping (0, lo] root-free.
+    """Isolate the smallest positive real root of p, or None when there
+    is none, by _first_root on the square-free part s of p.  A rational
+    candidate c passes when p(c) == 0 and (0, c) holds no root.  Without
+    one, (0, B), B the Cauchy bound, gives the root or an interval
+    (lo, hi) holding only it, which is bisected on the sign of s.
 
     Exact rational roots come from the denominator bound.  Let L be the
-    leading coefficient of the square-free part of p scaled to coprime
-    integers (the first polynomial of the Sturm sequence).  A rational
-    root a/b in lowest terms has b | L, so two distinct rational roots
-    lie at least 1/L^2 apart.  Once (lo, hi] holds exactly one root, any
-    c in it with p(c) == 0 is that root; once also hi - lo < 1/L^2, the
-    midpoint's closest fraction with denominator <= L is the root
-    whenever the root is rational.  Otherwise the root is irrational and
-    comes back as (lo, hi] with hi - lo <= WIDTH, the square-free part of
-    p changing sign across it."""
+    leading coefficient of s scaled to coprime integers.  A rational root
+    a/b in lowest terms has b | L, so two distinct rational roots lie at
+    least 1/L^2 apart.  Once hi - lo < 1/L^2, the midpoint's closest
+    fraction with denominator <= L is the root whenever the root is
+    rational.  Otherwise the root is irrational and comes back as
+    (lo, hi) with hi - lo <= WIDTH, s changing sign across it."""
     if p.is_zero():
         raise RootError("zero polynomial")
     if p(Fraction(0)) == 0:
         raise RootError("p(0) = 0; smallest positive root is ill-posed")
-    seq = sturm_sequence(p)
-    lo = Fraction(0)
-    v_lo = _variations_at(seq, lo)
+    s = p.square_free().normalized()
     if candidate is not None:
         candidate = Fraction(candidate)
         if candidate <= 0:
             raise RootError("candidate must be positive")
         if p(candidate) != 0:
             raise RootError(f"candidate {candidate} is not a root")
-        below = v_lo - _variations_at(seq, candidate) - 1
-        if below != 0:
-            raise RootError(
-                f"candidate {candidate} is not minimal: {below} roots below it"
-            )
+        if _first_root(s, Fraction(0), candidate) is not None:
+            raise RootError(f"candidate {candidate} is not minimal: a root lies below")
         return IsolatingInterval(candidate, candidate, candidate)
 
-    hi = cauchy_bound(p)
-    v_hi = _variations_at(seq, hi)
-    if v_lo == v_hi:
-        return None
-    den = abs(int(seq[0].leading()))
+    found = _first_root(s, Fraction(0), cauchy_bound(s))
+    if not isinstance(found, tuple):
+        return None if found is None else IsolatingInterval(found, found, found)
+    lo, hi = found
+    den = abs(int(s.leading()))
     separation = Fraction(1, den * den)
+    positive_below = s(lo) > 0  # the sign of s between lo and the root
     while True:
-        if v_lo - v_hi == 1:
-            c = ((lo + hi) / 2).limit_denominator(den)
-            if lo < c <= hi and p(c) == 0:
-                return IsolatingInterval(c, c, c)
-            if hi - lo < separation and hi - lo <= WIDTH:
-                return IsolatingInterval(lo, hi, None)
+        c = ((lo + hi) / 2).limit_denominator(den)
+        if lo < c < hi and s(c) == 0:
+            return IsolatingInterval(c, c, c)
+        if hi - lo < separation and hi - lo <= WIDTH and s(hi) != 0:
+            return IsolatingInterval(lo, hi, None)
+        # a root at the midpoint has denominator <= L and was caught as c
         mid = (lo + hi) / 2
-        v_mid = _variations_at(seq, mid)
-        if v_lo > v_mid:
-            hi, v_hi = mid, v_mid
+        if (s(mid) > 0) == positive_below:
+            lo = mid
         else:
-            lo, v_lo = mid, v_mid
+            hi = mid
+
+
+# -- Sturm sequences: the independent reference ------------------------
+
+
+def sturm_sequence(p: UnivariatePoly) -> list[UnivariatePoly]:
+    if p.is_zero():
+        raise RootError("zero polynomial has no Sturm sequence")
+    p = p.square_free().normalized()
+    seq = [p, p.derivative().normalized()]
+    while not seq[-1].is_zero():
+        r = seq[-2].rem(seq[-1])
+        seq.append((-r).normalized())
+    seq.pop()
+    return seq
+
+
+def sturm_roots(p: UnivariatePoly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
+    if p.is_zero():
+        raise RootError("zero polynomial")
+    if not lo < hi:
+        raise RootError("empty interval")
+    seq = sturm_sequence(p)
+    at_lo, at_hi = ([q(x) for q in seq] for x in (lo, hi))
+    return _sign_variations(at_lo) - _sign_variations(at_hi)
+
+
+def count_real_roots(p: UnivariatePoly) -> int:
+    """Number of distinct real roots over the whole real line."""
+    seq = sturm_sequence(p)
+    at_minus_inf = [q.leading() * (-1) ** q.degree() for q in seq]
+    at_inf = [q.leading() for q in seq]
+    return _sign_variations(at_minus_inf) - _sign_variations(at_inf)
 
 
 # -- the recurrence families ------------------------------------------
@@ -280,14 +277,16 @@ _FAMILY_INTERVALS = {"A": (Fraction(-4), Fraction(0)), "Phi": (Fraction(-2), Fra
 
 def verify_root_interval(tag: str, n: int, interval=None) -> bool:
     """True iff all real roots of the family polynomial lie inside the
-    closed interval (default: the family's claimed interval)."""
+    closed interval [lo, hi] (default: the family's claimed interval).
+    Every real root lies in (-B, B), B the Cauchy bound, so this holds
+    when Descartes bisection finds no root in (-B, lo) or in (hi, B)."""
     if tag not in _FAMILY_INTERVALS and interval is None:
         raise RootError(f"no claimed interval for family {tag!r}")
     lo, hi = interval if interval is not None else _FAMILY_INTERVALS[tag]
     lo, hi = Fraction(lo), Fraction(hi)
-    p = family(tag, n).poly
-    if p.degree() == 0:
-        return True
-    seq = sturm_sequence(p)
-    inside = _variations_at(seq, lo) - _variations_at(seq, hi) + (p(lo) == 0)
-    return inside == _variations_at_inf(seq, False) - _variations_at_inf(seq, True)
+    if lo > hi:
+        raise RootError("empty interval")
+    s = family(tag, n).poly.square_free()
+    b = cauchy_bound(s)
+    outside = [(x, y) for x, y in ((-b, lo), (hi, b)) if x < y]
+    return all(_first_root(s, x, y) is None for x, y in outside)

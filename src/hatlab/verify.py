@@ -132,7 +132,7 @@ def _check_delta6():
     if not isinstance(cert, MaximalityCertificate) or cert.z_at_r != 0:
         return False, "compositional maximality certificate failed"
     game = cert.game
-    st = stats(game.graph, need_diameter=False)
+    st = stats(game.graph)
     if len(game.vertices) != 31:
         return False, f"vertex count {len(game.vertices)} != 31"
     if st.max_degree != 6:
@@ -156,7 +156,7 @@ def _check_four_thirds():
     for n in (3, 4):
         hg = conclude_hg(build_scary(n))
         game = hg.game
-        st = stats(game.graph, need_diameter=False)
+        st = stats(game.graph)
         if hg.value != 2**n:
             return False, f"n={n}: conclude_hg {hg.value} != {2 ** n}"
         if st.max_degree != 3 * 2 ** (n - 2):
@@ -175,7 +175,7 @@ def _check_four_thirds():
 def _check_delta_plus_k():
     hg = conclude_hg(build_delta_plus_k(3).expr)
     game = hg.game
-    st = stats(game.graph, need_diameter=False)
+    st = stats(game.graph)
     if len(game.vertices) != 62 or st.max_degree != 13:
         return False, (
             f"m=2: {len(game.vertices)} vertices, Delta {st.max_degree} "
@@ -415,7 +415,7 @@ def _check_soundness():
     ]
     for e in hg_cases:
         hg = conclude_hg(e)
-        delta = stats(hg.game.graph, need_diameter=False).max_degree
+        delta = stats(hg.game.graph).max_degree
         if hg.value is None or not hg.value < E_LOWER * delta:
             return False, f"HG {hg.value} vs e*Delta bound with Delta={delta}"
     checked.append(f"{len(hg_cases)} HG < e*Delta bounds")

@@ -19,7 +19,13 @@ from hatlab.certify import (
     mu_hat_chordal,
 )
 from hatlab.games import WINNING, fraction_vector, make_game, uniform_game
-from hatlab.graphs import complete_graph, make_graph, path_graph, stats
+from hatlab.graphs import (
+    complete_graph,
+    diameter,
+    make_graph,
+    path_graph,
+    stats,
+)
 from hatlab.indpoly import eval_Z, z_corner_evaluator
 from hatlab.solver import search_game, verify_strategy
 
@@ -77,8 +83,8 @@ def test_chain_diameter_grows_at_degree_three(n):
     # the diameter claim: H_n^4 keeps max degree 3 and HG = 4 while its
     # diameter is 2n - 1; maximal both directly and by composition
     chain = gallery.build_chain(n, 4)
-    st = stats(chain.graph)
-    assert (st.max_degree, st.diameter) == (3, 2 * n - 1)
+    assert stats(chain.graph).max_degree == 3
+    assert diameter(chain.graph) == 2 * n - 1
     assert conclude_hg(chain.expr).value == 4
     direct = check_maximal_direct(uniform_game(chain.graph, 4))
     assert isinstance(direct, MaximalityCertificate)
@@ -154,7 +160,7 @@ def test_ray_agrees_with_corner_sweep():
         assert len(keep) < n
         value = z_corner_evaluator(game.graph, r).value(frozenset(keep))
         assert value == out.witness_value <= 0
-        connected = stats(game.graph, need_diameter=False).connected
+        connected = stats(game.graph).connected
         seen["ray" if connected else "disconnected"] += 1
     # every branch is exercised
     assert min(seen.values()) >= 10, seen

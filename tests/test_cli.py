@@ -128,6 +128,13 @@ def test_roots_family(capsys):
     assert obj["min_positive_root"] == "1"
 
 
+def test_roots_reversed_interval_is_error(capsys):
+    code = main(["roots", "--family", "A", "--n", "3", "--interval", "0", "-4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: empty interval\n"
+
+
 def test_stats(tmp_path, capsys):
     gp = tmp_path / "p4.json"
     save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 2), str(gp))
@@ -166,6 +173,18 @@ def test_certify_malformed_expr_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: /vertices:")
+
+
+@pytest.mark.parametrize(
+    "command", [["stats"], ["indpoly"], ["muhat"], ["export"], ["certify", "maximal"]]
+)
+def test_non_object_json_is_error(tmp_path, capsys, command):
+    path = tmp_path / "five.json"
+    path.write_text("5\n")
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: /: expected an object\n"
 
 
 def test_certify_losing_deep_path(tmp_path, capsys):

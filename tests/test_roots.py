@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from hatlab import roots
-from hatlab.gallery import build_extension_example
+from hatlab.gallery import build_chain_graph, build_extension_example
+from hatlab.graphs import path_graph
+from hatlab.indpoly import univariate_U
 from hatlab.poly import UnivariatePoly
 from hatlab.roots import (
     WIDTH,
@@ -118,25 +120,88 @@ def test_smallest_positive_root_finds_minimal_root_without_candidate(which, root
             assert plain == smallest_positive_root(u, candidate=root)
 
 
-def test_smallest_positive_root_builds_one_sturm_sequence(monkeypatch):
-    calls = []
+# the chain graphs H_n^l of the benchmark's certify workload
+_CHAINS = ((2, 4), (3, 4), (4, 4), (5, 4), (2, 6), (3, 6), (2, 5), (3, 5), (4, 5))
 
-    def counted(p):
-        calls.append(p)
-        return sturm_sequence(p)
 
-    monkeypatch.setattr(roots, "sturm_sequence", counted)
-    polys = [
-        (UnivariatePoly.of(1, -4, 3), None),
-        (UnivariatePoly.of(1, -4, 3), Fraction(1, 3)),
-        (X * X - 2, None),
-        (UnivariatePoly.of(920, -184, -40, 8), None),
-        (X + 1, None),
+def _differential_corpus():
+    """(p, rational roots of p known by construction): the extension
+    examples, U of paths and of chain graphs, and 300 seeded products of
+    integer polynomials, some of them linear with a known root; every
+    tenth product is squared, so its roots are double."""
+    corpus = [
+        (build_extension_example(which, n, k).u_poly, [])
+        for which in (1, 2, 3)
+        for n in range(2, 9)
+        for k in range(4)
     ]
-    for p, candidate in polys:
-        calls.clear()
-        smallest_positive_root(p, candidate=candidate)
-        assert len(calls) == 1
+    corpus += [
+        (univariate_U(path_graph([f"v{i}" for i in range(n)])), [])
+        for n in range(2, 25)
+    ]
+    corpus += [(univariate_U(build_chain_graph(n, l)), []) for n, l in _CHAINS]
+    rng = random.Random(9)
+    for i in range(300):
+        p, known = UnivariatePoly.ONE, []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                a, b = rng.randint(-9, 9) or 1, rng.randint(1, 9)
+                p = p * UnivariatePoly.of(-a, b)
+                known.append(Fraction(a, b))
+            else:
+                low = [rng.randint(-9, 9) for _ in range(rng.randint(2, 4))]
+                low[0] = low[0] or 1
+                p = p * UnivariatePoly.of(*low, rng.randint(1, 9))
+        corpus.append((p * p if i % 10 == 0 else p, known))
+    return corpus
+
+
+def test_smallest_positive_root_agrees_with_sturm_counts():
+    seen = {"exact": 0, "interval": 0, "none": 0, "larger candidate": 0}
+    for p, known in _differential_corpus():
+        iso = smallest_positive_root(p)
+        if iso is None:
+            assert sturm_roots(p, Fraction(0), cauchy_bound(p)) == 0, p
+            seen["none"] += 1
+            continue
+        if iso.exact_root is not None:
+            c = iso.exact_root
+            assert p(c) == 0 and sturm_roots(p, Fraction(0), c) == 1, p
+            assert smallest_positive_root(p, candidate=c) == iso
+            seen["exact"] += 1
+        else:
+            assert iso.lower == 0 or sturm_roots(p, Fraction(0), iso.lower) == 0, p
+            assert sturm_roots(p, iso.lower, iso.upper) == 1, p
+            assert iso.width() <= WIDTH
+            seen["interval"] += 1
+        for r in known:
+            if r > iso.upper:
+                with pytest.raises(RootError, match="not minimal"):
+                    smallest_positive_root(p, candidate=r)
+                seen["larger candidate"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+_INTERVALS = [
+    (-4, 0), (-2, 2), (-1, 1), (-5, -3), (0, 3), (-1, -1), (-3, Fraction(-3, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "tag, first", [("A", 0), ("B", 0), ("L", 2), ("Phi", 0), ("E", 1)]
+)
+def test_verify_root_interval_agrees_with_sturm_counts(tag, first):
+    verdicts = set()
+    for n in range(first, 13):
+        p = family(tag, n).poly
+        total = count_real_roots(p)
+        for lo, hi in _INTERVALS:
+            lo, hi = Fraction(lo), Fraction(hi)
+            inside = (p(lo) == 0) + (sturm_roots(p, lo, hi) if lo < hi else 0)
+            verdict = verify_root_interval(tag, n, interval=(lo, hi))
+            assert verdict == (inside == total), (tag, n, lo, hi)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_family_values():
@@ -163,6 +228,12 @@ def test_root_intervals_hold():
 
 def test_root_interval_custom_fails_when_too_small():
     assert not verify_root_interval("Phi", 5, interval=(Fraction(-1), Fraction(1)))
+
+
+def test_root_interval_rejects_reversed_interval():
+    # [0, -4] is empty, so it cannot hold the roots of A_3 = k(k^2 + 3k + 1)
+    with pytest.raises(RootError, match="empty interval"):
+        verify_root_interval("A", 3, interval=(Fraction(0), Fraction(-4)))
 
 
 _PAIR = UnivariatePoly.of(1, -3, 3)  # complex roots only
