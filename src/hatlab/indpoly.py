@@ -6,9 +6,16 @@ uses the clique recurrence
     P_G = P_{G\\K} + sum_{u in K} x_u * P_{G\\N+(u)}
 
 with factorization over connected components and memoization on vertex
-subsets.  Subsets are int bitmasks, and each step does Python-level
-work in proportion to the vertices it removes, not to the size of the
-subset:
+subsets.  A point is evaluated over the integers: with L the least
+common denominator of the point and x_v = a_v / L, the memo holds the
+integer W(S) = L^|S| * P_S(x) of each subset S, and the recurrence reads
+
+    W(S) = L^|K| * W(S - K) + sum_{u in K} a_u * L^|N(u) & S| * W(S - N[u])
+
+(components multiply, since their sizes add up to |S|).  The value is
+W(S) / L^|S|, one division at the end; no Fraction enters the loop.
+Subsets are int bitmasks, and each step does Python-level work in
+proportion to the vertices it removes, not to the size of the subset:
 
 * Pivot.  The vertices are relabelled once per evaluator by an
   elimination order: repeatedly remove a vertex of minimum (degree,
@@ -67,39 +74,49 @@ def _elimination_order(adj: list[list[int]]) -> list[int]:
 
 
 class _Evaluator:
-    """Evaluates P of induced subgraphs of one graph at a fixed point.
+    """Evaluates P of induced subgraphs of one graph at a fixed point x,
+    or at -x when sign is -1.
 
-    Values are Fractions here (point evaluation), but the recurrence
-    only needs ring operations: `one`, `_product` and `_clique` are all
-    it uses, and `_RayEvaluator` replaces them.  The memo is keyed by
-    the induced vertex subset (a bitmask), so one evaluator can serve
-    many induced-subgraph queries."""
+    x_v = a_v / L over the least common denominator L; the memo holds
+    the integers W(S) = L^|S| * P_S(x), keyed by the vertex subset S (a
+    bitmask), so one evaluator serves many induced-subgraph queries, and
+    `full` and `value` divide by L^|S| once.  The recurrence itself only
+    needs ring operations: `one`, `_product` and `_clique` are all it
+    uses, and `_RayEvaluator` replaces them."""
 
     one = 1
 
-    def __init__(self, graph: Graph, x):
+    def __init__(self, graph: Graph, x, sign: int = 1):
         names = graph.vertices
         index = {v: i for i, v in enumerate(names)}
         xs = [x[v] for v in names]
         nbrs = [[index[u] for u in graph.neighbors(v)] for v in names]
         order = _elimination_order(nbrs)
-        # bit[i]: the bit of vertex index i; adj and x are by bit position
+        # bit[i]: the bit of vertex index i; adj and a are by bit position
         self.bit = [0] * len(names)
         for pos, i in enumerate(order):
             self.bit[i] = 1 << pos
         self.adj = [sum(self.bit[u] for u in nbrs[i]) for i in order]
-        self.x = [xs[i] for i in order]
+        self.scale = lcm(*(q.denominator for q in xs))
+        self.a = [sign * xs[i].numerator * (self.scale // xs[i].denominator)
+                  for i in order]
+        # L^k for every k that _clique needs: |K| and |N(u) & S| are at
+        # most the maximum degree plus one
+        self.powers = [1]
+        for _ in range(max(map(len, nbrs), default=0) + 1):
+            self.powers.append(self.powers[-1] * self.scale)
         self.memo: dict[int, object] = {}
 
-    def full(self):
-        return self._eval((1 << len(self.x)) - 1)
+    def full(self) -> Fraction:
+        n = len(self.a)
+        return Fraction(self._eval((1 << n) - 1), self.scale**n)
 
-    def value(self, sub: frozenset):
+    def value(self, sub: frozenset) -> Fraction:
         """P of the subgraph induced by a set of vertex indices."""
         mask = 0
         for i in sub:
             mask |= self.bit[i]
-        return self._eval(mask)
+        return Fraction(self._eval(mask), self.scale ** mask.bit_count())
 
     def _eval(self, root: int):
         adj, memo = self.adj, self.memo
@@ -149,7 +166,7 @@ class _Evaluator:
                 if kind == _PRODUCT:
                     out = self._product(args)
                 else:
-                    out = self._clique(args[0], arg, args[1:])
+                    out = self._clique(args[0], arg, args[1:], sub)
                 memo[sub] = out
                 vals.append(out)
         return vals[0]
@@ -161,11 +178,13 @@ class _Evaluator:
             out = out * f
         return out
 
-    def _clique(self, rest, clique, values):
-        """P(sub - K) + sum over u in K of x_u * P(sub - N[u])."""
-        out = rest
+    def _clique(self, rest, clique, values, sub):
+        """W(sub) = L^|K| * W(sub - K) + sum over u in K of
+        a_u * L^|N(u) & sub| * W(sub - N[u])."""
+        adj, a, pw = self.adj, self.a, self.powers
+        out = pw[len(clique)] * rest
         for u, v in zip(clique, values):
-            out = out + self.x[u] * v
+            out += a[u] * pw[(adj[u] & sub).bit_count()] * v
         return out
 
     def _border(self, mask: int) -> int:
@@ -196,19 +215,18 @@ class _Evaluator:
 
 def eval_P(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Exact value of the independence polynomial at the given point."""
-    val = _Evaluator(graph, x).full()
-    return Fraction(val)
+    return _Evaluator(graph, x).full()
 
 
 def eval_Z(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Signed independence polynomial Z_G(x) = P_G(-x)."""
-    return eval_P(graph, {v: -Fraction(val) for v, val in x.items()})
+    return _Evaluator(graph, x, -1).full()
 
 
 def z_corner_evaluator(graph: Graph, r: dict[str, Fraction]) -> _Evaluator:
     """Evaluator whose value(sub) is Z of the induced subgraph at r
     (vertices outside sub set to zero, i.e. deleted)."""
-    return _Evaluator(graph, {v: -Fraction(val) for v, val in r.items()})
+    return _Evaluator(graph, r, -1)
 
 
 def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fraction:
@@ -223,10 +241,18 @@ def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fract
 
 
 class _RayEvaluator(_Evaluator):
-    """P at x_v = a_v * s for integer slopes a_v, as the integer
-    coefficients of a polynomial in s, low degree first."""
+    """P at sign * t * x as a polynomial in t.  With t = L * s, the
+    recurrence runs at x_v = a_v * s over the integer coefficients of
+    polynomials in s, low degree first, and coefficient k in t is that
+    of s^k over L^k."""
 
     one = [1]  # shared, never mutated: every combination builds a new list
+
+    def full(self) -> UnivariatePoly:
+        coeffs = self._eval((1 << len(self.a)) - 1)
+        return UnivariatePoly.of(
+            *(Fraction(c, self.scale**k) for k, c in enumerate(coeffs))
+        )
 
     @staticmethod
     def _product(factors):
@@ -240,10 +266,10 @@ class _RayEvaluator(_Evaluator):
             out = prod
         return out
 
-    def _clique(self, rest, clique, values):
+    def _clique(self, rest, clique, values, sub):
         out = list(rest)
         for u, v in zip(clique, values):
-            a = self.x[u]
+            a = self.a[u]
             n = len(v) + 1
             if len(out) < n:
                 out += [0] * (n - len(out))
@@ -251,16 +277,10 @@ class _RayEvaluator(_Evaluator):
         return out
 
 
-def _polynomial(graph: Graph, slope: dict[str, int]) -> list[int]:
-    """Integer coefficients, low degree first, of P_G at
-    x_v = slope[v] * s, by the clique recurrence."""
-    return _RayEvaluator(graph, slope).full()
-
-
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return UnivariatePoly.of(*_polynomial(graph, dict.fromkeys(graph.vertices, 1)))
+    return _RayEvaluator(graph, dict.fromkeys(graph.vertices, 1)).full()
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
@@ -271,10 +291,5 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
-    independence number of G.  With L the least common denominator of r
-    and t = L * s, the slopes -L * r_v are integers, so the recurrence
-    runs over integers; coefficient k of q is that of s^k over L^k."""
-    rs = {v: Fraction(r[v]) for v in graph.vertices}
-    big = lcm(*(x.denominator for x in rs.values()))
-    coeffs = _polynomial(graph, {v: -int(x * big) for v, x in rs.items()})
-    return UnivariatePoly.of(*(Fraction(c, big**k) for k, c in enumerate(coeffs)))
+    independence number of G, by the recurrence over integers."""
+    return _RayEvaluator(graph, r, -1).full()

@@ -209,13 +209,16 @@ def _family_A(n: int) -> UnivariatePoly:
 
 
 def _family_B(n: int) -> UnivariatePoly:
-    # B_n = f_n(k+1, ..., k+1, k+3); forced base cases B_0 = 1, B_1 = k+3
-    a, b = UnivariatePoly.ONE, _K + 3
+    # B_n = f_n(k+1, ..., k+1, k+3) = (k+2) A_{n-1} + k A_{n-2} for
+    # n >= 2; forced base cases B_0 = 1, B_1 = k+3
     if n == 0:
-        return a
-    for m in range(2, n + 1):
-        a, b = b, (_K + 2) * _family_A(m - 1) + _K * _family_A(m - 2)
-    return b
+        return UnivariatePoly.ONE
+    if n == 1:
+        return _K + 3
+    a, b = UnivariatePoly.ONE, _K + 1  # A_{m-2}, A_{m-1} at m = 2
+    for _ in range(n - 2):
+        a, b = b, _K * (a + b)
+    return (_K + 2) * b + _K * a
 
 
 def _family_L(n: int) -> UnivariatePoly:

@@ -52,8 +52,7 @@ from .indpoly import eval_P, eval_P_brute
 from .io import frac_str
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
-from .solver import hg_search
-from .solver import search_game as _decide_game_uncached
+from .solver import hg_search, search_game
 
 # rational lower bound of e, enough digits for every corpus comparison
 E_LOWER = Fraction(2718281828, 10**9)
@@ -61,20 +60,26 @@ E_LOWER = Fraction(2718281828, 10**9)
 _VERDICT_CACHE: dict = {}
 
 
-def decide_game(game):
-    """search_game with memoization so cross-checking items do not pay
-    for the same search twice.  The criteria use the search alone: with
-    the region route of solver.decide_game, the checks of the solver
+def search_status(game) -> str:
+    """The status of search_game, memoized so cross-checking items do not
+    pay for the same search twice.  The criteria use the search alone:
+    with the region route of solver.decide_game, the checks of the solver
     against the clique criterion and the region rule would compare a
-    routine with itself."""
+    routine with itself.
+
+    The key is the formula that solver.encode builds, which reads h and
+    g in vertex order and the edges as pairs of vertex indices, and
+    nothing else; so games that differ only in vertex names share one
+    search.  Only the status is kept: a strategy names the vertices of
+    the game it was found for."""
+    index = {v: i for i, v in enumerate(game.vertices)}
     key = (
-        game.vertices,
-        game.graph.edges,
-        tuple(sorted(game.h.items())),
-        tuple(sorted(game.g.items())),
+        tuple(game.h[v] for v in game.vertices),
+        tuple(game.g[v] for v in game.vertices),
+        frozenset(tuple(sorted((index[u], index[v]))) for u, v in game.graph.edges),
     )
     if key not in _VERDICT_CACHE:
-        _VERDICT_CACHE[key] = _decide_game_uncached(game)
+        _VERDICT_CACHE[key] = search_game(game).status
     return _VERDICT_CACHE[key]
 
 
@@ -103,10 +108,10 @@ def _check_clique_criterion():
         g = complete_graph([f"v{i}" for i in range(n)])
         for hs in itertools.product(range(1, 5), repeat=n):
             game = make_game(g, {f"v{i}": hs[i] for i in range(n)})
-            verdict = decide_game(game)
+            status = search_status(game)
             crit = clique_criterion(game)
-            if (verdict.status == WINNING) != crit.winning:
-                return False, f"disagreement on K{n} h={hs}: solver {verdict.status}"
+            if (status == WINNING) != crit.winning:
+                return False, f"disagreement on K{n} h={hs}: solver {status}"
             count += 1
     g = complete_graph(["a", "b"])
     for h1, h2, g1, g2 in itertools.product(
@@ -115,9 +120,9 @@ def _check_clique_criterion():
         game = make_game(
             g, {"a": h1, "b": h2}, {"a": min(g1, h1), "b": min(g2, h2)}
         )
-        verdict = decide_game(game)
+        status = search_status(game)
         crit = clique_criterion(game)
-        if (verdict.status == WINNING) != crit.winning:
+        if (status == WINNING) != crit.winning:
             return False, f"disagreement on K2 h=({h1},{h2}) g=({g1},{g2})"
         count += 1
     return True, f"{count} complete games, solver == criterion on all"
@@ -254,12 +259,12 @@ def _check_stegosaur():
     comp = check_maximal_compositional(chain.expr)
     if not isinstance(comp, MaximalityCertificate):
         return False, f"H2^4 compositional maximality failed: {comp}"
-    verdict = decide_game(game)
-    if verdict.status != WINNING:
-        return False, f"solver on H2^4 at h=4: {verdict.status}"
-    p4 = decide_game(uniform_game(build_chain_graph(2, 3), 3))
-    if p4.status != LOSING:
-        return False, f"solver on H2^3 = P4 at h=3: {p4.status}"
+    status = search_status(game)
+    if status != WINNING:
+        return False, f"solver on H2^4 at h=4: {status}"
+    p4 = search_status(uniform_game(build_chain_graph(2, 3), 3))
+    if p4 != LOSING:
+        return False, f"solver on H2^3 = P4 at h=3: {p4}"
     # minimality: every single-edge deletion (covering both named
     # edge-deleted variants) is losing by Shearer's region
     for edge in sorted(chain.graph.edges):
@@ -377,16 +382,16 @@ def _check_soundness():
     # solver vs constructor certificates on overlapping desk-scale instances
     chain = build_chain(2, 4)
     expr_cert = eval_expr(chain.expr)
-    verdict = decide_game(uniform_game(chain.graph, 4))
-    if expr_cert.status != verdict.status:
-        return False, f"H2^4: expression {expr_cert.status}, solver {verdict.status}"
+    status = search_status(uniform_game(chain.graph, 4))
+    if expr_cert.status != status:
+        return False, f"H2^4: expression {expr_cert.status}, solver {status}"
     checked.append("H2^4 winning")
     p4chain = build_chain(2, 3)
     lose_cert = eval_expr(p4chain.expr)
-    p4verdict = decide_game(uniform_game(p4chain.graph, 3))
-    if not (lose_cert.status == LOSING and p4verdict.status == LOSING):
+    p4status = search_status(uniform_game(p4chain.graph, 3))
+    if not (lose_cert.status == LOSING and p4status == LOSING):
         return False, (
-            f"P4: expression {lose_cert.status}, solver {p4verdict.status}"
+            f"P4: expression {lose_cert.status}, solver {p4status}"
         )
     checked.append("P4 losing")
     # solver vs the region rule on losing instances
@@ -394,17 +399,17 @@ def _check_soundness():
     k3 = uniform_game(complete_graph(["a", "b", "c"]), 4)
     for label, game in (("P2 (2,3)", p2), ("K3 h=4", k3)):
         zcert = losing_by_Z_positive(game)
-        verdict = decide_game(game)
-        if not (isinstance(zcert, LosingCertificate) and verdict.status == LOSING):
-            return False, f"{label}: region rule vs solver {verdict.status}"
+        status = search_status(game)
+        if not (isinstance(zcert, LosingCertificate) and status == LOSING):
+            return False, f"{label}: region rule vs solver {status}"
         checked.append(f"{label} losing both ways")
     # small product certificate vs solver
     k2 = CliqueLeaf(("a", "b"), {"a": 2, "b": 2}, {})
     p3 = Product(k2, "b", CliqueLeaf(("b", "c"), {"b": 2, "c": 2}, {}), "b")
     p3cert = eval_expr(p3)
-    p3verdict = decide_game(p3cert.game)
-    if not (p3cert.status == WINNING and p3verdict.status == WINNING):
-        return False, f"P3 (2,4,2): product {p3cert.status}, solver {p3verdict.status}"
+    p3status = search_status(p3cert.game)
+    if not (p3cert.status == WINNING and p3status == WINNING):
+        return False, f"P3 (2,4,2): product {p3cert.status}, solver {p3status}"
     checked.append("P3 (2,4,2) winning both ways")
     # every certified HG satisfies HG < e * Delta (exact rational bound)
     hg_cases = [

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
-from hatlab.graphs import complete_graph, make_graph, path_graph
+from hatlab.graphs import complete_graph, components, make_graph, path_graph
 from hatlab.indpoly import (
-    _Evaluator,
     eval_P,
     eval_P_brute,
     eval_Z,
@@ -114,6 +113,57 @@ def test_every_corner_matches_brute_force(seed):
         assert ev.value(sub) == expect
 
 
+def _point_cases():
+    """Seeded graphs of at most 12 vertices, many of them disconnected,
+    with coordinates that are zero, negative, or over mixed denominators
+    (least common denominator up to 2520), and the empty graph."""
+    rng = random.Random(1012)
+    yield make_graph([], set()), {}
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        verts = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.0, 0.15, 0.3, 0.6, 1.0))
+        edges = {(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]
+                 if rng.random() < p}
+        x = {v: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7, 8, 9)))
+             for v in verts}
+        yield make_graph(rng.sample(verts, n), edges), x
+
+
+def test_point_values_match_brute_force():
+    disconnected = zeros = negatives = big = 0
+    for g, x in _point_cases():
+        assert eval_P(g, x) == eval_P_brute(g, x), (g, x)
+        assert eval_Z(g, x) == eval_P_brute(g, {v: -q for v, q in x.items()}), (g, x)
+        disconnected += len(components(g)) > 1
+        zeros += 0 in x.values()
+        negatives += any(q < 0 for q in x.values())
+        big += lcm(*(q.denominator for q in x.values())) == 2520
+    assert min(disconnected, zeros, negatives, big) >= 5
+
+
+def test_corner_values_divide_by_the_subset_size():
+    # L = 2520 and nonzero values, so a power of L too many or too few
+    # shows at every subset size
+    rng = random.Random(2520)
+    verts = [f"v{i}" for i in range(9)]
+    edges = {(u, w) for i, u in enumerate(verts) for w in verts[i + 1:]
+             if rng.random() < 0.3}
+    g = make_graph(verts, edges)
+    r = {v: Fraction(1, d) for v, d in zip(verts, (5, 7, 8, 9, 10, 3, 4, 6, 2))}
+    assert lcm(*(q.denominator for q in r.values())) == 2520
+    ev = z_corner_evaluator(g, r)
+    sizes = set()
+    for bits in range(2**9):
+        sub = frozenset(i for i in range(9) if bits >> i & 1)
+        induced = g.induced(verts[i] for i in sub)
+        expect = eval_P_brute(induced, {v: -r[v] for v in induced.vertices})
+        assert ev.value(sub) == expect, sub
+        if expect != 0:
+            sizes.add(len(sub))
+    assert sizes == set(range(10))
+
+
 def test_univariate_p_of_cycles_counts_independent_sets():
     for n in range(3, 31):
         verts = [f"v{i}" for i in range(n)]
@@ -124,12 +174,29 @@ def test_univariate_p_of_cycles_counts_independent_sets():
 
 
 def _fraction_ray(graph, r):
-    """q(t) = Z_G(t r) by the clique recurrence over polynomials with
-    Fraction coefficients, the way z_ray built it before it ran over the
-    integers."""
+    """q(t) = Z_G(t r) by the vertex recurrence
+    Z_S = Z_{S - v} - t r_v Z_{S - N[v]}, v of least degree in S, over
+    polynomials with Fraction coefficients: multiplied over components
+    and memoized on S, and sharing no code with the integer ray."""
     t = UnivariatePoly.x()
-    val = _Evaluator(graph, {v: -r[v] * t for v in graph.vertices}).full()
-    return val if isinstance(val, UnivariatePoly) else UnivariatePoly.const(val)
+    memo = {}
+
+    def poly(sub):
+        if not sub:
+            return UnivariatePoly.const(1)
+        if sub in memo:
+            return memo[sub]
+        first, *rest = components(graph.induced(sub))
+        if rest:
+            out = poly(frozenset(first)) * poly(sub - first)
+        else:
+            v = min(sub, key=lambda u: len(graph.neighbors(u) & sub))
+            closed = (graph.neighbors(v) & sub) | {v}
+            out = poly(sub - {v}) - r[v] * t * poly(sub - closed)
+        memo[sub] = out
+        return out
+
+    return poly(frozenset(graph.vertices))
 
 
 def _ray_cases():
