@@ -149,15 +149,12 @@ def _cmd_solve(args) -> int:
 
 def _certificate_payload(cert) -> dict:
     if isinstance(cert, MaximalityCertificate):
-        out = {
+        return {
             "verdict": "maximal",
             "z_at_r": hio.frac_str(cert.z_at_r),
             "method": cert.method,
             "justification": cert.justification,
         }
-        if cert.corner_count:
-            out["corners_checked"] = cert.corner_count
-        return out
     if isinstance(cert, Refutation):
         out = {"verdict": "not-maximal", "reason": cert.reason}
         if cert.witness_point is not None:
@@ -331,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=_cmd_build)
 
     s = sub.add_parser(
-        "solve", help="decide a game: Shearer's region, then exhaustive search"
+        "solve",
+        help="decide a game: Shearer's region, a clique with sum g/h >= 1, "
+        "then exhaustive search",
     )
     s.add_argument("game")
     s.add_argument("--emit-strategy")

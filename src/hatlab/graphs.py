@@ -233,6 +233,34 @@ def is_chordal(g: Graph):
     return elim
 
 
+# -- cliques -----------------------------------------------------------
+
+
+def maximal_cliques(g: Graph):
+    """Yield every maximal clique once, as a list in vertex order, by
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka & Takahashi, Theoret.
+    Comput. Sci. 2006): the pivot has the most neighbours among the
+    candidates, ties to the first vertex, and branches go in vertex order,
+    so the sequence is fixed by the vertex order.  Recursion depth is the
+    clique number."""
+    order = {v: i for i, v in enumerate(g.vertices)}
+
+    def expand(clique, cand, done):
+        if not cand and not done:
+            yield sorted(clique, key=order.get)
+            return
+        pivot = min(
+            cand | done, key=lambda u: (-len(cand & g.neighbors(u)), order[u])
+        )
+        for v in sorted(cand - g.neighbors(pivot), key=order.get):
+            nb = g.neighbors(v)
+            yield from expand(clique + [v], cand & nb, done & nb)
+            cand = cand - {v}
+            done = done | {v}
+
+    yield from expand([], set(g.vertices), set())
+
+
 # -- independent set oracle -------------------------------------------
 
 

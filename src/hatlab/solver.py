@@ -1,8 +1,27 @@
 """Exact decision of small hat games by propositional search.
 
-`decide_game` first settles, without encoding anything, the games whose
-point r = g/h lies in Shearer's region, which are losing (the proof is
-in the `certify` docstring); `search_game` is the search alone.
+`decide_game` takes three routes in turn, and its verdict names the one
+that settled the game.  "region": the games whose point r = g/h lies in
+Shearer's region are losing (the proof is in the `certify` docstring).
+"clique": a game with a clique K of weight sum_K g/h >= 1 is winning (the
+criterion of Kokhas & Latyshev on complete games); the sages of K play
+the strategy below, the others guess 0.  "sat": `search_game`, the
+search alone.  Neither of the first two routes encodes anything, and the
+clique route runs only on games within the guards of `encode`.
+
+The clique strategy.  Let L be the lcm of h over K, step_v = L / h_v, and
+take the vertices of K in vertex order.  Sage v owns the half-open
+interval [lo_v, hi_v) of Z/L, where lo_v = min(sum_{u before v} g_u
+step_u, L) and hi_v = min(lo_v + g_v step_v, L).  As the intervals follow
+each other and sum_K g_v step_v = L sum_K g/h >= L, they tile [0, L).  On
+a coloring c, let s = sum_{u in K} c_u step_u mod L.  Sage v sees the
+colors of the rest of K, so it knows t = sum_{u in K - v} c_u step_u, and
+guesses every color c with (t + c step_v) mod L in [lo_v, hi_v).  Its own
+color gives the point s, which lies in exactly one interval, so the
+owner of that interval is right.  The points t + c step_v, c < h_v, are
+step_v apart, so an interval of length at most g_v step_v holds at most
+g_v of them: no sage exceeds its guesses.  `verify_strategy` checks the
+result on every coloring all the same.
 
 The encoding has one boolean y[v][sigma][c] per vertex v, visible
 configuration sigma (colors of the open neighborhood in fixed vertex
@@ -54,15 +73,17 @@ models, not colorings), so a refutation is a proof relative to them.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from . import certify
-from .games import LOSING, UNKNOWN, WINNING, HatGame
-from .graphs import Graph
+from .games import LOSING, UNKNOWN, WINNING, HatGame, fraction_vector
+from .graphs import Graph, maximal_cliques
 
 COLORING_GUARD = 10**7
 CONFIG_GUARD = 10**5
@@ -157,8 +178,10 @@ def _value_precedence(
     return clauses, fresh
 
 
-def encode(game: HatGame) -> CNF:
-    """CNF whose satisfiability is equivalent to the sages winning."""
+def _guarded_visible(game: HatGame) -> dict[str, tuple[str, ...]]:
+    """`_visible_order(game)`, or GuardExceeded when the game has more
+    colorings than COLORING_GUARD or a vertex has more visible
+    configurations than CONFIG_GUARD: the games no route may enumerate."""
     if game.num_colorings() > COLORING_GUARD:
         raise GuardExceeded(
             f"{game.num_colorings()} colorings exceed the guard {COLORING_GUARD}"
@@ -173,6 +196,12 @@ def encode(game: HatGame) -> CNF:
                 f"vertex {v!r} has {configs} visible configurations, "
                 f"guard is {CONFIG_GUARD}"
             )
+    return visible
+
+
+def encode(game: HatGame) -> CNF:
+    """CNF whose satisfiability is equivalent to the sages winning."""
+    visible = _guarded_visible(game)
     var_of: dict[tuple, int] = {}
     # rows[v][j]: v's variables on its j-th configuration, one per color
     rows: dict[str, list[list[int]]] = {}
@@ -226,7 +255,7 @@ class GameVerdict:
     propagations: int = 0  # assignments made other than decisions
     learned: int = 0  # learned clauses
     reason: str = ""
-    route: str = "sat"  # "region" (certified before any search) or "sat"
+    route: str = "sat"  # "region", "clique" (both before any search) or "sat"
 
 
 class _Timeout(Exception):
@@ -469,17 +498,72 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 
 
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
-    """Losing by certificate when r = g/h lies in Shearer's region (route
-    "region", nothing is encoded; the proof, which covers the counting
-    bound sum g/h < 1, is in the `certify` docstring); otherwise the
-    verdict of `search_game`."""
+    """The first route that settles the game:
+
+    * "region": losing when r = g/h lies in Shearer's region; nothing is
+      enumerated (the proof, which covers sum g/h < 1, is in `certify`).
+    * "clique": winning by the interval strategy on a clique with
+      sum g/h >= 1, verified on every coloring; only within the guards.
+    * "sat": the verdict of `search_game`."""
     # through the module attribute, so that a wrapper installed on it sees
     # the call
     cert = certify.losing_by_Z_positive(game)
     if isinstance(cert, certify.LosingCertificate):
         reason = f"r in Shearer's region, Z(r) = {cert.z_at_r}"
         return GameVerdict(LOSING, route="region", reason=reason)
-    return search_game(game, timeout_ms)
+    visible = _guarded_visible(game)
+    found = _heavy_clique(game)
+    if found is None:
+        return search_game(game, timeout_ms)
+    clique, total = found
+    strategy = _clique_strategy(game, clique, visible)
+    bad = verify_strategy(game, strategy)
+    if bad is not None:
+        raise SolverError(f"internal error: clique strategy misses coloring {bad}")
+    reason = f"clique ({', '.join(clique)}) has sum g/h = {total}"
+    return GameVerdict(WINNING, strategy=strategy, route="clique", reason=reason)
+
+
+def _heavy_clique(game: HatGame) -> Optional[tuple[list[str], Fraction]]:
+    """(K, sum over K of g/h) for a clique K, in vertex order, of weight at
+    least 1: the first vertex with g = h, else the first such maximal
+    clique; None if there is none.  Without a vertex of g = h every
+    h >= 2, so the coloring guard keeps the graph below 24 vertices and
+    the clique enumeration small."""
+    for v in game.vertices:
+        if game.g[v] == game.h[v]:
+            return [v], Fraction(1)
+    r = fraction_vector(game)
+    for clique in maximal_cliques(game.graph):
+        total = sum(r[v] for v in clique)
+        if total >= 1:
+            return clique, total
+    return None
+
+
+def _clique_strategy(game: HatGame, clique: list[str], visible: dict) -> dict:
+    """The interval strategy of the module docstring on `clique`, whose
+    vertices come in vertex order; every other sage guesses 0."""
+    lcm = math.lcm(*(game.h[v] for v in clique))
+    step = {v: lcm // game.h[v] for v in clique}
+    strategy = {}
+    lo = 0
+    for v in game.vertices:
+        configs = itertools.product(*(range(game.h[u]) for u in visible[v]))
+        if v not in step:
+            strategy[v] = dict.fromkeys(configs, (0,))
+            continue
+        hi = min(lo + game.g[v] * step[v], lcm)
+        weights = [step.get(u, 0) for u in visible[v]]
+        table = {}
+        for sigma in configs:
+            t = sum(c * w for c, w in zip(sigma, weights))
+            table[sigma] = tuple(
+                c for c in range(game.h[v]) if lo <= (t + c * step[v]) % lcm < hi
+            ) or (0,)
+        strategy[v] = table
+        lo = hi
+    return strategy
 
 
 def search_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:

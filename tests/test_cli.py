@@ -7,7 +7,8 @@ from hatlab.certify import LosingCertificate
 from hatlab.cli import main
 from hatlab.games import make_game, uniform_game
 from hatlab.graphs import complete_graph, path_graph
-from hatlab.io import frac_str, save_game
+from hatlab.io import frac_str, save_game, strategy_from_json
+from hatlab.solver import verify_strategy
 
 
 def _run(capsys, *argv):
@@ -53,8 +54,23 @@ def test_solve_winning_with_strategy(tmp_path, capsys):
     assert set(strat) == {"a", "b"}
 
 
+def test_solve_winning_by_clique_replays(tmp_path, capsys):
+    gp = tmp_path / "k2.json"
+    sp = tmp_path / "strategy.json"
+    game = uniform_game(complete_graph(["a", "b"]), 2)
+    save_game(game, str(gp))
+    obj = _run_json(capsys, "solve", str(gp), "--emit-strategy", str(sp))
+    assert (obj["status"], obj["route"]) == ("winning", "clique")
+    assert obj["reason"] == "clique (a, b) has sum g/h = 1"
+    assert obj["num_vars"] == obj["num_clauses"] == obj["decisions"] == 0
+    assert obj["conflicts"] == obj["propagations"] == obj["learned"] == 0
+    strategy = strategy_from_json(json.loads(sp.read_text()))
+    assert verify_strategy(game, strategy) is None
+
+
 def test_solve_losing(tmp_path, capsys):
-    # Z(r) = 0 on P4 at h=3, so r is outside Shearer's region: SAT route
+    # Z(r) = 0 on P4 at h=3, so r is outside Shearer's region, and its
+    # heaviest clique, an edge, weighs 2/3 < 1: SAT route
     gp = tmp_path / "p4.json"
     save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 3), str(gp))
     obj = _run_json(capsys, "solve", str(gp))
@@ -83,6 +99,14 @@ def test_certify_maximal_direct(tmp_path, capsys):
     assert obj["verdict"] == "maximal"
     assert obj["z_at_r"] == "0"
     assert obj["method"] == "ray"
+
+
+def test_certify_maximal_direct_reports_no_corners(tmp_path, capsys):
+    gp = tmp_path / "delta6.json"
+    assert main(["build", "delta6", "-o", str(gp)]) == 0
+    obj = _run_json(capsys, "certify", "maximal", str(gp))
+    assert (obj["verdict"], obj["method"]) == ("maximal", "ray")
+    assert "corners_checked" not in obj
 
 
 def test_certify_losing(tmp_path, capsys):

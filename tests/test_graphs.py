@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hatlab.graphs import (
     independent_sets,
     is_chordal,
     make_graph,
+    maximal_cliques,
     path_graph,
     stats,
     substitute,
@@ -192,3 +194,30 @@ def test_independent_sets_p4():
     sets = independent_sets(p4)
     # 1 empty + 4 singletons + {a,c},{a,d},{b,d} = 8
     assert len(sets) == 8
+
+
+def test_maximal_cliques_bowtie_in_vertex_order():
+    edges = {("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")}
+    g = make_graph(["e", "a", "b", "c", "d"], edges)
+    assert list(maximal_cliques(g)) == [["e", "c", "d"], ["a", "b", "c"]]
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(20261020)
+    for _ in range(100):
+        names = [f"v{i}" for i in range(rng.randint(0, 7))]
+        g = make_graph(
+            names, {e for e in itertools.combinations(names, 2) if rng.random() < 0.5}
+        )
+        cliques = [
+            frozenset(s)
+            for k in range(len(names) + 1)
+            for s in itertools.combinations(names, k)
+            if g.is_clique(s)
+        ]
+        maximal = {c for c in cliques if not any(c < d for d in cliques)}
+        found = list(maximal_cliques(g))
+        assert len(found) == len(maximal)
+        assert {frozenset(c) for c in found} == maximal
+        index = {v: i for i, v in enumerate(names)}
+        assert all(c == sorted(c, key=index.get) for c in found)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hatlab.gallery import build_chain
-from hatlab.games import make_game, uniform_game
+from hatlab.games import clique_criterion, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.solver import (
     GuardExceeded,
@@ -295,12 +295,24 @@ def test_symmetry_clauses_keep_verdict_on_random_games():
     assert sum(tables for _, tables in results) > 150
 
 
-# -- routes: the region pre-check against the search ------------------
+# -- routes: the region and clique pre-checks against the search -------
+
+
+def _assert_clique_route(game):
+    """The clique verdict of `game`: winning, with no search, and a
+    strategy that wins and stays within g(v) guesses on every entry."""
+    verdict = decide_game(game)
+    assert (verdict.status, verdict.route) == (WINNING, "clique"), game
+    assert verdict.num_clauses == verdict.decisions == verdict.conflicts == 0
+    assert verify_strategy(game, verdict.strategy) is None
+    for v, table in verdict.strategy.items():
+        assert all(1 <= len(guess) <= game.g[v] for guess in table.values())
+    return verdict
 
 
 def test_region_route_agrees_with_search_on_random_games():
-    # off the region route, decide_game returns search_game's verdict, so
-    # only the region verdicts need a search to compare with
+    # off the region and clique routes, decide_game returns search_game's
+    # verdict, so only the verdicts of those routes need a search
     rng = random.Random(20261019)
     region = 0
     for _ in range(200):
@@ -311,9 +323,115 @@ def test_region_route_agrees_with_search_on_random_games():
             assert verdict.num_clauses == verdict.decisions == 0
             assert search_game(game).status == LOSING, game
             region += 1
+        elif verdict.route == "clique":
+            _assert_clique_route(game)
+            assert search_game(game).status == WINNING, game
         else:
             assert verdict.route == "sat"
     assert 20 < region < 200
+
+
+def _criterion_01_games():
+    """The complete games of reproduction criterion 01."""
+    for n in (1, 2, 3):
+        names = [f"v{i}" for i in range(n)]
+        for hs in itertools.product(range(1, 5), repeat=n):
+            yield make_game(complete_graph(names), dict(zip(names, hs)))
+    for h1, h2, g1, g2 in itertools.product(
+        range(1, 5), range(1, 5), (1, 2), (1, 2)
+    ):
+        yield make_game(
+            complete_graph(["a", "b"]), {"a": h1, "b": h2}, {"a": g1, "b": g2}
+        )
+
+
+def test_clique_route_fires_exactly_on_the_clique_criterion():
+    fired = 0
+    for game in _criterion_01_games():
+        clique = decide_game(game).route == "clique"
+        assert clique == clique_criterion(game).winning, game
+        if clique:
+            _assert_clique_route(game)
+            fired += 1
+    assert fired > 50
+
+
+def test_clique_route_agrees_with_search_on_corpus():
+    fired = 0
+    for graph in _corpus_graphs():
+        for h in (1, 2, 3):
+            if (graph.vertices, h) in _TOO_SLOW:
+                continue
+            game = uniform_game(graph, h)
+            if decide_game(game).route == "clique":
+                _assert_clique_route(game)
+                assert search_game(game).status == WINNING, (graph, h)
+                fired += 1
+    assert fired > 2 * len(_corpus_graphs())
+
+
+# -- the clique strategy on edge cases ----------------------------------
+
+
+def test_clique_route_two_guesses():
+    # 2/3 + 1/3 = 1, with a's interval two steps long
+    game = make_game(complete_graph(["a", "b"]), {"a": 3, "b": 3}, {"a": 2})
+    verdict = _assert_clique_route(game)
+    assert max(len(guess) for guess in verdict.strategy["a"].values()) == 2
+
+
+def test_clique_route_cuts_intervals_at_lcm():
+    # 2/3 + 2/3 = 4/3 > 1: b's interval is cut from [2, 4) to [2, 3)
+    game = make_game(complete_graph(["a", "b"]), {"a": 3, "b": 3}, {"a": 2, "b": 2})
+    verdict = _assert_clique_route(game)
+    assert "sum g/h = 4/3" in verdict.reason
+
+
+@pytest.mark.parametrize("order", ["abcd", "dcab"])
+def test_clique_route_mixed_hatness(order):
+    # lcm(2, 3, 4, 5) = 60 and 1/2 + 1/3 + 1/4 + 1/5 = 77/60
+    hats = dict(zip("abcd", (2, 3, 4, 5)))
+    game = make_game(complete_graph(list(order)), hats)
+    verdict = _assert_clique_route(game)
+    assert verdict.reason == f"clique ({', '.join(order)}) has sum g/h = 77/60"
+
+
+def test_clique_route_single_color_vertex_in_larger_game():
+    graph = path_graph(["a", "b", "c", "d"])
+    game = make_game(graph, {"a": 3, "b": 3, "c": 1, "d": 3})
+    verdict = _assert_clique_route(game)
+    assert verdict.reason == "clique (c) has sum g/h = 1"
+
+
+def test_clique_route_heavy_triangle_with_pendant_path():
+    edges = {("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e")}
+    game = uniform_game(make_graph(list("deabc"), edges), 3)
+    verdict = _assert_clique_route(game)
+    assert verdict.reason == "clique (a, b, c) has sum g/h = 1"
+    # the sages off the triangle guess 0 whatever they see
+    assert set(verdict.strategy["d"].values()) == {(0,)}
+
+
+def test_clique_route_disconnected_game():
+    edges = {("a", "b"), ("c", "d")}
+    game = make_game(make_graph(list("abcd"), edges), {"a": 3, "b": 3, "c": 2, "d": 2})
+    verdict = _assert_clique_route(game)
+    assert verdict.reason == "clique (c, d) has sum g/h = 1"
+
+
+@pytest.mark.parametrize(
+    "graph, status",
+    [
+        (make_graph(list("abcd"), _C4_EDGES), WINNING),
+        (path_graph(list("abcde")), LOSING),
+    ],
+)
+def test_clique_route_silent_below_weight_one(graph, status):
+    # every edge weighs 2/3 at h = 3, so the search decides
+    game = uniform_game(graph, 3)
+    verdict = decide_game(game)
+    assert (verdict.status, verdict.route) == (status, "sat")
+    assert verdict.decisions > 0
 
 
 def test_region_route_settles_k4_h5():
