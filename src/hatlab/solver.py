@@ -32,11 +32,14 @@ Satisfiable iff the sages win.  Two families of symmetry-breaking
 clauses follow, which keep satisfiability but not every model:
 
 * Exactly one guess: for g(v) = 1, at least one guess per (v, sigma).
-* Value precedence: for each v of a first-fit independent set I, in
-  vertex order, of the vertices with g = 1 and h >= 2, v's table read in
-  `itertools.product` order of its configurations uses color c >= 1 only
-  after it has used color c - 1.  State variables m[j][c] mean "color c
-  appears on configurations 0..j"; row 0 is the first configuration's own
+* Value precedence: for each v of a greedy independent set I of the
+  vertices with g = 1 and h >= 2, built in order of decreasing h (ties
+  in vertex order), v's table read in `itertools.product` order of its
+  configurations uses color c >= 1 only after it has used color c - 1.
+  Precedence on v removes h_v! relabellings, so the greedy order spends
+  it on the largest color sets; with uniform h, I is the first-fit set
+  in vertex order.  State variables m[j][c] mean "color c appears on
+  configurations 0..j"; row 0 is the first configuration's own
   y-variables, so a table with at most 2 configurations adds none.
 
 Soundness.  Suppose a winning strategy exists; we build one that also
@@ -118,11 +121,14 @@ def _visible_order(game: HatGame) -> dict[str, tuple[str, ...]]:
 
 
 def _precedence_vertices(game: HatGame) -> list[str]:
-    """First-fit independent set, in vertex order, of the vertices with
-    g = 1 and h >= 2: the tables whose colors value precedence orders."""
+    """Greedy independent set of the vertices with g = 1 and h >= 2,
+    visited in order of decreasing h, ties in vertex order: the tables
+    whose colors value precedence orders.  Any independent set is sound
+    (step 3 of the module docstring); this one spends it on the largest
+    color sets."""
     chosen: list[str] = []
     taken: set[str] = set()
-    for v in game.vertices:
+    for v in sorted(game.vertices, key=lambda v: -game.h[v]):
         if game.g[v] == 1 and game.h[v] >= 2 and v not in taken:
             chosen.append(v)
             taken.update(game.graph.neighbors(v))

@@ -60,6 +60,18 @@ E_LOWER = Fraction(2718281828, 10**9)
 _VERDICT_CACHE: dict = {}
 
 
+def _search_key(game) -> tuple:
+    """The cache key of `search_status`: h, g and the edges as pairs of
+    positions, with the vertices in the order of a stable sort on (h, g)."""
+    order = sorted(game.vertices, key=lambda v: (game.h[v], game.g[v]))
+    index = {v: i for i, v in enumerate(order)}
+    return (
+        tuple(game.h[v] for v in order),
+        tuple(game.g[v] for v in order),
+        frozenset(tuple(sorted((index[u], index[v]))) for u, v in game.graph.edges),
+    )
+
+
 def search_status(game) -> str:
     """The status of search_game, memoized so cross-checking items do not
     pay for the same search twice.  The criteria use the search alone:
@@ -67,17 +79,17 @@ def search_status(game) -> str:
     against the clique criterion and the region rule would compare a
     routine with itself.
 
-    The key is the formula that solver.encode builds, which reads h and
-    g in vertex order and the edges as pairs of vertex indices, and
-    nothing else; so games that differ only in vertex names share one
-    search.  Only the status is kept: a strategy names the vertices of
-    the game it was found for."""
-    index = {v: i for i, v in enumerate(game.vertices)}
-    key = (
-        tuple(game.h[v] for v in game.vertices),
-        tuple(game.g[v] for v in game.vertices),
-        frozenset(tuple(sorted((index[u], index[v]))) for u, v in game.graph.edges),
-    )
+    The key (`_search_key`) lists h, g and the edges in the vertex order
+    of a stable sort on (h, g), whatever the game's own order and names.
+    Two games with equal keys are the same labelled graph up to the map
+    that sends the i-th vertex of one sorted order to the i-th of the
+    other; that map keeps h, g and the edges, so the games are isomorphic
+    and have the same status.  Isomorphic games whose ties on (h, g) fall
+    in different orders get different keys: that costs a search, never a
+    wrong status.  A cache miss searches the game as given, in its own
+    vertex order.  Only the status is kept: a strategy names the vertices
+    of the game it was found for."""
+    key = _search_key(game)
     if key not in _VERDICT_CACHE:
         _VERDICT_CACHE[key] = search_game(game).status
     return _VERDICT_CACHE[key]
@@ -104,6 +116,7 @@ class CheckItem:
 
 def _check_clique_criterion():
     count = 0
+    keys = set()
     for n in (1, 2, 3):
         g = complete_graph([f"v{i}" for i in range(n)])
         for hs in itertools.product(range(1, 5), repeat=n):
@@ -113,6 +126,7 @@ def _check_clique_criterion():
             if (status == WINNING) != crit.winning:
                 return False, f"disagreement on K{n} h={hs}: solver {status}"
             count += 1
+            keys.add(_search_key(game))
     g = complete_graph(["a", "b"])
     for h1, h2, g1, g2 in itertools.product(
         range(1, 5), range(1, 5), (1, 2), (1, 2)
@@ -125,7 +139,11 @@ def _check_clique_criterion():
         if (status == WINNING) != crit.winning:
             return False, f"disagreement on K2 h=({h1},{h2}) g=({g1},{g2})"
         count += 1
-    return True, f"{count} complete games, solver == criterion on all"
+        keys.add(_search_key(game))
+    return True, (
+        f"{count} complete games under {len(keys)} search keys, "
+        "solver == criterion on all"
+    )
 
 
 # -- 2. Delta=6 / HG=8 -------------------------------------------------

@@ -139,6 +139,10 @@ _PINNED = {
         lambda: uniform_game(complete_graph(list("abc")), 4),
         (LOSING, 1826, 1511, 5),
     ),
+    "K3 (3,3,4)": (
+        lambda: make_game(complete_graph(list("abc")), {"a": 3, "b": 3, "c": 4}),
+        (LOSING, 402, 282, 2),
+    ),
     "K4 h=4": (
         lambda: uniform_game(complete_graph(list("abcd")), 4),
         (WINNING, 6220, 1400, 5),
@@ -265,6 +269,12 @@ def test_symmetry_clauses_encoding():
     assert cnf.symmetry_clauses == 15 + 2 * (2 + 2 * 2 + 2 * 3)
     plain = len(cnf.clauses) - cnf.symmetry_clauses
     assert cnf.clauses[plain] == [1, 2, 3]  # a's first row, at least one
+
+
+def test_precedence_goes_to_the_largest_color_set():
+    for hs in itertools.permutations((3, 3, 4)):
+        game = make_game(complete_graph(list("abc")), dict(zip("abc", hs)))
+        assert _precedence_vertices(game) == ["abc"[hs.index(4)]]
 
 
 # Left out, both losing: C5 at h = 3, which neither formula settles in
