@@ -1,13 +1,33 @@
 """Exact decision of small hat games by propositional search.
 
-`decide_game` takes three routes in turn, and its verdict names the one
+`decide_game` takes four routes in turn, and its verdict names the one
 that settled the game.  "region": the games whose point r = g/h lies in
 Shearer's region are losing (the proof is in the `certify` docstring).
-"clique": a game with a clique K of weight sum_K g/h >= 1 is winning (the
-criterion of Kokhas & Latyshev on complete games); the sages of K play
-the strategy below, the others guess 0.  "sat": `search_game`, the
-search alone.  Neither of the first two routes encodes anything, and the
-clique route runs only on games within the guards of `encode`.
+"pendant": the leaves are peeled by the lemma below, and the game is
+losing when the core that is left lies in Shearer's region.  "clique": a
+game with a clique K of weight sum_K g/h >= 1 is winning (the criterion
+of Kokhas & Latyshev on complete games); the sages of K play the
+strategy below, the others guess 0.  "sat": `search_game`, the search
+alone.  None of the first three routes encodes anything.  The first two
+enumerate nothing either, so they also settle games beyond the guards of
+`encode`; the clique route runs only within them.
+
+The leaf lemma.  Let A be a leaf whose one neighbor is B, with
+g_A < h_A, and let G' be G - A with h_B replaced by
+h'_B = ceil(h_B (h_A - g_A) / h_A) and g_B by min(g_B, h'_B).  If G' is
+losing, so is G.  Proof: take a winning strategy on G, and let F(c) be
+A's guesses when B has color c; A sees nothing else.  Then
+sum_a |{c : a not in F(c)}| = sum_c (h_A - |F(c)|) >= h_B (h_A - g_A),
+so some color a of A is missed by F(c) for at least h'_B colors c of B;
+fix a set M of h'_B of them.  On G', give B the colors of M (relabelled
+0..h'_B - 1) and play G's strategy with c_A = a fixed; B keeps only its
+guesses in M.  Only B sees A, so every other table is G's.  A coloring
+of G' with c_A = a added is a coloring of G on which A misses, so some
+other sage guesses right on it, and it makes the same guess on G'.  So
+G' is winning.  The pendant theorem of Kokhas & Latyshev
+(`algebra.PendantLose`) is the case h_A = 2, g_A = 1, where h_B = 2k - 1
+gives h'_B = k.  `_peel_leaves` skips a leaf whose peel would leave
+g_B >= h'_B: sage B alone would win that core.
 
 The clique strategy.  Let L be the lcm of h over K, step_v = L / h_v, and
 take the vertices of K in vertex order.  Sage v owns the half-open
@@ -85,7 +105,15 @@ from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from . import certify
-from .games import LOSING, UNKNOWN, WINNING, HatGame, fraction_vector
+from .games import (
+    LOSING,
+    UNKNOWN,
+    WINNING,
+    HatGame,
+    fraction_vector,
+    make_game,
+    uniform_game,
+)
 from .graphs import Graph, maximal_cliques
 
 COLORING_GUARD = 10**7
@@ -261,7 +289,8 @@ class GameVerdict:
     propagations: int = 0  # assignments made other than decisions
     learned: int = 0  # learned clauses
     reason: str = ""
-    route: str = "sat"  # "region", "clique" (both before any search) or "sat"
+    # "region", "pendant", "clique" (all three before any search) or "sat"
+    route: str = "sat"
 
 
 class _Timeout(Exception):
@@ -508,6 +537,9 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
 
     * "region": losing when r = g/h lies in Shearer's region; nothing is
       enumerated (the proof, which covers sum g/h < 1, is in `certify`).
+    * "pendant": losing when at least one leaf peels (the leaf lemma of
+      the module docstring) and the core left lies in Shearer's region;
+      nothing is enumerated.
     * "clique": winning by the interval strategy on a clique with
       sum g/h >= 1, verified on every coloring; only within the guards.
     * "sat": the verdict of `search_game`."""
@@ -517,6 +549,16 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     if isinstance(cert, certify.LosingCertificate):
         reason = f"r in Shearer's region, Z(r) = {cert.z_at_r}"
         return GameVerdict(LOSING, route="region", reason=reason)
+    peels, core = _peel_leaves(game)
+    if peels:
+        cert = certify.losing_by_Z_positive(core)
+        if isinstance(cert, certify.LosingCertificate):
+            steps = ", ".join(f"{a} into {b}" for a, b in peels)
+            reason = (
+                f"peeled {len(peels)} leaves ({steps}); "
+                f"the core is in Shearer's region, Z(r) = {cert.z_at_r}"
+            )
+            return GameVerdict(LOSING, route="pendant", reason=reason)
     visible = _guarded_visible(game)
     found = _heavy_clique(game)
     if found is None:
@@ -528,6 +570,54 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
         raise SolverError(f"internal error: clique strategy misses coloring {bad}")
     reason = f"clique ({', '.join(clique)}) has sum g/h = {total}"
     return GameVerdict(WINNING, strategy=strategy, route="clique", reason=reason)
+
+
+def _peel_leaves(game: HatGame) -> tuple[list[tuple[str, str]], HatGame]:
+    """(The peels (A, B) in order, the core left): the leaf lemma of the
+    module docstring, applied while some leaf A with g_A < h_A peels into
+    its neighbor B keeping g_B < h'_B.
+
+    The smallest drop h_B - h'_B goes first, then the smallest h_A, then
+    vertex order; soundness does not depend on the order.  Candidates
+    wait in a heap keyed that way.  A peel into B can change the keys of
+    B (it may become a leaf) and, when h_B falls, of B's leaves; those
+    are pushed again, and a popped entry that is no longer its vertex's
+    key is dropped.  h_B falls fewer than h_B times, so there are fewer
+    than max h pushes per edge; nothing is enumerated, and the route
+    runs on games beyond the guards."""
+    h = dict(game.h)
+    g = game.g
+    adj = {v: set(game.graph.neighbors(v)) for v in game.vertices}
+    pos = {v: i for i, v in enumerate(game.vertices)}
+
+    def key(a: str) -> Optional[tuple[int, int, int]]:
+        if a not in adj or len(adj[a]) != 1:
+            return None
+        (b,) = adj[a]
+        kept = -(-h[b] * (h[a] - g[a]) // h[a])  # ceil, in integers
+        if g[b] >= kept:  # also when g_A = h_A, as then kept = 0
+            return None
+        return h[b] - kept, h[a], pos[a]
+
+    heap = [k for k in map(key, game.vertices) if k is not None]
+    heapify(heap)
+    peels = []
+    while heap:
+        entry = heappop(heap)
+        a = game.vertices[entry[2]]
+        if key(a) != entry:
+            continue  # stale; the change that made it so pushed the new key
+        (b,) = adj.pop(a)
+        adj[b].remove(a)
+        h[b] -= entry[0]
+        peels.append((a, b))
+        for c in (b, *adj[b]) if entry[0] else (b,):
+            if (k := key(c)) is not None:
+                heappush(heap, k)
+    if not peels:
+        return peels, game
+    core = game.graph.induced(adj)
+    return peels, make_game(core, {v: h[v] for v in adj}, {v: g[v] for v in adj})
 
 
 def _heavy_clique(game: HatGame) -> Optional[tuple[list[str], Fraction]]:
@@ -647,8 +737,6 @@ def hg_search(graph: Graph, h_max: int, timeout_ms: Optional[int] = None):
     """Largest constant hatness up to h_max at which the game is winning.
     Returns an int, or a (winning_level, undecided_level) bracket when a
     guard or timeout stops the sweep."""
-    from .games import uniform_game
-
     best = 0
     for h in range(1, h_max + 1):
         try:

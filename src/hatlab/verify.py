@@ -315,6 +315,10 @@ def _check_muhat_gap():
     hg = hg_search(p4, 3)
     if hg != 2:
         return False, f"hg_search(P4, 3) = {hg} != 2"
+    # hg_search settles h = 3 by the pendant route; the search checks it
+    status = search_status(uniform_game(p4, 3))
+    if status != LOSING:
+        return False, f"search on P4 at h = 3: {status}, expected losing"
     gap = build_chain(2, 3)
     muhat = conclude_muhat(gap.muhat_expr)
     if muhat.value != 3:

@@ -6,7 +6,7 @@ import pytest
 from hatlab.certify import LosingCertificate
 from hatlab.cli import main
 from hatlab.games import make_game, uniform_game
-from hatlab.graphs import complete_graph, path_graph
+from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.io import frac_str, save_game, strategy_from_json
 from hatlab.solver import verify_strategy
 
@@ -69,10 +69,11 @@ def test_solve_winning_by_clique_replays(tmp_path, capsys):
 
 
 def test_solve_losing(tmp_path, capsys):
-    # Z(r) = 0 on P4 at h=3, so r is outside Shearer's region, and its
-    # heaviest clique, an edge, weighs 2/3 < 1: SAT route
-    gp = tmp_path / "p4.json"
-    save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 3), str(gp))
+    # C4 at h = (3, 3, 3, 4) has no leaf, r lies outside Shearer's region,
+    # and its heaviest clique, an edge, weighs 2/3 < 1: SAT route
+    gp = tmp_path / "c4.json"
+    c4 = make_graph(list("abcd"), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
+    save_game(make_game(c4, {"a": 3, "b": 3, "c": 3, "d": 4}), str(gp))
     obj = _run_json(capsys, "solve", str(gp))
     assert obj["status"] == "losing"
     assert obj["route"] == "sat"
@@ -80,6 +81,18 @@ def test_solve_losing(tmp_path, capsys):
     assert "restarts" in obj
     assert obj["learned"] == obj["conflicts"] - 1
     assert obj["propagations"] >= 1
+
+
+def test_solve_losing_by_pendant(tmp_path, capsys):
+    # Z(r) = 0 on P4 at h = 3, so r lies outside Shearer's region; the
+    # leaves peel down to one vertex of hatness 2
+    gp = tmp_path / "p4.json"
+    save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 3), str(gp))
+    obj = _run_json(capsys, "solve", str(gp))
+    assert (obj["status"], obj["route"]) == ("losing", "pendant")
+    assert obj["num_clauses"] == obj["decisions"] == 0
+    assert obj["reason"].startswith("peeled 3 leaves (a into b, ")
+    assert obj["reason"].endswith("Z(r) = 1/2")
 
 
 def test_solve_losing_by_region(tmp_path, capsys):

@@ -204,7 +204,8 @@ def test_p5_h3_loses(order):
     # HG of a tree is 2
     edges = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")}
     graph = make_graph(list(order), edges)
-    assert decide_game(uniform_game(graph, 3)).status == LOSING
+    verdict = decide_game(uniform_game(graph, 3))
+    assert (verdict.status, verdict.route) == (LOSING, "pendant")
 
 
 @pytest.mark.parametrize("order", ["abcd", "acbd"])
@@ -336,6 +337,9 @@ def test_region_route_agrees_with_search_on_random_games():
         elif verdict.route == "clique":
             _assert_clique_route(game)
             assert search_game(game).status == WINNING, game
+        elif verdict.route == "pendant":
+            assert verdict.status == LOSING
+            assert search_game(game).status == LOSING, game
         else:
             assert verdict.route == "sat"
     assert 20 < region < 200
@@ -429,16 +433,19 @@ def test_clique_route_disconnected_game():
     assert verdict.reason == "clique (c, d) has sum g/h = 1"
 
 
+_C4 = make_graph(list("abcd"), _C4_EDGES)
+
+
 @pytest.mark.parametrize(
-    "graph, status",
+    "game, status",
     [
-        (make_graph(list("abcd"), _C4_EDGES), WINNING),
-        (path_graph(list("abcde")), LOSING),
+        (uniform_game(_C4, 3), WINNING),
+        (make_game(_C4, dict(zip("abcd", (3, 3, 3, 4)))), LOSING),
     ],
 )
-def test_clique_route_silent_below_weight_one(graph, status):
-    # every edge weighs 2/3 at h = 3, so the search decides
-    game = uniform_game(graph, 3)
+def test_clique_route_silent_below_weight_one(game, status):
+    # every edge weighs at most 2/3, C4 has no leaf and r lies outside
+    # Shearer's region, so the search decides
     verdict = decide_game(game)
     assert (verdict.status, verdict.route) == (status, "sat")
     assert verdict.decisions > 0
@@ -449,3 +456,64 @@ def test_region_route_settles_k4_h5():
     verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5))
     assert (verdict.status, verdict.route) == (LOSING, "region")
     assert "Z(r) = 1/5" in verdict.reason
+
+
+# -- the pendant route: the leaf lemma against the search ---------------
+
+
+def _assert_pendant_route(game):
+    """The pendant verdict of `game`: losing, with no search."""
+    verdict = decide_game(game)
+    assert (verdict.status, verdict.route) == (LOSING, "pendant"), game
+    assert verdict.num_clauses == verdict.decisions == verdict.conflicts == 0
+    return verdict
+
+
+def _leafy_game(rng):
+    """A random game on a tree of 2-5 vertices with a few chords added,
+    which keeps at least one leaf; g is mostly 1, so that few cliques
+    weigh 1."""
+    while True:
+        names = [f"v{i}" for i in range(rng.randint(2, 5))]
+        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, len(names))}
+        edges |= {e for e in itertools.combinations(names, 2) if rng.random() < 0.1}
+        graph = make_graph(names, edges)
+        if any(graph.degree(v) == 1 for v in names):
+            h = {v: rng.randint(2, 4) for v in names}
+            g = {v: 1 if rng.random() < 0.8 else rng.randint(2, 3) for v in names}
+            return make_game(graph, h, g)
+
+
+def test_pendant_route_agrees_with_search_on_random_games():
+    rng = random.Random(20261020)
+    pendant = 0
+    for _ in range(400):
+        game = _leafy_game(rng)
+        # the budget bounds the searches of the other routes; the pendant
+        # route does not search
+        if decide_game(game, timeout_ms=100).route == "pendant":
+            _assert_pendant_route(game)
+            assert search_game(game).status == LOSING, game
+            pendant += 1
+    assert pendant > 15
+
+
+def test_pendant_route_settles_trees_beyond_the_guard():
+    # 3^40 and 3^31 colorings: the search could not even encode them
+    path = path_graph([f"p{i}" for i in range(40)])
+    leaves = [f"s{i}" for i in range(30)]
+    star = make_graph(["hub", *leaves], {("hub", s) for s in leaves})
+    for graph in (path, star):
+        game = uniform_game(graph, 3)
+        with pytest.raises(GuardExceeded):
+            encode(game)
+        verdict = _assert_pendant_route(game)
+        assert verdict.reason.startswith(f"peeled {len(graph) - 1} leaves (")
+        assert verdict.reason.endswith("Z(r) = 1/2")
+
+
+def test_hg_search_p10():
+    # h = 2 wins on an edge; h = 3 peels down to one vertex of hatness 2.
+    # Neither needs the search, whose budget only makes a miss fail fast
+    path = path_graph([f"p{i}" for i in range(10)])
+    assert hg_search(path, 4, timeout_ms=2000) == 2
