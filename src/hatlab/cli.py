@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "solve",
-        help="decide a game: Shearer's region, a clique with sum g/h >= 1, "
-        "then exhaustive search",
+        help="decide a game: leaves peeled, then Shearer's region; a clique "
+        "with sum g/h >= 1; then exhaustive search",
     )
     s.add_argument("game")
     s.add_argument("--emit-strategy")

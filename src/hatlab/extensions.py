@@ -251,11 +251,5 @@ def reduced_P_second(base: Graph, sizes, x) -> Fraction:
     try:
         ds = _suffix_neighbor_counts(base)
     except ExtensionError:
-        built = build_second_kind(base, sizes)
-        if len(built.vertices) > 24:
-            raise ExtensionError(
-                "base ordering unmet and graph too large for fallback"
-            )
-        cl = clique_of_vertex(base, sizes)
-        return eval_P(built, {v: x[cl[v]] for v in built.vertices})
+        return _reduced_P_direct(build_second_kind(base, sizes), base, sizes, x)
     return _second_kind_P(ds, sizes, x, {})

@@ -98,20 +98,9 @@ def path_graph(names) -> Graph:
 # -- composition operations -------------------------------------------
 
 
-def clique_join(g1: Graph, S, g2: Graph, v: str) -> Graph:
-    """Sum of graphs with respect to a clique S of g1 and a vertex v of g2:
-    g2 loses v, and every former neighbor of v becomes adjacent to all of S.
-
-    Result names: left vertices get an "L/" prefix, right ones "R/"."""
-    S = list(dict.fromkeys(S))
-    for s in S:
-        if s not in g1._adj:
-            raise GraphError(f"unknown vertex {s!r} in left operand")
-    if not g1.is_clique(S):
-        raise GraphError(f"S={S!r} is not a clique in the left operand")
-    if v not in g2._adj:
-        raise GraphError(f"unknown vertex {v!r} in right operand")
-
+def _join(g1: Graph, S, g2: Graph, v: str) -> Graph:
+    """g1 and g2 - v side by side, with every vertex of S joined to every
+    former neighbor of v; "L/" and "R/" prefix the names."""
     verts = ["L/" + u for u in g1.vertices]
     verts += ["R/" + u for u in g2.vertices if u != v]
     edges = {_canon_edge("L/" + a, "L/" + b) for (a, b) in g1.edges}
@@ -126,6 +115,22 @@ def clique_join(g1: Graph, S, g2: Graph, v: str) -> Graph:
     return Graph(tuple(verts), frozenset(edges))
 
 
+def clique_join(g1: Graph, S, g2: Graph, v: str) -> Graph:
+    """Sum of graphs with respect to a clique S of g1 and a vertex v of g2:
+    g2 loses v, and every former neighbor of v becomes adjacent to all of S.
+
+    Result names: left vertices get an "L/" prefix, right ones "R/"."""
+    S = list(dict.fromkeys(S))
+    for s in S:
+        if s not in g1._adj:
+            raise GraphError(f"unknown vertex {s!r} in left operand")
+    if not g1.is_clique(S):
+        raise GraphError(f"S={S!r} is not a clique in the left operand")
+    if v not in g2._adj:
+        raise GraphError(f"unknown vertex {v!r} in right operand")
+    return _join(g1, S, g2, v)
+
+
 def vertex_glue(g1: Graph, a1: str, g2: Graph, a2: str) -> Graph:
     """Product gluing: identify a1 of g1 with a2 of g2 (the |S|=1 clique join)."""
     return clique_join(g1, [a1], g2, a2)
@@ -136,18 +141,7 @@ def substitute(inner: Graph, outer: Graph, at: str) -> Graph:
     inner vertex becomes adjacent to every former neighbor of `at`."""
     if at not in outer._adj:
         raise GraphError(f"unknown vertex {at!r} in outer graph")
-    verts = ["L/" + u for u in inner.vertices]
-    verts += ["R/" + u for u in outer.vertices if u != at]
-    edges = {_canon_edge("L/" + a, "L/" + b) for (a, b) in inner.edges}
-    edges |= {
-        _canon_edge("R/" + a, "R/" + b)
-        for (a, b) in outer.edges
-        if a != at and b != at
-    }
-    for w in inner.vertices:
-        for u in outer.neighbors(at):
-            edges.add(_canon_edge("L/" + w, "R/" + u))
-    return Graph(tuple(verts), frozenset(edges))
+    return _join(inner, inner.vertices, outer, at)
 
 
 # -- stats -------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Exact decision of small hat games by propositional search.
 
-`decide_game` takes four routes in turn, and its verdict names the one
-that settled the game.  "region": the games whose point r = g/h lies in
-Shearer's region are losing (the proof is in the `certify` docstring).
-"pendant": the leaves are peeled by the lemma below, and the game is
-losing when the core that is left lies in Shearer's region.  "clique": a
-game with a clique K of weight sum_K g/h >= 1 is winning (the criterion
-of Kokhas & Latyshev on complete games); the sages of K play the
-strategy below, the others guess 0.  "sat": `search_game`, the search
-alone.  None of the first three routes encodes anything.  The first two
-enumerate nothing either, so they also settle games beyond the guards of
-`encode`; the clique route runs only within them.
+`decide_game` runs one losing check and then two routes; its verdict
+names the route that settled the game.  The losing check peels the
+leaves by the leaf lemma below and loses when the core left lies in
+Shearer's region (proof in the `certify` docstring): route "pendant"
+when some leaf peeled, "region" when none did.  By the preservation
+lemma below it misses no game of the region.  It encodes and enumerates
+nothing, so it also settles games beyond the guards of `encode`.
+"clique": a game with a clique K of weight sum_K g/h >= 1 is winning
+(the criterion of Kokhas & Latyshev on complete games); the sages of K
+play the strategy below, the others guess 0; it encodes nothing, and
+runs only within the guards.  "sat": `search_game`, the search alone.
 
 The leaf lemma.  Let A be a leaf whose one neighbor is B, with
 g_A < h_A, and let G' be G - A with h_B replaced by
@@ -28,6 +28,20 @@ G' is winning.  The pendant theorem of Kokhas & Latyshev
 (`algebra.PendantLose`) is the case h_A = 2, g_A = 1, where h_B = 2k - 1
 gives h'_B = k.  `_peel_leaves` skips a leaf whose peel would leave
 g_B >= h'_B: sage B alone would win that core.
+
+The preservation lemma.  A peel keeps r in Shearer's region (Z_W(r) > 0
+for every vertex set W, notation of `certify`).  Let A be a leaf with
+neighbor B and r_A < 1, and r* be r on G - A with r*_B = r_B / (1 - r_A).
+Recurrence (1) of `certify` at A, then at B, gives for W containing A, B
+
+    Z_W(r) = (1 - r_A) Z_{W-A-B}(r) - r_B Z_{W-A-N[B]}(r)
+           = (1 - r_A) Z_{W-A}(r*).
+
+So if G is in the region at r, G - A is in it at r*: a W without B has
+Z_W(r*) = Z_W(r) > 0, and a W with B has Z_W(r*) = Z_{W+A}(r) / (1 - r_A)
+> 0.  The peel leaves r'_B = g_B / ceil(h_B (h_A - g_A) / h_A) <= r*_B,
+and the region is closed downwards (Scott & Sokal, J. Stat. Phys. 2005,
+section 2), so G - A is in it at r' too, and by induction so is the core.
 
 The clique strategy.  Let L be the lcm of h over K, step_v = L / h_v, and
 take the vertices of K in vertex order.  Sage v owns the half-open
@@ -289,7 +303,7 @@ class GameVerdict:
     propagations: int = 0  # assignments made other than decisions
     learned: int = 0  # learned clauses
     reason: str = ""
-    # "region", "pendant", "clique" (all three before any search) or "sat"
+    # "region" or "pendant" (the losing check), "clique" or "sat"
     route: str = "sat"
 
 
@@ -535,30 +549,25 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """The first route that settles the game:
 
-    * "region": losing when r = g/h lies in Shearer's region; nothing is
-      enumerated (the proof, which covers sum g/h < 1, is in `certify`).
-    * "pendant": losing when at least one leaf peels (the leaf lemma of
-      the module docstring) and the core left lies in Shearer's region;
-      nothing is enumerated.
+    * "region" or "pendant", the losing check: losing when the core left
+      by peeling the leaves (the leaf lemma of the module docstring) lies
+      in Shearer's region (the proof is in `certify`); "region" when no
+      leaf peeled.  Nothing is enumerated.
     * "clique": winning by the interval strategy on a clique with
       sum g/h >= 1, verified on every coloring; only within the guards.
     * "sat": the verdict of `search_game`."""
+    peels, core = _peel_leaves(game)
     # through the module attribute, so that a wrapper installed on it sees
     # the call
-    cert = certify.losing_by_Z_positive(game)
+    cert = certify.losing_by_Z_positive(core)
     if isinstance(cert, certify.LosingCertificate):
-        reason = f"r in Shearer's region, Z(r) = {cert.z_at_r}"
-        return GameVerdict(LOSING, route="region", reason=reason)
-    peels, core = _peel_leaves(game)
-    if peels:
-        cert = certify.losing_by_Z_positive(core)
-        if isinstance(cert, certify.LosingCertificate):
-            steps = ", ".join(f"{a} into {b}" for a, b in peels)
-            reason = (
-                f"peeled {len(peels)} leaves ({steps}); "
-                f"the core is in Shearer's region, Z(r) = {cert.z_at_r}"
-            )
-            return GameVerdict(LOSING, route="pendant", reason=reason)
+        reason = f"Shearer's region, Z(r) = {cert.z_at_r}"
+        if not peels:
+            return GameVerdict(LOSING, route="region", reason=f"r in {reason}")
+        steps = ", ".join(f"{a} into {b}" for a, b in peels)
+        leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
+        reason = f"peeled {leaves} ({steps}); the core is in {reason}"
+        return GameVerdict(LOSING, route="pendant", reason=reason)
     visible = _guarded_visible(game)
     found = _heavy_clique(game)
     if found is None:

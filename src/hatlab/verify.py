@@ -75,9 +75,9 @@ def _search_key(game) -> tuple:
 def search_status(game) -> str:
     """The status of search_game, memoized so cross-checking items do not
     pay for the same search twice.  The criteria use the search alone:
-    with the region route of solver.decide_game, the checks of the solver
-    against the clique criterion and the region rule would compare a
-    routine with itself.
+    with the losing check of solver.decide_game (routes "region" and
+    "pendant"), the checks of the solver against the clique criterion and
+    the region rule would compare a routine with itself.
 
     The key (`_search_key`) lists h, g and the edges in the vertex order
     of a stable sort on (h, g), whatever the game's own order and names.

@@ -96,13 +96,27 @@ def test_solve_losing_by_pendant(tmp_path, capsys):
 
 
 def test_solve_losing_by_region(tmp_path, capsys):
-    gp = tmp_path / "k2.json"
-    save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), str(gp))
+    # K3 has no leaf, and Z(r) = 1 - 3/4 at h = 4
+    gp = tmp_path / "k3.json"
+    save_game(uniform_game(complete_graph(["a", "b", "c"]), 4), str(gp))
     obj = _run_json(capsys, "solve", str(gp))
     assert obj["status"] == "losing"
     assert obj["route"] == "region"
     assert obj["num_clauses"] == obj["decisions"] == 0
-    assert "Z(r) = 1/6" in obj["reason"]
+    assert "Z(r) = 1/4" in obj["reason"]
+
+
+def test_solve_in_region_with_a_leaf_reports_pendant(tmp_path, capsys):
+    # K2 at h = (2, 3) lies in the region (Z(r) = 1/6), but b peels into a
+    # first, with no drop, and the losing check tests the core {a}
+    gp = tmp_path / "k2.json"
+    save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), str(gp))
+    obj = _run_json(capsys, "solve", str(gp))
+    assert (obj["status"], obj["route"]) == ("losing", "pendant")
+    assert obj["num_clauses"] == obj["decisions"] == 0
+    assert obj["reason"] == (
+        "peeled 1 leaf (b into a); the core is in Shearer's region, Z(r) = 1/2"
+    )
 
 
 def test_certify_maximal_direct(tmp_path, capsys):

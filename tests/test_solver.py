@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hatlab import certify
 from hatlab.gallery import build_chain
 from hatlab.games import clique_criterion, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
@@ -321,6 +322,15 @@ def _assert_clique_route(game):
     return verdict
 
 
+def _assert_region_settles(game, verdict):
+    """A game whose r lies in Shearer's region ends in the losing check:
+    peeling keeps it in the region (the preservation lemma of `solver`)."""
+    if isinstance(certify.losing_by_Z_positive(game), certify.LosingCertificate):
+        assert verdict.status == LOSING, game
+        assert verdict.route in ("region", "pendant"), game
+        assert verdict.num_clauses == 0
+
+
 def test_region_route_agrees_with_search_on_random_games():
     # off the region and clique routes, decide_game returns search_game's
     # verdict, so only the verdicts of those routes need a search
@@ -329,6 +339,7 @@ def test_region_route_agrees_with_search_on_random_games():
     for _ in range(200):
         game = _random_game(rng)
         verdict = decide_game(game)
+        _assert_region_settles(game, verdict)
         if verdict.route == "region":
             assert verdict.status == LOSING
             assert verdict.num_clauses == verdict.decisions == 0
@@ -451,6 +462,28 @@ def test_clique_route_silent_below_weight_one(game, status):
     assert verdict.decisions > 0
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        uniform_game(path_graph(list("abcd")), 3),
+        uniform_game(complete_graph(list("abcd")), 5),
+        uniform_game(_C4, 3),
+    ],
+    ids=["p4-pendant", "k4-region", "c4-sat"],
+)
+def test_losing_check_runs_once_per_game(game, monkeypatch):
+    calls = []
+    check = certify.losing_by_Z_positive
+
+    def counted(checked):
+        calls.append(checked)
+        return check(checked)
+
+    monkeypatch.setattr(certify, "losing_by_Z_positive", counted)
+    decide_game(game)
+    assert len(calls) == 1
+
+
 def test_region_route_settles_k4_h5():
     # the known-hard pigeonhole instance: sum g/h = 4/5 < 1
     verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5))
@@ -491,7 +524,9 @@ def test_pendant_route_agrees_with_search_on_random_games():
         game = _leafy_game(rng)
         # the budget bounds the searches of the other routes; the pendant
         # route does not search
-        if decide_game(game, timeout_ms=100).route == "pendant":
+        verdict = decide_game(game, timeout_ms=100)
+        _assert_region_settles(game, verdict)
+        if verdict.route == "pendant":
             _assert_pendant_route(game)
             assert search_game(game).status == LOSING, game
             pendant += 1
