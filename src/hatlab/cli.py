@@ -48,6 +48,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise SystemExit(f"error: not a rational number: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _poly_payload(p: UnivariatePoly) -> dict:
     return {
         "coefficients": [hio.frac_str(c) for c in p.coeffs],
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("game")
     s.add_argument("--emit-strategy")
-    s.add_argument("--timeout-ms", type=int)
+    s.add_argument("--timeout-ms", type=_positive_int)
     s.set_defaults(fn=_cmd_solve)
 
     c = sub.add_parser("certify", help="produce an exact certificate")

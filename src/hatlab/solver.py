@@ -62,8 +62,25 @@ configuration sigma (colors of the open neighborhood in fixed vertex
 order) and color c, meaning "on seeing sigma, sage v guesses c".  For
 every full coloring phi there is one clause requiring some sage to guess
 his own color, plus at-most-g(v) cardinality constraints per (v, sigma).
-Satisfiable iff the sages win.  Two families of symmetry-breaking
-clauses follow, which keep satisfiability but not every model:
+Satisfiable iff the sages win.
+
+The guess variables are numbered vertex by vertex in vertex order, each
+table's configurations in `itertools.product` order, colors innermost:
+
+    y[v][sigma][c] = base_v + sum_{u in vis(v)} sigma_u stride(v, u) + c,
+
+where stride(v, u) is h_v times the product of h_w over the vertices w
+after u in vis(v), and base_v is 1 plus the number of variables of the
+vertices before v.  On a coloring phi, sage v's literal is this with
+sigma = phi|vis(v) and c = phi_v, which is affine in phi, so
+`_coloring_clauses` builds the coloring clauses by sums and no lookups.
+`verify_strategy` does not use the numbering: it looks the tables up by
+tuples of visible colors, so that the checker shares no arithmetic with
+the encoder and a numbering fault in the encoder cannot pass its own
+check.
+
+Two families of symmetry-breaking clauses follow, which keep
+satisfiability but not every model:
 
 * Exactly one guess: for g(v) = 1, at least one guess per (v, sigma).
 * Value precedence: for each v of a greedy independent set I of the
@@ -111,6 +128,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -247,14 +265,46 @@ def _guarded_visible(game: HatGame) -> dict[str, tuple[str, ...]]:
     return visible
 
 
+def _coloring_clauses(
+    game: HatGame,
+    visible: dict[str, tuple[str, ...]],
+    rows: dict[str, list[list[int]]],
+) -> list[list[int]]:
+    """One clause per coloring, in `itertools.product` order, holding
+    each sage's variable of its own color on what it sees, in vertex
+    order.  That variable is affine in the coloring (module docstring):
+    sage v's column of literals over all colorings starts as [base_v], and
+    each vertex x in turn expands every entry into h_x entries, the c-th
+    shifted by c times x's weight (stride(v, x) on vis(v), 1 on v itself,
+    0 elsewhere).  The clauses are the rows of the columns."""
+    names = game.vertices
+    if not names:
+        return [[]]  # the one empty coloring, on which no sage can win
+    columns = []
+    for v in names:
+        weight = dict.fromkeys(names, 0)
+        weight[v] = 1
+        stride = game.h[v]
+        for u in reversed(visible[v]):
+            weight[u] = stride
+            stride *= game.h[u]
+        column = [rows[v][0][0]]
+        for x in names:
+            steps = [c * weight[x] for c in range(game.h[x])]
+            column = [y + s for y in column for s in steps]
+        columns.append(column)
+    return list(map(list, zip(*columns)))
+
+
 def encode(game: HatGame) -> CNF:
     """CNF whose satisfiability is equivalent to the sages winning."""
     visible = _guarded_visible(game)
+    names = game.vertices
     var_of: dict[tuple, int] = {}
     # rows[v][j]: v's variables on its j-th configuration, one per color
     rows: dict[str, list[list[int]]] = {}
     fresh = 1
-    for v in game.vertices:
+    for v in names:
         rows[v] = []
         for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
             row = list(range(fresh, fresh + game.h[v]))
@@ -262,16 +312,8 @@ def encode(game: HatGame) -> CNF:
             rows[v].append(row)
             for c, y in enumerate(row):
                 var_of[(v, sigma, c)] = y
-    clauses: list[list[int]] = []
-    coloring_clauses = 0
-    names = game.vertices
-    for phi in itertools.product(*(range(game.h[v]) for v in names)):
-        col = dict(zip(names, phi))
-        clause = [
-            var_of[(v, tuple(col[u] for u in visible[v]), col[v])] for v in names
-        ]
-        clauses.append(clause)
-        coloring_clauses += 1
+    clauses = _coloring_clauses(game, visible, rows)
+    coloring_clauses = len(clauses)
     for v in names:
         for row in rows[v]:
             extra, fresh = _at_most(game.g[v], row, fresh)
@@ -305,6 +347,16 @@ class GameVerdict:
     reason: str = ""
     # "region" or "pendant" (the losing check), "clique" or "sat"
     route: str = "sat"
+    # wall seconds of each phase that ran, by name: "encode", "search",
+    # "extract" and "verify"; equal verdicts may differ here
+    seconds: dict[str, float] = field(default_factory=dict, compare=False)
+
+
+def _lap(seconds: dict[str, float], phase: str, start: float) -> float:
+    """Record the time since `start` as `phase`; returns the time now."""
+    now = time.perf_counter()
+    seconds[phase] = now - start
+    return now
 
 
 class _Timeout(Exception):
@@ -336,7 +388,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     learns, as int arrays.  Returns (model | None, counts), or raises
     _Timeout with args (counts,).  counts holds decisions, conflicts,
     restarts, propagations (assignments other than decisions) and learned
-    (clauses added)."""
+    (clauses added).  Any timeout_ms other than None sets a deadline,
+    checked after each conflict and before each decision."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
@@ -359,6 +412,12 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         watches[cl[0]].append(cl)
         watches[cl[1]].append(cl)
 
+    if not all(clauses):
+        # an empty clause is false under every assignment: a conflict at
+        # level 0 before any search
+        return None, dict(
+            decisions=0, conflicts=1, restarts=0, propagations=0, learned=0
+        )
     for cl in clauses:
         watch_clause(cl)
     given = len(clauses)
@@ -378,7 +437,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     conflicts = 0
     restarts = 0
     undone = 0  # trail entries popped by backjumps
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
+    if timeout_ms is None:
+        deadline = None
+    else:
+        deadline = time.monotonic() + timeout_ms / 1000.0
 
     def enqueue(lit: int, why):
         val[lit] = 1
@@ -390,19 +452,22 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 
     def propagate():
         nonlocal qhead
+        lvl = len(trail_lim)  # no decision is made inside
         while qhead < len(trail):
             fl = neg[trail[qhead]]  # literal that became false
             qhead += 1
             wl = watches[fl]
+            n = len(wl)  # only the swap-remove below changes it
             i = 0
-            while i < len(wl):
+            while i < n:
                 cl = wl[i]
                 first = cl[0]
                 if first == fl:
                     first = cl[0] = cl[1]
                     cl[1] = fl
                 # cl[1] is the false watch now
-                if val[first] == 1:
+                val_first = val[first]
+                if val_first == 1:
                     i += 1
                     continue
                 for k in range(2, len(cl)):
@@ -411,13 +476,20 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
                         cl[1] = other
                         cl[k] = fl
                         watches[other].append(cl)
-                        wl[i] = wl[-1]
+                        n -= 1
+                        wl[i] = wl[n]
                         wl.pop()
                         break
                 else:
-                    if val[first] == -1:
+                    if val_first == -1:
                         return cl  # conflict
-                    enqueue(first, cl)
+                    # enqueue(first, cl), inlined on this hot path
+                    val[first] = 1
+                    val[-first] = -1
+                    v = abs(first)
+                    level[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
                     i += 1
         return None
 
@@ -519,7 +591,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             enqueue(learned[0], learned)
             if conflicts % 256 == 0:
                 rescale()
-            if deadline and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 raise _Timeout(counts())
             continue
         if conflicts_since_restart >= restart_limit:
@@ -539,7 +611,7 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         else:
             model = [val[v] == 1 for v in range(num_vars + 1)]
             return model, counts()
-        if deadline and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise _Timeout(counts())
         decisions += 1
         trail_lim.append(len(trail))
@@ -574,11 +646,15 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
         return search_game(game, timeout_ms)
     clique, total = found
     strategy = _clique_strategy(game, clique, visible)
+    start = time.perf_counter()
     bad = verify_strategy(game, strategy)
+    seconds = {"verify": time.perf_counter() - start}
     if bad is not None:
         raise SolverError(f"internal error: clique strategy misses coloring {bad}")
     reason = f"clique ({', '.join(clique)}) has sum g/h = {total}"
-    return GameVerdict(WINNING, strategy=strategy, route="clique", reason=reason)
+    return GameVerdict(
+        WINNING, strategy=strategy, route="clique", reason=reason, seconds=seconds
+    )
 
 
 def _peel_leaves(game: HatGame) -> tuple[list[tuple[str, str]], HatGame]:
@@ -674,22 +750,28 @@ def _clique_strategy(game: HatGame, clique: list[str], visible: dict) -> dict:
 def search_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """Winning with an extracted (verified) strategy, or Losing after
     exhaustive refutation; Unknown only on timeout, never a guess."""
+    seconds: dict[str, float] = {}
+    start = time.perf_counter()
     cnf = encode(game)
+    start = _lap(seconds, "encode", start)
     size = dict(num_vars=cnf.num_vars, num_clauses=len(cnf.clauses))
     try:
         # the search rewrites and extends the clause list in place; no one
         # reads cnf.clauses after it, so it gets the list and not a copy
         model, counts = _dpll(cnf.num_vars, cnf.clauses, timeout_ms)
     except _Timeout as stop:
+        _lap(seconds, "search", start)
         (counts,) = stop.args
-        return GameVerdict(
-            UNKNOWN, **size, **counts, reason=f"timeout after {timeout_ms} ms"
-        )
-    counts.update(size)
+        reason = f"timeout after {timeout_ms} ms"
+        return GameVerdict(UNKNOWN, **size, **counts, reason=reason, seconds=seconds)
+    start = _lap(seconds, "search", start)
+    counts.update(size, seconds=seconds)
     if model is None:
         return GameVerdict(LOSING, **counts)
     strategy = extract_strategy(game, cnf, model)
+    start = _lap(seconds, "extract", start)
     bad = verify_strategy(game, strategy)
+    _lap(seconds, "verify", start)
     if bad is not None:
         raise SolverError(f"internal error: model strategy misses coloring {bad}")
     return GameVerdict(WINNING, strategy=strategy, **counts)
@@ -732,13 +814,25 @@ def verify_strategy(game: HatGame, strategy: dict):
                 raise SolverError(
                     f"strategy at {v!r}{sigma} exceeds g={game.g[v]} guesses"
                 )
+    # per sage: its table, the function reading what it sees off a
+    # coloring tuple, and the position of its own color
+    pos = {v: i for i, v in enumerate(names)}
+    sages = []
+    for i, v in enumerate(names):
+        seen = [pos[u] for u in visible[v]]
+        if not seen:
+            sees = lambda phi: ()
+        elif len(seen) == 1:
+            sees = lambda phi, j=seen[0]: (phi[j],)
+        else:
+            sees = operator.itemgetter(*seen)
+        sages.append((strategy[v], sees, i))
     for phi in itertools.product(*(range(game.h[v]) for v in names)):
-        col = dict(zip(names, phi))
-        if not any(
-            col[v] in strategy[v][tuple(col[u] for u in visible[v])]
-            for v in names
-        ):
-            return col
+        for table, sees, i in sages:
+            if phi[i] in table[sees(phi)]:
+                break
+        else:
+            return dict(zip(names, phi))
     return None
 
 

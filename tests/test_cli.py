@@ -119,6 +119,31 @@ def test_solve_in_region_with_a_leaf_reports_pendant(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "soon"])
+def test_solve_rejects_timeout_below_one(tmp_path, capsys, value):
+    gp = tmp_path / "k2.json"
+    save_game(uniform_game(complete_graph(["a", "b"]), 2), str(gp))
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", str(gp), "--timeout-ms", value])
+    assert stop.value.code == 2
+    assert "--timeout-ms" in capsys.readouterr().err
+
+
+def test_solve_timeout_payload_leaves_out_phase_times(tmp_path, capsys):
+    # C5 at h = 3 is losing, but no route settles it within 1 ms
+    gp = tmp_path / "c5.json"
+    names = list("abcde")
+    c5 = make_graph(names, set(zip(names, names[1:] + names[:1])))
+    save_game(uniform_game(c5, 3), str(gp))
+    obj = _run_json(capsys, "solve", str(gp), "--timeout-ms", "1")
+    assert (obj["status"], obj["route"]) == ("unknown", "sat")
+    assert obj["reason"] == "timeout after 1 ms"
+    assert set(obj) == {
+        "status", "route", "reason", "num_vars", "num_clauses", "decisions",
+        "conflicts", "restarts", "propagations", "learned",
+    }
+
+
 def test_certify_maximal_direct(tmp_path, capsys):
     gp = tmp_path / "k3.json"
     save_game(uniform_game(complete_graph(["a", "b", "c"]), 3), str(gp))

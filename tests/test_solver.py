@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,13 +9,17 @@ from hatlab.gallery import build_chain
 from hatlab.games import clique_criterion, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.solver import (
+    CNF,
     GuardExceeded,
     LOSING,
     SolverError,
     UNKNOWN,
     WINNING,
+    _at_most,
     _dpll,
+    _guarded_visible,
     _precedence_vertices,
+    _value_precedence,
     _visible_order,
     decide_game,
     encode,
@@ -159,6 +164,10 @@ _PINNED = {
     "H2^4 h=4": (
         lambda: uniform_game(build_chain(2, 4).graph, 4),
         (WINNING, 3135, 543, 3),
+    ),
+    "K3 (3,4,4)": (
+        lambda: make_game(complete_graph(list("abc")), {"a": 3, "b": 4, "c": 4}),
+        (LOSING, 346, 239, 1),
     ),
 }
 
@@ -552,3 +561,188 @@ def test_hg_search_p10():
     # Neither needs the search, whose budget only makes a miss fail fast
     path = path_graph([f"p{i}" for i in range(10)])
     assert hg_search(path, 4, timeout_ms=2000) == 2
+
+
+# -- references: the encoder's coloring loop and the strategy checker ---
+#
+# `encode` builds the coloring clauses by arithmetic and `verify_strategy`
+# reads what each sage sees by position.  These are the loops they
+# replaced, which look every literal and table up by name; the tests below
+# require identical results.
+
+
+def _reference_encode(game) -> CNF:
+    visible = _guarded_visible(game)
+    var_of = {}
+    rows = {}
+    fresh = 1
+    for v in game.vertices:
+        rows[v] = []
+        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
+            row = list(range(fresh, fresh + game.h[v]))
+            fresh += game.h[v]
+            rows[v].append(row)
+            for c, y in enumerate(row):
+                var_of[(v, sigma, c)] = y
+    clauses = []
+    names = game.vertices
+    for phi in itertools.product(*(range(game.h[v]) for v in names)):
+        col = dict(zip(names, phi))
+        clauses.append(
+            [var_of[(v, tuple(col[u] for u in visible[v]), col[v])] for v in names]
+        )
+    coloring_clauses = len(clauses)
+    for v in names:
+        for row in rows[v]:
+            extra, fresh = _at_most(game.g[v], row, fresh)
+            clauses.extend(extra)
+    symmetry = [list(row) for v in names if game.g[v] == 1 for row in rows[v]]
+    for v in _precedence_vertices(game):
+        extra, fresh = _value_precedence(rows[v], fresh)
+        symmetry.extend(extra)
+    clauses.extend(symmetry)
+    return CNF(fresh - 1, clauses, var_of, visible, coloring_clauses, len(symmetry))
+
+
+def _reference_verify(game, strategy):
+    visible = _visible_order(game)
+    names = game.vertices
+    for v in names:
+        if v not in strategy:
+            raise SolverError(f"partial strategy: vertex {v!r} missing")
+        table = strategy[v]
+        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
+            if sigma not in table:
+                raise SolverError(
+                    f"partial strategy: vertex {v!r} missing configuration {sigma}"
+                )
+            if len(table[sigma]) > game.g[v]:
+                raise SolverError(
+                    f"strategy at {v!r}{sigma} exceeds g={game.g[v]} guesses"
+                )
+    for phi in itertools.product(*(range(game.h[v]) for v in names)):
+        col = dict(zip(names, phi))
+        if not any(
+            col[v] in strategy[v][tuple(col[u] for u in visible[v])] for v in names
+        ):
+            return col
+    return None
+
+
+def _shuffled_game(rng):
+    """0-6 vertices in a shuffled order, random edges, h in 1..4 and g in
+    1..h."""
+    names = [f"v{i}" for i in range(rng.randint(0, 6))]
+    rng.shuffle(names)
+    edges = {e for e in itertools.combinations(names, 2) if rng.random() < 0.5}
+    h = {v: rng.randint(1, 4) for v in names}
+    g = {v: rng.randint(1, h[v]) for v in names}
+    return make_game(make_graph(names, edges), h, g)
+
+
+def _assert_same_cnf(game):
+    cnf, ref = encode(game), _reference_encode(game)
+    assert cnf == ref, game
+    assert list(cnf.var_of) == list(ref.var_of)
+
+
+def test_encode_matches_reference_on_random_games():
+    rng = random.Random(20261021)
+    sizes = set()
+    for _ in range(400):
+        game = _shuffled_game(rng)
+        _assert_same_cnf(game)
+        sizes.add(len(game.vertices))
+    assert sizes == set(range(7))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_encode_matches_reference_on_pinned_games(name):
+    _assert_same_cnf(_PINNED[name][0]())
+
+
+def test_empty_game_has_one_empty_clause_and_loses():
+    empty = make_game(make_graph([], set()), {})
+    assert encode(empty).clauses == [[]]
+    assert _reference_encode(empty).clauses == [[]]
+    verdict = search_game(empty)
+    assert verdict.status == LOSING
+    assert (verdict.decisions, verdict.conflicts, verdict.learned) == (0, 1, 0)
+
+
+def _random_strategy(game, rng):
+    """Random tables: mostly losing, some missing a vertex or a
+    configuration, some with an entry over g guesses, some with keys no
+    sage can see."""
+    visible = _visible_order(game)
+    strategy = {}
+    for v in game.vertices:
+        table = {}
+        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
+            k = game.g[v] + (rng.random() < 0.01)
+            table[sigma] = tuple(rng.sample(range(game.h[v]), min(k, game.h[v])))
+        if table and rng.random() < 0.05:
+            del table[rng.choice(list(table))]
+        if rng.random() < 0.05:
+            table[(game.h[v],) * (len(visible[v]) + 1)] = (0,)
+        strategy[v] = table
+    if strategy and rng.random() < 0.05:
+        del strategy[rng.choice(list(strategy))]
+    return strategy
+
+
+def _verify_outcome(check, game, strategy):
+    try:
+        return "ok", check(game, strategy)
+    except SolverError as err:
+        return "error", str(err)
+
+
+def test_verify_strategy_matches_reference():
+    rng = random.Random(20261022)
+    kinds = {"ok": 0, "error": 0, "win": 0, "miss": 0}
+    for _ in range(400):
+        game = _shuffled_game(rng)
+        strategy = _random_strategy(game, rng)
+        got = _verify_outcome(verify_strategy, game, strategy)
+        assert got == _verify_outcome(_reference_verify, game, strategy), game
+        kinds[got[0]] += 1
+        if got[0] == "ok":
+            kinds["miss" if got[1] else "win"] += 1
+    for _ in range(60):
+        game = _shuffled_game(rng)
+        verdict = search_game(game)
+        if verdict.status == WINNING:
+            assert _reference_verify(game, verdict.strategy) is None
+            assert verify_strategy(game, verdict.strategy) is None
+            kinds["win"] += 1
+    assert min(kinds.values()) > 10, kinds
+
+
+# -- phase times and budgets ---------------------------------------------
+
+
+def test_verdict_times_the_phases_that_ran():
+    k2 = uniform_game(complete_graph(["a", "b"]), 2)
+    winning = search_game(k2)
+    assert set(winning.seconds) == {"encode", "search", "extract", "verify"}
+    assert all(t >= 0 for t in winning.seconds.values())
+    c4 = make_game(_C4, dict(zip("abcd", (3, 3, 3, 4))))
+    assert set(search_game(c4).seconds) == {"encode", "search"}
+    assert set(decide_game(k2).seconds) == {"verify"}  # the clique route
+    k4 = uniform_game(complete_graph(list("abcd")), 5)
+    assert decide_game(k4).seconds == {}  # the region route
+    # equality ignores the times
+    assert dataclasses.replace(winning, seconds={}) == winning
+
+
+@pytest.mark.parametrize("timeout_ms", [0, -5])
+def test_timeout_of_zero_or_less_stops_at_once(timeout_ms):
+    # C4 at h = 3 needs 123 decisions; the deadline has passed at the first
+    game = uniform_game(_C4, 3)
+    verdict = search_game(game, timeout_ms=timeout_ms)
+    assert verdict.status == UNKNOWN
+    assert verdict.reason == f"timeout after {timeout_ms} ms"
+    assert verdict.decisions <= 1
+    assert set(verdict.seconds) == {"encode", "search"}
+    assert decide_game(game, timeout_ms=timeout_ms).status == UNKNOWN
