@@ -7,6 +7,7 @@ All arithmetic on h/g ratios is exact rational; no floats anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,28 +49,40 @@ def make_game(graph: Graph, h, g=None) -> HatGame:
     """Validate and build a game.  Missing g entries default to 1; g(v)
     larger than h(v) is clamped (a sage never needs more guesses than
     colors)."""
+    return HatGame(graph, *checked_counts(graph.vertices, graph._adj, h, g))
+
+
+def _is_count(val) -> bool:
+    # bool is an int subclass; JSON true must not pass as a count of 1
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
+def checked_counts(vertices, known, h, g=None) -> tuple[dict, dict]:
+    """make_game's checks on plain data: h and g of the game on
+    `vertices`, whose vertex set is `known`, with g defaulted and
+    clamped, both in vertex order."""
     hv = {}
-    for v in graph.vertices:
+    for v in vertices:
         if v not in h:
             raise GameError(f"missing hatness for vertex {v!r}")
         val = h[v]
-        if not isinstance(val, int) or val < 1:
+        if not _is_count(val):
             raise GameError(f"invalid hatness {val!r} at vertex {v!r}")
         hv[v] = val
     for v in h:
-        if v not in graph._adj:
+        if v not in known:
             raise GameError(f"hatness given for unknown vertex {v!r}")
     gv = {}
     g = g or {}
     for v in g:
-        if v not in graph._adj:
+        if v not in known:
             raise GameError(f"guesses given for unknown vertex {v!r}")
-    for v in graph.vertices:
+    for v in vertices:
         val = g.get(v, 1)
-        if not isinstance(val, int) or val < 1:
+        if not _is_count(val):
             raise GameError(f"invalid guess count {val!r} at vertex {v!r}")
         gv[v] = min(val, hv[v])
-    return HatGame(graph, hv, gv)
+    return hv, gv
 
 
 def uniform_game(graph: Graph, h: int) -> HatGame:
@@ -112,5 +125,12 @@ def clique_criterion(game: HatGame) -> CriterionResult:
     iff sum of g(v)/h(v) is at least 1; precise when it equals 1."""
     if not game.graph.is_complete():
         raise GameError("clique criterion requires a complete graph")
-    total = sum(fraction_vector(game).values(), Fraction(0))
+    return criterion_of_counts(game.h, game.g)
+
+
+def criterion_of_counts(h: dict, g: dict) -> CriterionResult:
+    """The clique criterion from the values alone, summed over one
+    common denominator."""
+    den = math.lcm(*h.values())
+    total = Fraction(sum(g[v] * (den // hv) for v, hv in h.items()), den)
     return CriterionResult(total >= 1, total == 1, total)

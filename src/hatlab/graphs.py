@@ -1,10 +1,12 @@
 """Simple undirected graphs with named vertices, plus the composition
-operations (clique join, vertex gluing, substitution) used by all builders.
+operations (clique join, vertex gluing, substitution) on whole graphs.
 
 Graphs are immutable values: every operation returns a new graph.  Under
 composition the operands are namespaced by their position ("L/" and "R/"
 prefixes) so that results are deterministic and collision-free; a glued
-vertex keeps the left operand's (prefixed) name.
+vertex keeps the left operand's (prefixed) name.  algebra.eval_expr
+gives the same names and edges without building the graph of each
+node; these operations are the reference its tests compare it with.
 """
 
 from __future__ import annotations

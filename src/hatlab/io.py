@@ -51,9 +51,14 @@ def _counts_from_json(obj, pointer: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(pointer, "expected an object")
     for v, n in obj.items():
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise SchemaError(f"{pointer}/{v}", "expected a positive integer")
     return dict(obj)
+
+
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- graphs ------------------------------------------------------------
@@ -142,18 +147,48 @@ _OPS = {
 _OP_NAMES = {cls: op for op, cls in _OPS.items()}
 
 
+def _unrecursed(step, *args):
+    """Run the generator function `step` as a recursion on an explicit
+    stack: it yields the arguments of each recursive call and is sent
+    back that call's result.  Depth is bounded by memory alone."""
+    stack = [step(*args)]
+    value = None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(step(*call))
+            value = None
+    return value
+
+
 def expr_to_json(e: algebra.GameExpr) -> dict:
     """One JSON object per node: "op" plus the dataclass fields by name."""
+    return _unrecursed(_encode_node, e)
+
+
+def _encode_node(e):
     op = _OP_NAMES.get(type(e))
     if op is None:
         raise SchemaError("/", f"not a game expression: {e!r}")
     obj = {"op": op}
     for f in fields(e):
-        obj[f.name] = _CODECS[f.type][0](getattr(e, f.name))
+        value = getattr(e, f.name)
+        if f.type in _EXPR_FIELDS:
+            obj[f.name] = yield (value,)
+        else:
+            obj[f.name] = _CODECS[f.type][0](value)
     return obj
 
 
 def expr_from_json(obj, pointer: str = "") -> algebra.GameExpr:
+    return _unrecursed(_decode_node, obj, pointer)
+
+
+def _decode_node(obj, pointer):
     op = obj.get("op") if isinstance(obj, dict) else None
     if op is None:
         raise SchemaError(f"{pointer}/op", "missing")
@@ -163,18 +198,17 @@ def expr_from_json(obj, pointer: str = "") -> algebra.GameExpr:
     args = {}
     for f in fields(cls):
         where = f"{pointer}/{f.name}"
-        if f.name in obj:
+        if f.name not in obj:
+            if f.default_factory is MISSING:
+                raise SchemaError(where, "missing")
+        elif f.type in _EXPR_FIELDS:
+            sub = yield obj[f.name], where
+            if f.type == "CliqueLeaf" and not isinstance(sub, algebra.CliqueLeaf):
+                raise SchemaError(where, "substitution inner must be a clique")
+            args[f.name] = sub
+        else:
             args[f.name] = _CODECS[f.type][1](obj[f.name], where)
-        elif f.default_factory is MISSING:
-            raise SchemaError(where, "missing")
     return cls(**args)
-
-
-def _clique_from_json(obj, pointer: str) -> algebra.CliqueLeaf:
-    e = expr_from_json(obj, pointer)
-    if not isinstance(e, algebra.CliqueLeaf):
-        raise SchemaError(pointer, "substitution inner must be a clique")
-    return e
 
 
 def _name_from_json(obj, pointer: str) -> str:
@@ -183,11 +217,11 @@ def _name_from_json(obj, pointer: str) -> str:
     return obj
 
 
-# (encode, decode) per field annotation of the expression dataclasses;
-# algebra postpones annotations, so the keys are their source strings
+# field annotations of the expression dataclasses (algebra postpones
+# annotations, so these are their source strings): subexpressions, and
+# (encode, decode) for the rest
+_EXPR_FIELDS = ("GameExpr", "CliqueLeaf")
 _CODECS = {
-    "GameExpr": (expr_to_json, expr_from_json),
-    "CliqueLeaf": (expr_to_json, _clique_from_json),
     "tuple[str, ...]": (list, _names_from_json),
     "dict[str, int]": (dict, _counts_from_json),
     "str": (lambda name: name, _name_from_json),
@@ -227,7 +261,7 @@ def _config_from_json(key: str, pointer: str) -> tuple:
 
 def _colors_from_json(obj, pointer: str) -> tuple:
     if not isinstance(obj, list) or not all(
-        isinstance(c, int) and c >= 0 for c in obj
+        _is_int(c) and c >= 0 for c in obj
     ):
         raise SchemaError(pointer, "expected a list of colors")
     return tuple(obj)

@@ -26,6 +26,18 @@ def test_make_game_clamps_guesses_to_hatness():
     assert game.g == {"a": 2, "b": 2}
 
 
+@pytest.mark.parametrize(
+    "h, g, message",
+    [
+        ({"a": True, "b": 2}, None, "invalid hatness True"),
+        ({"a": 2, "b": 2}, {"b": True}, "invalid guess count True"),
+    ],
+)
+def test_make_game_rejects_booleans_as_counts(h, g, message):
+    with pytest.raises(GameError, match=message):
+        make_game(complete_graph(["a", "b"]), h, g)
+
+
 def test_make_game_rejects_missing_hatness():
     with pytest.raises(GameError, match="missing hatness"):
         make_game(complete_graph(["a", "b"]), {"a": 2})

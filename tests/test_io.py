@@ -260,3 +260,41 @@ def test_dot_text_graph_and_game():
     labeled = dot_text(game)
     assert 'label="a\\nh=2"' in labeled
     assert 'label="b\\nh=4,g=2"' in labeled
+
+
+def test_deep_expr_round_trips_without_recursion():
+    # H_2000^4 nests 4,000 products; == on expressions that deep recurses,
+    # so the round trip is compared by the games they evaluate to
+    e = gallery.build_chain(2000, 4).expr
+    back = expr_from_json(expr_to_json(e))
+    assert isinstance(back, Product)
+    assert eval_expr(back).game == eval_expr(e).game
+
+
+@pytest.mark.parametrize(
+    "obj, pointer",
+    [
+        ({"vertices": ["a"], "edges": [], "hatness": {"a": True}}, "/hatness/a"),
+        ({"vertices": ["a"], "edges": [], "hatness": {"a": 2},
+          "guesses": {"a": True}}, "/guesses/a"),
+    ],
+)
+def test_game_rejects_booleans_as_counts(obj, pointer):
+    with pytest.raises(SchemaError) as info:
+        game_from_json(obj)
+    assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize("field", ["h", "g"])
+def test_clique_leaf_rejects_booleans_as_counts(field):
+    obj = {"op": "clique", "vertices": ["a"], "h": {"a": 2}}
+    obj[field] = {"a": True}
+    with pytest.raises(SchemaError) as info:
+        expr_from_json(obj)
+    assert info.value.pointer == f"/{field}/a"
+
+
+def test_strategy_rejects_booleans_as_colors():
+    with pytest.raises(SchemaError) as info:
+        strategy_from_json({"a": {"0": [True]}})
+    assert info.value.pointer == "/a/0"
