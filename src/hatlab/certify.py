@@ -146,21 +146,19 @@ def check_maximal_direct(game: HatGame):
     """Decide maximality from the definition: Z(r) = 0 exactly and Z > 0
     on the box below r minus r, by the ray lemma of the module docstring.
     A maximal game certifies the 2^n - 1 corners other than r."""
-    r = fraction_vector(game)
-    z_at_r = eval_Z(game.graph, r)
+    r, rays, z_at_r = _component_rays(game)
     if z_at_r != 0:
         return Refutation("Z(r) != 0", witness_point=r, witness_value=z_at_r)
-    comps = components(game.graph)
-    if len(comps) > 1:
-        for comp in comps:
-            if eval_Z(game.graph.induced(comp), r) == 0:
+    if len(rays) > 1:
+        for comp, _, at_r in rays:
+            if at_r == 0:
                 point = {v: (r[v] if v in comp else Fraction(0)) for v in r}
                 return Refutation(
                     "disconnected: Z vanishes on one component",
                     witness_point=point,
                     witness_value=Fraction(0),
                 )
-    t0 = unit_interval_root(z_ray(game.graph, r))
+    t0 = unit_interval_root(rays[0][1])
     if t0 is None:
         return MaximalityCertificate(
             game, z_at_r, method="ray", corner_count=2 ** len(r) - 1
@@ -171,6 +169,20 @@ def check_maximal_direct(game: HatGame):
         witness_point=point,
         witness_value=value,
     )
+
+
+def _component_rays(game: HatGame):
+    """r; each component W with its ray q_W(t) = Z_W(t r) and q_W(1); and
+    Z(r), the product of the q_W(1), since Z factors over the components."""
+    r = fraction_vector(game)
+    rays = []
+    z = Fraction(1)
+    for comp in components(game.graph):
+        q = z_ray(game.graph.induced(comp), r)
+        at_r = q(1)
+        z *= at_r
+        rays.append((comp, q, at_r))
+    return r, rays, z
 
 
 def _descend(graph: Graph, r: dict, t0: Fraction):
@@ -221,15 +233,8 @@ def losing_by_Z_positive(game: HatGame):
     """Losing certificate when r lies in Shearer's region, decided one
     component at a time by the ray (module docstring); inconclusive
     otherwise.  Z(r) is the product of the components' q_W(1)."""
-    r = fraction_vector(game)
-    z = Fraction(1)
-    inside = True
-    for comp in components(game.graph):
-        q = z_ray(game.graph.induced(comp), r)
-        at_r = q(1)
-        z *= at_r
-        inside = inside and at_r > 0 and unit_interval_root(q) is None
-    if inside:
+    _, rays, z = _component_rays(game)
+    if all(at_r > 0 and unit_interval_root(q) is None for _, q, at_r in rays):
         return LosingCertificate(game, z)
     if z <= 0:
         return Inconclusive(f"Z(r) = {z} is not positive; the rule is silent")

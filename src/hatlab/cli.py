@@ -89,6 +89,12 @@ def _as_graph(loaded):
     return loaded.graph if hasattr(loaded, "graph") else loaded
 
 
+def _given(value, default):
+    """An option's value, or the default when it was left out; 0 counts
+    as given."""
+    return default if value is None else value
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -100,16 +106,19 @@ def _cmd_build(args) -> int:
     if name == "delta6":
         expr = build_delta6_hg8()
     elif name == "scary":
-        expr = build_scary(args.n or 3)
+        expr = build_scary(_given(args.n, 3))
     elif name == "delta-plus-k":
-        expr = build_delta_plus_k(args.k or 1).expr
+        expr = build_delta_plus_k(_given(args.k, 1)).expr
     elif name == "chain":
-        built = build_chain(args.n or 2, args.l or 4, args.variant)
+        l = _given(args.l, 4)
+        built = build_chain(_given(args.n, 2), l, args.variant)
         graph = built.graph
         expr = built.expr
-        game = uniform_game(graph, args.l or 4)
+        game = uniform_game(graph, l)
     elif name in ("ex1", "ex2", "ex3"):
-        built = build_extension_example(int(name[2]), args.n or 2, args.k or 0)
+        built = build_extension_example(
+            int(name[2]), _given(args.n, 2), _given(args.k, 0)
+        )
         graph = built.graph
     else:
         raise SystemExit(f"error: unknown construction {name!r}")

@@ -26,7 +26,12 @@ from .algebra import (
     SumLose,
     eval_expr,
 )
-from .extensions import U_from_f, build_first_kind, build_second_kind
+from .extensions import (
+    ExtensionError,
+    U_from_f,
+    build_first_kind,
+    build_second_kind,
+)
 from .graphs import Graph, make_graph, path_graph
 from .poly import UnivariatePoly
 
@@ -331,14 +336,9 @@ def build_extension_example(which: int, n: int, k: int) -> ExtensionExample:
     else:
         raise GalleryError("which must be 1, 2 or 3")
     u = U_from_f(base, sizes, kind=kind)
-    buildable = all(
-        s >= (1 if kind == 1 else base.degree(v))
-        for s, v in zip(sizes, base.vertices)
-    ) and all(s >= 1 for s in sizes)
-    if buildable:
-        builder = build_first_kind if kind == 1 else build_second_kind
-        graph = builder(base, sizes)
-    else:
+    try:
+        graph = (build_first_kind if kind == 1 else build_second_kind)(base, sizes)
+    except ExtensionError:
         # degenerate sizes: the polynomial identities still make sense,
         # but there is no graph to build
         graph = base

@@ -44,6 +44,24 @@ def test_build_chain_writes_files(tmp_path, capsys):
     assert "op" in expr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scary", "--n", "0"), "build_scary requires n >= 3"),
+        (("chain", "--n", "0", "--l", "0"), "a chain needs n >= 2 cliques"),
+        (("chain", "--l", "0"), "chains need l >= 3"),
+        (("delta-plus-k", "--k", "0"), "build_delta_plus_k requires k >= 1"),
+        (("ex1", "--n", "0"), "extension examples need n >= 2"),
+    ],
+)
+def test_build_zero_option_is_not_the_default(capsys, argv, message):
+    code = main(["build", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_solve_winning_with_strategy(tmp_path, capsys):
     gp = tmp_path / "k2.json"
     sp = tmp_path / "strategy.json"
