@@ -12,9 +12,9 @@ clique, which is P's coefficient of x_1 ... x_n.  Sizes may be numbers or
 polynomials: the recurrences have degree 1 in each size.
 
 When the ordering is not path-like, both fall back to exact evaluation
-on the built graph, which needs integer sizes: P by `eval_P`, and f_n as
+on the built graph, which needs integer sizes: P by `eval_P`, f_n as
 the coefficient of x^n in the univariate P (no independent set holds two
-vertices of one clique).
+vertices of one clique), and U by `univariate_U`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import mul
 
 from .graphs import Graph, make_graph
-from .indpoly import eval_P, univariate_P
+from .indpoly import eval_P, univariate_P, univariate_U
 from .poly import UnivariatePoly
 
 
@@ -214,9 +214,18 @@ def U_from_f(base: Graph, sizes, kind: int = 1) -> UnivariatePoly:
 
     The recurrence is run over polynomials in y = 1/x; multiplying by
     (-x)^n then clears denominators.  Valid for degenerate sizes a_i = 1
-    as well (the identity extension reduces to the base graph)."""
+    as well (the identity extension reduces to the base graph).  On an
+    ordering that is not path-like, integer sizes give U of the built
+    graph."""
     if kind not in (1, 2):
         raise ExtensionError("kind must be 1 or 2")
+    sizes = list(sizes)
+    if all(isinstance(a, int) for a in sizes):
+        try:
+            _suffix_neighbor_counts(base)
+        except ExtensionError:
+            build = build_first_kind if kind == 1 else build_second_kind
+            return univariate_U(build(base, sizes))
     y = UnivariatePoly.x()
     c = _extension(kind, base, [UnivariatePoly.const(a) - y for a in sizes])
     if not isinstance(c, UnivariatePoly):

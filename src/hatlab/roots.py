@@ -1,16 +1,26 @@
-"""Exact real-root isolation over the rationals, and the recurrence
-polynomial families of the minimal-root theorems.
+"""Exact real-root isolation on primitive integer coefficients, and the
+recurrence polynomial families of the minimal-root theorems.
 
-One Descartes bisection routine, _first_root, serves the Shearer ray
-(unit_interval_root), the smallest positive root and the family root
-intervals.  Sturm sequences (sturm_sequence, sturm_roots,
-count_real_roots) are an independent reference the tests check it by.
+Each entry point (unit_interval_root, smallest_positive_root,
+verify_root_interval) clears p once to coprime integers; from there
+isolation runs on Python integers only.  The square-free part comes from
+a primitive pseudo-remainder sequence and an exact division over Z, a
+subinterval is reached by integer scaling and Taylor shifts, and every
+sign test is a homogeneous Horner sum.  One Descartes bisection routine,
+_first_root, serves the Shearer ray (unit_interval_root), the smallest
+positive root and the family root intervals.
+
+Sturm sequences (sturm_sequence, sturm_roots, count_real_roots) are an
+independent reference the tests check it by.  They run on poly's
+Fraction routines (square_free, gcd, divmod), which the integer route
+never calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import UnivariatePoly
 
@@ -19,9 +29,75 @@ class RootError(ValueError):
     pass
 
 
-def _sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+# -- integer polynomials: coefficient lists, low degree first ----------
+
+
+def _primitive(p: UnivariatePoly) -> list[int]:
+    """The coefficients of p times a positive rational, coprime integers."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    return _content_free(ints)
+
+
+def _content_free(c: list[int]) -> list[int]:
+    g = gcd(*c)
+    return [ck // g for ck in c] if g > 1 else c
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a nonzero integer: long division
+    that scales the dividend by lc(b) before each step."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        lr, shift = r.pop(), len(r) - db
+        r = [lb * x for x in r]
+        for i, bi in enumerate(b[:-1]):
+            r[shift + i] -= lr * bi
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) in Z[x], primitive, up to sign, for deg a >= deg b: the
+    primitive pseudo-remainder sequence (Collins, J. ACM 1967)."""
+    a, b = _content_free(a), _content_free(b)
+    while b:
+        a, b = b, _content_free(_pseudo_remainder(a, b))
+    return a
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b when b divides a in Z[x]: every quotient digit is exact."""
+    r, q, lb, db = list(a), [], b[-1], len(b) - 1
+    for shift in range(len(a) - 1 - db, -1, -1):
+        qk = r[shift + db] // lb
+        for i, bi in enumerate(b):
+            r[shift + i] -= qk * bi
+        q.append(qk)
+    return q[::-1]
+
+
+def _square_free(c: list[int]) -> list[int]:
+    """c / gcd(c, c') for primitive c, again primitive (Gauss's lemma)."""
+    g = _gcd(c, [k * ck for k, ck in enumerate(c)][1:])
+    return c if len(g) == 1 else _divide_exact(c, g)
+
+
+def _value(c: list[int], n: int, m: int) -> int:
+    """m^d c(n/m), d = deg c, by homogeneous Horner; for m > 0 it has
+    the sign of c(n/m)."""
+    acc, mk = 0, 1
+    for ck in reversed(c):
+        acc = acc * n + ck * mk
+        mk *= m
+    return acc
+
+
+def _scaled(c: list[int], r: Fraction) -> list[int]:
+    """Integer coefficients of m^d c((n/m) y), r = n/m in lowest terms."""
+    n, m, d = r.numerator, r.denominator, len(c) - 1
+    return [ck * n**k * m ** (d - k) for k, ck in enumerate(c)]
 
 
 def _taylor_shift(a: list[int]) -> list[int]:
@@ -33,50 +109,64 @@ def _taylor_shift(a: list[int]) -> list[int]:
     return a
 
 
-def _first_root(p: UnivariatePoly, a: Fraction, b: Fraction):
-    """The first root of p in the open interval (a, b) by Descartes
-    bisection (Vincent-Collins-Akritas: Collins & Akritas, SYMSAC 1976;
-    Rouillier & Zimmermann, J. Comput. Appl. Math. 2004).
+def _variations(c: list[int]) -> int:
+    signs = [ck > 0 for ck in c if ck]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    A subinterval (lo, hi) keeps integer coefficients c proportional to
-    p(lo + (hi - lo) y).  Its roots in (0, 1) are the positive roots of
-    (1 + x)^d c(1/(1 + x)), the reversed c shifted by x -> x + 1, and by
-    Descartes' rule of signs number at most its sign variations, with
-    the same parity.  Subintervals go left to right: one with no
-    variations holds no root, one with two or more is halved (2^d c(y/2)
-    and its shift), and one whose disk holds no root eventually shows
-    none (the one-circle theorem).
+
+def _cauchy_bound(c: list[int]) -> Fraction:
+    return Fraction(max(map(abs, c[:-1]), default=0), abs(c[-1])) + 1
+
+
+# -- Descartes bisection -----------------------------------------------
+
+
+def _first_root(c: list[int], a: Fraction, b: Fraction):
+    """The first root of the integer polynomial c in the open interval
+    (a, b) by Descartes bisection (Vincent-Collins-Akritas: Collins &
+    Akritas, SYMSAC 1976; Rouillier & Zimmermann, J. Comput. Appl. Math.
+    2004).
+
+    The subinterval a + (b - a)[i, i + 1]/2^k keeps integer coefficients
+    proportional to c(lo + (hi - lo) y); for the whole interval they come
+    from c(a (1 + y (b - a)/a)), two scalings around a Taylor shift.  Its
+    roots in (0, 1) are the positive roots of (1 + x)^d c(1/(1 + x)), the
+    reversed coefficients shifted by x -> x + 1, and by Descartes' rule
+    of signs number at most its sign variations, with the same parity.
+    Subintervals go left to right: one with no variations holds no root,
+    one with two or more is halved (2^d c(y/2) and its shift), and one
+    whose disk holds no root eventually shows none (the one-circle
+    theorem).
 
     Returns None when (a, b) holds no root; else the first root itself
     when a midpoint hits it, or (lo, hi) with hi < b holding exactly one
     root, simple, and no root in (a, lo].  The search ends when that
     first root is simple."""
-    if a == 0:  # p(b y): coefficient k scaled by b^k, O(d) products
-        n, m, c = b.numerator, b.denominator, p.integer_cleared()
-        c = [ck * n**k * m ** (len(c) - 1 - k) for k, ck in enumerate(c)]
+    if a == 0:
+        c = _scaled(c, b)
     else:
-        line, q = UnivariatePoly.of(a, b - a), UnivariatePoly.ZERO
-        for ck in reversed(p.coeffs):
-            q = q * line + ck
-        c = q.integer_cleared()
-    stack = [(a, b, c)]
+        c = _scaled(_taylor_shift(_scaled(c, a)), (b - a) / a)
+
+    def at(i, k):
+        return a + (b - a) * Fraction(i, 1 << k)
+
+    stack = [(0, 0, c)]
     while stack:
-        lo, hi, c = stack.pop()
+        i, k, c = stack.pop()
         if c is None:
-            return lo  # p(lo) = 0, and no root lies below it
-        variations = _sign_variations(_taylor_shift(c[::-1]))
+            return at(i, k)  # c(lo) = 0, and no root lies below it
+        variations = _variations(_taylor_shift(c[::-1]))
         if variations == 0:
             continue
-        if variations == 1 and hi < b:
-            return lo, hi
-        mid = (lo + hi) / 2
+        if variations == 1 and i + 1 < 1 << k:  # hi < b
+            return at(i, k), at(i + 1, k)
         d = len(c) - 1
-        left = [ck << (d - k) for k, ck in enumerate(c)]
+        left = [ck << (d - j) for j, ck in enumerate(c)]
         right = _taylor_shift(left)
-        stack.append((mid, hi, right))
+        stack.append((2 * i + 1, k + 1, right))
         if right[0] == 0:
-            stack.append((mid, mid, None))
-        stack.append((lo, mid, left))
+            stack.append((2 * i + 1, k + 1, None))
+        stack.append((2 * i, k + 1, left))
     return None
 
 
@@ -85,15 +175,13 @@ def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
     root itself when a bisection midpoint hits it, else the upper end t
     of an interval (a, t) that holds exactly one root, simple, and no
     root in (0, a].  The search ends when that first root is simple."""
-    found = _first_root(p, Fraction(0), Fraction(1))
+    found = _first_root(_primitive(p), Fraction(0), Fraction(1))
     return found[1] if isinstance(found, tuple) else found
 
 
 def cauchy_bound(p: UnivariatePoly) -> Fraction:
     """All real roots lie in (-B, B)."""
-    lc = abs(p.leading())
-    b = max((abs(c) / lc for c in p.coeffs[:-1]), default=Fraction(0))
-    return b + 1
+    return _cauchy_bound(_primitive(p))
 
 
 @dataclass(frozen=True)
@@ -112,55 +200,77 @@ WIDTH = Fraction(1, 10**12)
 
 def smallest_positive_root(p: UnivariatePoly, candidate: Fraction | None = None):
     """Isolate the smallest positive real root of p, or None when there
-    is none, by _first_root on the square-free part s of p.  A rational
+    is none, by _first_root on the square-free part s of p over Z, after
+    dividing out the power of x that a root at 0 contributes.  A rational
     candidate c passes when p(c) == 0 and (0, c) holds no root.  Without
     one, (0, B), B the Cauchy bound, gives the root or an interval
     (lo, hi) holding only it, which is bisected on the sign of s.
 
     Exact rational roots come from the denominator bound.  Let L be the
-    leading coefficient of s scaled to coprime integers.  A rational root
-    a/b in lowest terms has b | L, so two distinct rational roots lie at
-    least 1/L^2 apart.  Once hi - lo < 1/L^2, the midpoint's closest
+    leading coefficient of s, a primitive integer polynomial.  A rational
+    root a/b in lowest terms has b | L, so two distinct rational roots lie
+    at least 1/L^2 apart.  Once hi - lo < 1/L^2, the midpoint's closest
     fraction with denominator <= L is the root whenever the root is
-    rational.  Otherwise the root is irrational and comes back as
-    (lo, hi) with hi - lo <= WIDTH, s changing sign across it."""
+    rational, so one exact evaluation there settles it; a root at a
+    midpoint is caught on the way.  Otherwise the root is irrational and
+    comes back as (lo, hi) with hi - lo <= WIDTH, s changing sign across
+    it.  All of it runs on integers: lo = n_lo/m and hi = n_hi/m over one
+    denominator."""
     if p.is_zero():
         raise RootError("zero polynomial")
-    if p(Fraction(0)) == 0:
-        raise RootError("p(0) = 0; smallest positive root is ill-posed")
-    s = p.square_free().normalized()
+    c = _primitive(p)
+    while c[0] == 0:  # a root at 0 is not positive
+        c.pop(0)
+    s = _square_free(c)
     if candidate is not None:
         candidate = Fraction(candidate)
         if candidate <= 0:
             raise RootError("candidate must be positive")
-        if p(candidate) != 0:
+        if _value(c, candidate.numerator, candidate.denominator) != 0:
             raise RootError(f"candidate {candidate} is not a root")
         if _first_root(s, Fraction(0), candidate) is not None:
             raise RootError(f"candidate {candidate} is not minimal: a root lies below")
         return IsolatingInterval(candidate, candidate, candidate)
 
-    found = _first_root(s, Fraction(0), cauchy_bound(s))
+    found = _first_root(s, Fraction(0), _cauchy_bound(s))
     if not isinstance(found, tuple):
         return None if found is None else IsolatingInterval(found, found, found)
     lo, hi = found
-    den = abs(int(s.leading()))
-    separation = Fraction(1, den * den)
-    positive_below = s(lo) > 0  # the sign of s between lo and the root
+    m = lcm(lo.denominator, hi.denominator)
+    n_lo, n_hi = (x.numerator * (m // x.denominator) for x in found)
+    den = abs(s[-1])
+    positive_below = _value(s, n_lo, m) > 0  # the sign of s between lo and the root
+    rational_ruled_out = False
     while True:
-        c = ((lo + hi) / 2).limit_denominator(den)
-        if lo < c < hi and s(c) == 0:
-            return IsolatingInterval(c, c, c)
-        if hi - lo < separation and hi - lo <= WIDTH and s(hi) != 0:
-            return IsolatingInterval(lo, hi, None)
-        # a root at the midpoint has denominator <= L and was caught as c
-        mid = (lo + hi) / 2
-        if (s(mid) > 0) == positive_below:
-            lo = mid
+        if (n_hi - n_lo) * den * den < m:  # hi - lo < 1/L^2
+            if not rational_ruled_out:
+                r = Fraction(n_lo + n_hi, 2 * m).limit_denominator(den)
+                if n_lo * r.denominator < r.numerator * m < n_hi * r.denominator and (
+                    _value(s, r.numerator, r.denominator) == 0
+                ):
+                    return IsolatingInterval(r, r, r)
+                rational_ruled_out = True
+            if (n_hi - n_lo) * WIDTH.denominator <= m * WIDTH.numerator and _value(
+                s, n_hi, m
+            ):
+                return IsolatingInterval(Fraction(n_lo, m), Fraction(n_hi, m), None)
+        n_mid, m = n_lo + n_hi, 2 * m
+        at_mid = _value(s, n_mid, m)
+        if at_mid == 0:
+            r = Fraction(n_mid, m)
+            return IsolatingInterval(r, r, r)
+        if (at_mid > 0) == positive_below:
+            n_lo, n_hi = n_mid, 2 * n_hi
         else:
-            hi = mid
+            n_lo, n_hi = 2 * n_lo, n_mid
 
 
 # -- Sturm sequences: the independent reference ------------------------
+
+
+def _sign_variations(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_sequence(p: UnivariatePoly) -> list[UnivariatePoly]:
@@ -289,7 +399,7 @@ def verify_root_interval(tag: str, n: int, interval=None) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise RootError("empty interval")
-    s = family(tag, n).poly.square_free()
-    b = cauchy_bound(s)
+    s = _square_free(_primitive(family(tag, n).poly))
+    b = _cauchy_bound(s)
     outside = [(x, y) for x, y in ((-b, lo), (hi, b)) if x < y]
     return all(_first_root(s, x, y) is None for x, y in outside)

@@ -222,6 +222,16 @@ def test_roots_family(capsys):
     assert obj["min_positive_root"] == "1"
 
 
+def test_roots_readme_command(capsys):
+    # A_8 = k^4 (k^4 + 8k^3 + 21k^2 + 20k + 5): its root 0 is not positive
+    obj = _run_json(
+        capsys, "roots", "--family", "A", "--n", "8",
+        "--interval", "-4", "0", "--min-positive-root",
+    )
+    assert obj["all_roots_inside"] is True
+    assert obj["min_positive_root"] is None
+
+
 def test_roots_reversed_interval_is_error(capsys):
     code = main(["roots", "--family", "A", "--n", "3", "--interval", "0", "-4"])
     err = capsys.readouterr().err

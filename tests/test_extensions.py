@@ -15,7 +15,7 @@ from hatlab.extensions import (
     reduced_P_second,
 )
 from hatlab.graphs import independent_sets, make_graph, path_graph
-from hatlab.indpoly import eval_P
+from hatlab.indpoly import eval_P, univariate_U
 from hatlab.poly import UnivariatePoly
 
 
@@ -293,6 +293,26 @@ def test_fallback_needs_integer_sizes():
     star = _star()
     assert not _path_like(star)
     with pytest.raises(ExtensionError, match="integer sizes"):
-        U_from_f(star, [2, 2, 3, 2])
+        U_from_f(star, [2, Fraction(3, 2), 3, 2])
     with pytest.raises(ExtensionError, match="integer sizes"):
         leading_f_second(star, [2, Fraction(3, 2), 3, 2])
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("sizes", [(2, 3, 2, 1, 4), (1,) * 5, (3,) * 5])
+def test_U_from_f_on_a_listing_that_is_not_path_like(kind, sizes):
+    # P5 listed v0 v2 v1 v3 v4: v1's earlier neighbors v0, v2 are no suffix
+    path = path_graph([f"v{i}" for i in range(5)])
+    listed = make_graph(["v0", "v2", "v1", "v3", "v4"], path.edges)
+    assert not _path_like(listed)
+    listed_sizes = [sizes[int(v[1:])] for v in listed.vertices]
+    build = build_first_kind if kind == 1 else build_second_kind
+    if kind == 2 and min(sizes) < 2:
+        # a second-kind clique below its degree builds no graph
+        with pytest.raises(ExtensionError, match="below its degree"):
+            U_from_f(listed, listed_sizes, kind=2)
+        return
+    u = U_from_f(listed, listed_sizes, kind=kind)
+    assert u == U_from_f(path, list(sizes), kind=kind)
+    assert u == univariate_U(build(path, list(sizes)))
+    assert u == univariate_U(build(listed, listed_sizes))

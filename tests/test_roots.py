@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab import roots
 from hatlab.gallery import build_chain_graph, build_extension_example
 from hatlab.graphs import path_graph
 from hatlab.indpoly import univariate_U
 from hatlab.poly import UnivariatePoly
 from hatlab.roots import (
     WIDTH,
+    IsolatingInterval,
     RootError,
     cauchy_bound,
     count_real_roots,
@@ -274,3 +276,265 @@ def test_unit_interval_root_is_past_a_sign_change(p):
 def test_unit_interval_root_hits_a_rational_midpoint():
     p = UnivariatePoly.of(1, -2) * UnivariatePoly.of(4, -5)
     assert unit_interval_root(p) == Fraction(1, 2)
+
+
+def test_smallest_positive_root_divides_out_a_root_at_zero():
+    p, half = X * (2 * X - 1), Fraction(1, 2)
+    assert smallest_positive_root(p) == IsolatingInterval(half, half, half)
+    assert smallest_positive_root(p, candidate=half).exact_root == half
+    assert smallest_positive_root(X * X * (X + 1)) is None
+    assert smallest_positive_root(X) is None
+
+
+def test_smallest_positive_root_of_phi_5_against_sturm():
+    # Phi_5 = k (k^2 - 1)(k^2 - 3): positive roots 1 and sqrt 3
+    p = family("Phi", 5).poly
+    b = cauchy_bound(p)
+    assert sturm_roots(p, Fraction(0), b) == 2
+    iso = smallest_positive_root(p)
+    assert iso.exact_root == 1
+    assert p(1) == 0 and sturm_roots(p, Fraction(0), iso.exact_root) == 1
+
+
+# -- the Fraction route that integer isolation replaced, kept as the
+# differential reference, with its own copies of the helpers it used
+
+
+def _reference_sign_variations(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_taylor_shift(a: list[int]) -> list[int]:
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _reference_cauchy_bound(p: UnivariatePoly) -> Fraction:
+    lc = abs(p.leading())
+    b = max((abs(c) / lc for c in p.coeffs[:-1]), default=Fraction(0))
+    return b + 1
+
+
+def _reference_first_root(p: UnivariatePoly, a: Fraction, b: Fraction):
+    if a == 0:
+        n, m, c = b.numerator, b.denominator, p.integer_cleared()
+        c = [ck * n**k * m ** (len(c) - 1 - k) for k, ck in enumerate(c)]
+    else:
+        line, q = UnivariatePoly.of(a, b - a), UnivariatePoly.ZERO
+        for ck in reversed(p.coeffs):
+            q = q * line + ck
+        c = q.integer_cleared()
+    stack = [(a, b, c)]
+    while stack:
+        lo, hi, c = stack.pop()
+        if c is None:
+            return lo
+        variations = _reference_sign_variations(_reference_taylor_shift(c[::-1]))
+        if variations == 0:
+            continue
+        if variations == 1 and hi < b:
+            return lo, hi
+        mid = (lo + hi) / 2
+        d = len(c) - 1
+        left = [ck << (d - k) for k, ck in enumerate(c)]
+        right = _reference_taylor_shift(left)
+        stack.append((mid, hi, right))
+        if right[0] == 0:
+            stack.append((mid, mid, None))
+        stack.append((lo, mid, left))
+    return None
+
+
+def _reference_smallest_positive_root(p: UnivariatePoly, candidate=None):
+    if p.is_zero():
+        raise RootError("zero polynomial")
+    if p(Fraction(0)) == 0:
+        raise RootError("p(0) = 0; smallest positive root is ill-posed")
+    s = p.square_free().normalized()
+    if candidate is not None:
+        candidate = Fraction(candidate)
+        if candidate <= 0:
+            raise RootError("candidate must be positive")
+        if p(candidate) != 0:
+            raise RootError(f"candidate {candidate} is not a root")
+        if _reference_first_root(s, Fraction(0), candidate) is not None:
+            raise RootError(f"candidate {candidate} is not minimal: a root lies below")
+        return IsolatingInterval(candidate, candidate, candidate)
+    found = _reference_first_root(s, Fraction(0), _reference_cauchy_bound(s))
+    if not isinstance(found, tuple):
+        return None if found is None else IsolatingInterval(found, found, found)
+    lo, hi = found
+    den = abs(int(s.leading()))
+    separation = Fraction(1, den * den)
+    positive_below = s(lo) > 0
+    while True:
+        c = ((lo + hi) / 2).limit_denominator(den)
+        if lo < c < hi and s(c) == 0:
+            return IsolatingInterval(c, c, c)
+        if hi - lo < separation and hi - lo <= WIDTH and s(hi) != 0:
+            return IsolatingInterval(lo, hi, None)
+        mid = (lo + hi) / 2
+        if (s(mid) > 0) == positive_below:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _reference_verify_root_interval(tag: str, n: int, interval=None) -> bool:
+    claimed = {"A": (Fraction(-4), Fraction(0)), "Phi": (Fraction(-2), Fraction(2))}
+    if tag not in claimed and interval is None:
+        raise RootError(f"no claimed interval for family {tag!r}")
+    lo, hi = interval if interval is not None else claimed[tag]
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise RootError("empty interval")
+    s = family(tag, n).poly.square_free()
+    b = _reference_cauchy_bound(s)
+    outside = [(x, y) for x, y in ((-b, lo), (hi, b)) if x < y]
+    return all(_reference_first_root(s, x, y) is None for x, y in outside)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except RootError as exc:
+        return "RootError", str(exc)
+
+
+def _without_root_at_zero(p: UnivariatePoly) -> UnivariatePoly:
+    """p / x^m for the largest m; the reference refuses p(0) = 0."""
+    m = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    return UnivariatePoly(p.coeffs[m:])
+
+
+def _same_smallest_positive_root(p, candidate=None):
+    got = _outcome(smallest_positive_root, p, candidate)
+    want = _outcome(_reference_smallest_positive_root, _without_root_at_zero(p), candidate)
+    assert got == want, (str(p), candidate)
+    return got
+
+
+def test_differential_criterion_05():
+    for k in range(4):
+        for n in range(2, 9):
+            for which, root in ((2, Fraction(1, k + 4)), (3, Fraction(1, k + 2))):
+                u = build_extension_example(which, n, k).u_poly
+                assert _same_smallest_positive_root(u, root).exact_root == root
+                assert _same_smallest_positive_root(u).exact_root == root
+
+
+def test_differential_certify_muhat():
+    for n, l in _CHAINS:
+        u = univariate_U(build_chain_graph(n, l))
+        _same_smallest_positive_root(u, Fraction(1, l))
+        _same_smallest_positive_root(u)
+    seen = set()
+    for n in range(4, 25):
+        iso = _same_smallest_positive_root(univariate_U(path_graph([f"v{i}" for i in range(n)])))
+        seen.add(iso.exact_root is None)
+    assert seen == {True, False}  # P4 and P5 have rational roots 1/3 and 1
+    _same_smallest_positive_root(univariate_U(path_graph(["a", "b", "c", "d"])), Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "tag, first", [("A", 0), ("B", 0), ("L", 2), ("Phi", 0), ("E", 1)]
+)
+def test_differential_families(tag, first):
+    shifts = (0, -1, Fraction(-1, 3), Fraction(1, 2), 1)
+    bases = ((-4, 0), (-2, 2)) if tag not in ("A", "Phi") else (
+        roots._FAMILY_INTERVALS[tag],
+    )
+    verdicts = set()
+    for n in range(first, 13):
+        if tag in ("A", "Phi"):
+            assert verify_root_interval(tag, n) == _reference_verify_root_interval(tag, n)
+        for lo, hi in bases:
+            for d in shifts:
+                interval = (Fraction(lo) + d, Fraction(hi) + d)
+                got = verify_root_interval(tag, n, interval)
+                assert got == _reference_verify_root_interval(tag, n, interval)
+                verdicts.add(got)
+        _same_smallest_positive_root(family(tag, n).poly)
+    assert verdicts == {True, False}
+
+
+def _random_products(count: int):
+    """Seeded products of linear, quadratic and cubic integer factors,
+    linear ones up to cubed and the others up to squared, with leading
+    coefficients up to 1e14, some times a power of x, scaled by a
+    rational so the content is not 1; each comes with the rational roots
+    of its linear factors."""
+    rng = random.Random(18)
+    for _ in range(count):
+        p, known = UnivariatePoly.ONE, []
+        for _ in range(rng.randint(1, 3)):
+            lead = rng.choice((rng.randint(1, 9), rng.randint(1, 10**14)))
+            if rng.random() < 0.5:
+                a = rng.randint(-3 * lead, 3 * lead) or 1
+                factor = UnivariatePoly.of(-a, lead)
+                known.append(Fraction(a, lead))
+            else:
+                low = [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))]
+                factor = UnivariatePoly.of(low[0] or 1, *low[1:], lead)
+            powers = (1, 1, 2, 3) if len(factor.coeffs) == 2 else (1, 1, 2)
+            for _ in range(rng.choice(powers)):
+                p = p * factor
+        if rng.random() < 0.2:
+            p = p * X
+        scale = Fraction(rng.randint(1, 10**7), rng.randint(1, 10**3))
+        yield p * scale, known
+
+
+def test_differential_random_products():
+    seen = {"exact": 0, "interval": 0, "none": 0, "error": 0, "root at 0": 0}
+    rng = random.Random(1)
+    for p, known in _random_products(320):
+        got = _same_smallest_positive_root(p)
+        if got is None:
+            seen["none"] += 1
+        else:
+            seen["exact" if got.exact_root is not None else "interval"] += 1
+        seen["root at 0"] += p.coeffs[0] == 0
+        for c in known[:1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5))]:
+            if isinstance(_same_smallest_positive_root(p, c), tuple):
+                seen["error"] += 1
+        # bisection ends only when the first root is simple
+        q = _without_root_at_zero(p).square_free()
+        want = _reference_first_root(q, Fraction(0), Fraction(1))
+        assert unit_interval_root(q) == (want[1] if isinstance(want, tuple) else want)
+        a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        b = a + Fraction(rng.randint(1, 20), rng.randint(1, 7))
+        assert roots._first_root(roots._primitive(q), a, b) == _reference_first_root(q, a, b)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_roots_at_interval_ends():
+    for n in range(2, 13):
+        # 0 = hi is a root of A_n; the open interval (hi, B) excludes it
+        assert verify_root_interval("A", n, (-4, 0)) is True
+        assert verify_root_interval("A", n, (-4, Fraction(-1, 2))) is False
+        s = family("A", n).poly.square_free()
+        got = roots._first_root(roots._primitive(s), Fraction(-4), Fraction(0))
+        assert got == _reference_first_root(s, Fraction(-4), Fraction(0)) is not None
+    # a double root as candidate, and a larger candidate past it
+    p = (3 * X - 1) * (3 * X - 1) * (X - 2) * (X + 1)
+    assert _same_smallest_positive_root(p, Fraction(1, 3)).exact_root == Fraction(1, 3)
+    assert _same_smallest_positive_root(p, 2)[1] == "candidate 2 is not minimal: a root lies below"
+    assert _same_smallest_positive_root(p).exact_root == Fraction(1, 3)
+
+
+def test_integer_square_free_part():
+    cube = (3 * X - 1) * (3 * X - 1) * (3 * X - 1)
+    square = (X * X - 2) * (X * X - 2)
+    for p in (cube * square, cube * square * Fraction(5, 7), square * (3 * X - 5) * (3 * X - 5)):
+        # (3x - 1)(x^2 - 2) or (x^2 - 2)(3x - 5), up to sign
+        s = roots._square_free(roots._primitive(p))
+        want = roots._primitive(p.square_free())
+        assert len(s) == 4 and s in (want, [-c for c in want])
+    assert _same_smallest_positive_root(cube * square).exact_root == Fraction(1, 3)
+    iso = _same_smallest_positive_root(square * (3 * X - 5) * (3 * X - 5))
+    assert iso.exact_root is None and iso.lower**2 < 2 < iso.upper**2
