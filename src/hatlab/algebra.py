@@ -4,7 +4,9 @@ An expression tree combines clique games by the sum / product /
 substitution constructors (winning side) or by the losing-sum and
 pendant-attachment theorems (losing side).  Evaluating it builds the
 composite game and derives its status; Unknown is a first-class result
-for mixtures the rules do not cover.
+for mixtures the rules do not cover.  The expression itself records how
+the status was reached, so the certificate holds only the composite
+game, its status and the obstacle to maximality.
 
 Names.  A composite vertex is named by the path from the root down to
 the node that made it, "L/" for each left operand (a substitution's
@@ -109,7 +111,6 @@ class Certificate:
     # why the expression is not a sum/product/substitute composition of
     # precise cliques; "" when it is
     obstacle: str
-    derivation: dict
 
     @property
     def maximal(self) -> bool:
@@ -134,7 +135,6 @@ class _Node:
     local: object
     status: str
     obstacle: str
-    derivation: dict
     classic: bool  # g == 1 on the whole composite
 
 
@@ -209,12 +209,6 @@ class _Table:
         crit = criterion_of_counts(h, g)
         status = WINNING if crit.winning else LOSING
         obstacle = "" if crit.precise else f"non-precise clique leaf on {list(verts)}"
-        derivation = {
-            "rule": "clique-criterion",
-            "sum": str(crit.total),
-            "precise": crit.precise,
-            "status": status,
-        }
         ids = range(len(self.h), len(self.h) + len(verts))
         members = set(ids)
         self.adj.extend(members - {i} for i in ids)
@@ -222,8 +216,7 @@ class _Table:
         self.g.extend(g.values())
         self.alive.extend(True for _ in ids)
         classic = all(gv == 1 for gv in g.values())
-        return _Node(_LEAF, (), dict(zip(verts, ids)), status, obstacle,
-                     derivation, classic)
+        return _Node(_LEAF, (), dict(zip(verts, ids)), status, obstacle, classic)
 
     def _glue(self, S: list[int], v: int, multiply: bool):
         """Join S to N(v) and delete v; with `multiply`, h and g on S
@@ -265,16 +258,8 @@ class _Table:
             status = WINNING
         else:
             status = UNKNOWN
-        derivation = {
-            "rule": rule,
-            "S": list(S),
-            "v": v,
-            "left": left.derivation,
-            "right": right.derivation,
-            "status": status,
-        }
         return _Node(_JOIN, (left, right), None, status,
-                     left.obstacle or right.obstacle, derivation,
+                     left.obstacle or right.obstacle,
                      left.classic and right.classic)
 
     def sum_lose(self, left: _Node, A, right: _Node, v) -> _Node:
@@ -295,16 +280,7 @@ class _Table:
         if self.h[ai] < 2:
             raise ExprError("sum_lose: failed hypothesis h1(A) >= h2(A) = 2")
         self._glue([ai], vi, multiply=False)
-        derivation = {
-            "rule": "sum_lose",
-            "A": A,
-            "v": v,
-            "left": left.derivation,
-            "right": right.derivation,
-            "status": LOSING,
-        }
-        return _Node(_JOIN, (left, right), None, LOSING, LOSING_RULES,
-                     derivation, True)
+        return _Node(_JOIN, (left, right), None, LOSING, LOSING_RULES, True)
 
     def pendant_lose(self, base: _Node, B, A) -> _Node:
         if base.status != LOSING:
@@ -323,15 +299,7 @@ class _Table:
         self.h.append(2)
         self.g.append(1)
         self.alive.append(True)
-        derivation = {
-            "rule": "pendant_lose",
-            "B": B,
-            "A": A,
-            "base": base.derivation,
-            "status": LOSING,
-        }
-        return _Node(_PENDANT, (base,), (A, ai), LOSING, LOSING_RULES,
-                     derivation, True)
+        return _Node(_PENDANT, (base,), (A, ai), LOSING, LOSING_RULES, True)
 
     def combine(self, e: GameExpr, done: list[_Node]) -> _Node:
         """Evaluate the inner node e; its children are the last entries
@@ -360,8 +328,7 @@ class _Table:
         graph = make_graph([names[i] for i in order], edges)
         h = {names[i]: self.h[i] for i in order}
         g = {names[i]: self.g[i] for i in order}
-        return Certificate(make_game(graph, h, g), root.status, root.obstacle,
-                           root.derivation)
+        return Certificate(make_game(graph, h, g), root.status, root.obstacle)
 
 
 def _children(e) -> tuple:

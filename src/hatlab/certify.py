@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import algebra
 from .games import HatGame, fraction_vector
@@ -98,12 +98,14 @@ from .indpoly import eval_Z, univariate_U, z_ray
 from .poly import UnivariatePoly
 from .roots import IsolatingInterval, smallest_positive_root, unit_interval_root
 
-RAY_JUSTIFICATION = (
-    "G is connected and Z(t r) has no root for 0 < t < 1, so by the ray "
-    "lemma (Shearer; Scott & Sokal) Z > 0 at every box corner except r; "
+JUSTIFICATIONS = {
+    "ray": "G is connected and Z(t r) has no root for 0 < t < 1, so by the "
+    "ray lemma (Shearer; Scott & Sokal) Z > 0 at every box corner except r; "
     "Z is multilinear, so with Z(r) = 0 it is strictly positive on the box "
-    "minus {r}."
-)
+    "minus {r}.",
+    "compositional": "precise clique leaves are maximal; the sum "
+    "constructor preserves maximality",
+}
 
 
 class CertifyError(ValueError):
@@ -116,22 +118,24 @@ class MaximalityCertificate:
     z_at_r: Fraction
     method: str  # "ray" | "compositional"
     corner_count: int = 0
-    derivation: Optional[dict] = None
-    justification: str = RAY_JUSTIFICATION
+
+    @property
+    def justification(self) -> str:
+        return JUSTIFICATIONS[self.method]
 
 
 @dataclass
 class Refutation:
     reason: str
-    witness_point: Optional[dict] = None
-    witness_value: Optional[Fraction] = None
+    witness_point: dict
+    witness_value: Fraction
 
 
 @dataclass
 class LosingCertificate:
     game: HatGame
     z_at_r: Fraction
-    rule: str = (
+    rule: ClassVar[str] = (
         "r in Shearer's region (Z(t r) > 0 for 0 <= t <= 1 on every "
         "component) implies losing"
     )
@@ -219,14 +223,7 @@ def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertific
         raise CertifyError(
             f"inconsistency: compositional maximality but Z(r) = {z_at_r}"
         )
-    return MaximalityCertificate(
-        cert.game,
-        z_at_r,
-        method="compositional",
-        derivation=cert.derivation,
-        justification="precise clique leaves are maximal; the sum "
-        "constructor preserves maximality",
-    )
+    return MaximalityCertificate(cert.game, z_at_r, method="compositional")
 
 
 def losing_by_Z_positive(game: HatGame):
@@ -250,7 +247,7 @@ class MuHatResult:
     interval: Optional[IsolatingInterval]
     poly: UnivariatePoly
     elimination_ordering: list[str]
-    note: str = "HG(G) <= mu-hat(G)"
+    note: ClassVar[str] = "HG(G) <= mu-hat(G)"
 
 
 def mu_hat_chordal(

@@ -175,14 +175,14 @@ def _certificate_payload(cert) -> dict:
             "justification": cert.justification,
         }
     if isinstance(cert, Refutation):
-        out = {"verdict": "not-maximal", "reason": cert.reason}
-        if cert.witness_point is not None:
-            out["witness_point"] = {
+        return {
+            "verdict": "not-maximal",
+            "reason": cert.reason,
+            "witness_point": {
                 v: hio.frac_str(x) for v, x in cert.witness_point.items()
-            }
-        if cert.witness_value is not None:
-            out["witness_value"] = hio.frac_str(cert.witness_value)
-        return out
+            },
+            "witness_value": hio.frac_str(cert.witness_value),
+        }
     if isinstance(cert, LosingCertificate):
         return {
             "verdict": "losing",

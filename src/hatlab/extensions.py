@@ -15,6 +15,14 @@ When the ordering is not path-like, both fall back to exact evaluation
 on the built graph, which needs integer sizes: P by `eval_P`, f_n as
 the coefficient of x^n in the univariate P (no independent set holds two
 vertices of one clique), and U by `univariate_U`.
+
+Formal sizes.  The recurrences take any size, also one that no graph
+has.  In the first kind, size 1 is the identity extension: the base
+graph itself.  In the second kind, the clique at v needs deg(v) marked
+vertices, so a size below deg(v) gives the formal polynomial of the
+recurrence and no graph, and `build_second_kind` raises on it.  The
+minimal-root theorem for H(k+1, k, ..., k, k+1) at k = 0 uses inner
+size 0.
 """
 
 from __future__ import annotations
@@ -205,7 +213,9 @@ def leading_f(base: Graph, sizes):
 
 
 def leading_f_second(base: Graph, sizes):
-    """Leading coefficient f_n for a second-kind extension."""
+    """Leading coefficient f_n for a second-kind extension.  On a
+    path-like ordering, sizes below a vertex's degree give the formal
+    value of the recurrence (module docstring)."""
     return _extension(2, base, sizes)
 
 
@@ -213,10 +223,12 @@ def U_from_f(base: Graph, sizes, kind: int = 1) -> UnivariatePoly:
     """U of the extension via U(x) = (-x)^n f_n(a_1 - 1/x, ..., a_n - 1/x).
 
     The recurrence is run over polynomials in y = 1/x; multiplying by
-    (-x)^n then clears denominators.  Valid for degenerate sizes a_i = 1
-    as well (the identity extension reduces to the base graph).  On an
-    ordering that is not path-like, integer sizes give U of the built
-    graph."""
+    (-x)^n then clears denominators.  In the first kind, sizes a_i = 1
+    give the identity extension, whose U is the base graph's.  In the
+    second kind, sizes below a vertex's degree give the formal
+    polynomial of the recurrence, which belongs to no graph (module
+    docstring).  On an ordering that is not path-like, integer sizes give
+    U of the built graph, and such second-kind sizes raise there."""
     if kind not in (1, 2):
         raise ExtensionError("kind must be 1 or 2")
     sizes = list(sizes)

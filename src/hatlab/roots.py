@@ -349,11 +349,21 @@ def _family_Phi(n: int) -> UnivariatePoly:
 
 
 def _family_E(n: int) -> UnivariatePoly:
+    # E_n = f_n of the second-kind path extension H(k+1, k, ..., k, k+1)
+    # (extensions.leading_f_second), built without Phi so that the
+    # identity E_n = (k+2) Phi_{n-1} is a check.  On a path, with
+    # F = f(a_1, ..., a_m) and G = f(a_1, ..., a_m - 1), adding clique m
+    # gives G <- (a_m - 2) F + G and then F <- F + G, from F = a_1 and
+    # G = a_1 - 1.  F and G are integer coefficient lists, low degree
+    # first, and a_m - 2 = k - c
     if n < 1:
         raise RootError("E_n is defined for n >= 1")
-    if n == 1:
-        return _K + 1
-    return (_K + 2) * _family_Phi(n - 1)
+    f, g = [1, 1], [0, 1]  # k + 1, k
+    for m in range(2, n + 1):
+        c = 1 if m == n else 2
+        g = [s - c * a + b for s, a, b in zip([0] + f, f + [0], g + [0])]
+        f = [a + b for a, b in zip(f + [0], g)]
+    return UnivariatePoly.of(*f)
 
 
 _FAMILIES = {

@@ -166,6 +166,16 @@ def test_ray_agrees_with_corner_sweep():
     assert min(seen.values()) >= 10, seen
 
 
+def test_deep_certificates_repr_and_compare():
+    # H_2000^4 nests 4,000 joins; a certificate holds the composite game
+    # and flat facts, not a tree, so repr and == do not recurse
+    e = gallery.build_chain(2000, 4).expr
+    for check in (eval_expr, check_maximal_compositional):
+        a, b = check(e), check(e)
+        assert repr(a).startswith(type(a).__name__)
+        assert a == b
+
+
 def test_compositional_maximality():
     k2 = CliqueLeaf(("a", "b"), {"a": 2, "b": 2}, {})
     e = Product(k2, "b", CliqueLeaf(("b", "c"), {"b": 2, "c": 2}, {}), "b")

@@ -310,6 +310,38 @@ def test_certify_losing_deep_path(tmp_path, capsys):
     }
 
 
+def test_certify_maximal_compositional_payload(tmp_path, capsys):
+    game_path = tmp_path / "chain.json"
+    expr_path = tmp_path / "chain.expr.json"
+    code, _ = _run(
+        capsys,
+        "build", "chain", "--n", "2", "--l", "4",
+        "-o", str(game_path), "--expr", str(expr_path),
+    )
+    assert code == 0
+    assert _run_json(capsys, "certify", "maximal", str(expr_path)) == {
+        "verdict": "maximal",
+        "z_at_r": "0",
+        "method": "compositional",
+        "justification": "precise clique leaves are maximal; the sum "
+        "constructor preserves maximality",
+    }
+
+
+def test_certify_maximal_refuted_payload(tmp_path, capsys):
+    # P4 at h = 1: Z(t r) = 1 - 4t + 3t^2 has roots 1/3 and 1.  Bisection
+    # stops at t = 1/2, and the descent from there ends at the corner that
+    # keeps the edge bc, where Z = 1 - 1 - 1 = -1
+    gp = tmp_path / "p4.json"
+    save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 1), str(gp))
+    assert _run_json(capsys, "certify", "maximal", str(gp)) == {
+        "verdict": "not-maximal",
+        "reason": "Z(t r) <= 0 at t = 1/2 < 1; nonpositive corner value",
+        "witness_point": {"a": "0", "b": "1", "c": "1", "d": "0"},
+        "witness_value": "-1",
+    }
+
+
 def test_certify_deeply_nested_expr_is_error(tmp_path, capsys):
     depth = 3000
     leaf = '{"op": "clique", "vertices": ["a"], "h": {"a": 1}}'

@@ -92,6 +92,16 @@ def test_U_from_f_identity_extension_is_base_U():
     assert U_from_f(base, [1, 1, 1, 1]) == univariate_U(base)
 
 
+def test_U_from_f_second_kind_below_degree_is_formal():
+    # H(1, 0, 1) is example 3 at k = 0, n = 3.  The recurrence gives
+    # U = (1 - 2x)(1 - x^2), least positive root 1/(k + 2) = 1/2, but a
+    # clique of size 0 carries no bridge, so no graph has this U
+    base = _path(3)
+    assert U_from_f(base, [1, 0, 1], kind=2) == UnivariatePoly.of(1, -2, -1, 2)
+    with pytest.raises(ExtensionError):
+        build_second_kind(base, [1, 0, 1])
+
+
 def test_U_from_f_single_clique():
     # K_a as an extension of K_1: U = 1 - a x
     base = _path(1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hatlab import roots
+from hatlab.extensions import leading_f_second
 from hatlab.gallery import build_chain_graph, build_extension_example
 from hatlab.graphs import path_graph
 from hatlab.indpoly import univariate_U
@@ -215,6 +216,14 @@ def test_family_values():
     # Phi is the Chebyshev-style recurrence Phi_n = k Phi_{n-1} - Phi_{n-2}
     assert family("Phi", 2).poly == X * X - 1
     assert family("E", 1).poly == X + 1
+
+
+def test_family_E_is_a_second_kind_leading_coefficient():
+    # E_n = f_n of H(k+1, k, ..., k, k+1), the sizes polynomials in k
+    for n in range(2, 11):
+        sizes = [X + 1] + [X] * (n - 2) + [X + 1]
+        base = path_graph([f"v{i}" for i in range(n)])
+        assert family("E", n).poly == leading_f_second(base, sizes), n
 
 
 def test_family_unknown_tag():
