@@ -305,65 +305,73 @@ def count_real_roots(p: UnivariatePoly) -> int:
 
 
 # -- the recurrence families ------------------------------------------
+#
+# Each family builds integer coefficient lists, low degree first, in k;
+# `family` makes the polynomial once at the end.
 
-_K = UnivariatePoly.x()  # the family variable
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """a + b."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b + [0] * (len(a) - len(b)))]
 
 
-def _family_A(n: int) -> UnivariatePoly:
-    a, b = UnivariatePoly.ONE, _K + 1  # A_0, A_1
+def _times_k_plus(c: int, a: list[int]) -> list[int]:
+    """(k + c) a."""
+    return _add([0, *a], [c * x for x in a])
+
+
+def _family_A(n: int) -> list[int]:
+    a, b = [1], [1, 1]  # A_0, A_1
     if n == 0:
         return a
     for _ in range(n - 1):
-        a, b = b, _K * (a + b)
+        a, b = b, [0, *_add(a, b)]  # A_m = k (A_{m-2} + A_{m-1})
     return b
 
 
-def _family_B(n: int) -> UnivariatePoly:
+def _family_B(n: int) -> list[int]:
     # B_n = f_n(k+1, ..., k+1, k+3) = (k+2) A_{n-1} + k A_{n-2} for
     # n >= 2; forced base cases B_0 = 1, B_1 = k+3
     if n == 0:
-        return UnivariatePoly.ONE
+        return [1]
     if n == 1:
-        return _K + 3
-    a, b = UnivariatePoly.ONE, _K + 1  # A_{m-2}, A_{m-1} at m = 2
-    for _ in range(n - 2):
-        a, b = b, _K * (a + b)
-    return (_K + 2) * b + _K * a
+        return [3, 1]
+    return _add(_times_k_plus(2, _family_A(n - 1)), [0, *_family_A(n - 2)])
 
 
-def _family_L(n: int) -> UnivariatePoly:
+def _family_L(n: int) -> list[int]:
     if n < 2:
         raise RootError("L_n is defined for n >= 2")
     if n == 2:
-        return (_K + 2) * (_K + 4)
-    return (_K + 2) * _family_B(n - 1) + _K * _family_B(n - 2)
+        return [8, 6, 1]  # (k+2)(k+4)
+    return _add(_times_k_plus(2, _family_B(n - 1)), [0, *_family_B(n - 2)])
 
 
-def _family_Phi(n: int) -> UnivariatePoly:
-    a, b = UnivariatePoly.ONE, _K  # Phi_0, Phi_1
+def _family_Phi(n: int) -> list[int]:
+    a, b = [1], [0, 1]  # Phi_0, Phi_1
     if n == 0:
         return a
-    for _ in range(n - 1):
-        a, b = b, _K * b - a
+    for _ in range(n - 1):  # Phi_m = k Phi_{m-1} - Phi_{m-2}
+        a, b = b, _add([0, *b], [-x for x in a])
     return b
 
 
-def _family_E(n: int) -> UnivariatePoly:
+def _family_E(n: int) -> list[int]:
     # E_n = f_n of the second-kind path extension H(k+1, k, ..., k, k+1)
     # (extensions.leading_f_second), built without Phi so that the
     # identity E_n = (k+2) Phi_{n-1} is a check.  On a path, with
     # F = f(a_1, ..., a_m) and G = f(a_1, ..., a_m - 1), adding clique m
     # gives G <- (a_m - 2) F + G and then F <- F + G, from F = a_1 and
-    # G = a_1 - 1.  F and G are integer coefficient lists, low degree
-    # first, and a_m - 2 = k - c
+    # G = a_1 - 1, where a_m - 2 = k - 2, or k - 1 at the last clique
     if n < 1:
         raise RootError("E_n is defined for n >= 1")
     f, g = [1, 1], [0, 1]  # k + 1, k
     for m in range(2, n + 1):
-        c = 1 if m == n else 2
-        g = [s - c * a + b for s, a, b in zip([0] + f, f + [0], g + [0])]
-        f = [a + b for a, b in zip(f + [0], g)]
-    return UnivariatePoly.of(*f)
+        g = _add(_times_k_plus(-1 if m == n else -2, f), g)
+        f = _add(f, g)
+    return f
 
 
 _FAMILIES = {
@@ -389,7 +397,7 @@ def family(tag: str, n: int, k=None):
         raise RootError(f"unknown family {tag!r}; choose from {sorted(_FAMILIES)}")
     if n < 0:
         raise RootError("family index must be nonnegative")
-    p = _FAMILIES[tag](n)
+    p = UnivariatePoly.of(*_FAMILIES[tag](n))
     if k is not None:
         return p(Fraction(k))
     return FamilyPoly(tag, n, p)

@@ -127,10 +127,10 @@ models, not colorings), so a refutation is a proof relative to them.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import operator
 import time
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -147,6 +147,8 @@ from .games import (
     uniform_game,
 )
 from .graphs import Graph, maximal_cliques
+
+logger = logging.getLogger(__name__)
 
 COLORING_GUARD = 10**7
 CONFIG_GUARD = 10**5
@@ -385,16 +387,20 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     per heap entry instead of O(n) per decision.
 
     The search works on `clauses` in place and appends the clauses it
-    learns, as int arrays.  Returns (model | None, counts), or raises
-    _Timeout with args (counts,).  counts holds decisions, conflicts,
-    restarts, propagations (assignments other than decisions) and learned
-    (clauses added).  Any timeout_ms other than None sets a deadline,
-    checked after each conflict and before each decision."""
+    learns, as lists of the int objects that `neg` and the given clauses
+    hold.  Returns (model | None, counts), or raises _Timeout with
+    args (counts,).  counts holds decisions, conflicts, restarts,
+    propagations (assignments other than decisions) and learned (clauses
+    added).  Any timeout_ms other than None sets a deadline, checked
+    after each conflict and before each decision.  Each restart logs the
+    counts so far and the seconds since the search began to the
+    "hatlab.solver" logger at DEBUG level."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
     # neg[lit] is -lit, one int object per literal: propagate stores
-    # false literals into clauses, and fresh ints there would pile up
+    # false literals into clauses and analyze builds learned clauses from
+    # it, so all clauses share these ints instead of holding fresh ones
     neg = [0] * (2 * num_vars + 1)
     for v in range(1, num_vars + 1):
         neg[v], neg[-v] = -v, v
@@ -432,30 +438,36 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 
     trail: list[int] = []
     trail_lim: list[int] = []  # trail length at each decision
+    seen = [False] * (num_vars + 1)  # analyze's marks, all False between calls
     qhead = 0
     decisions = 0
     conflicts = 0
     restarts = 0
     undone = 0  # trail entries popped by backjumps
-    if timeout_ms is None:
-        deadline = None
-    else:
-        deadline = time.monotonic() + timeout_ms / 1000.0
+    start = time.monotonic()
+    deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
 
     def enqueue(lit: int, why):
         val[lit] = 1
         val[-lit] = -1
-        v = abs(lit)
+        v = lit if lit > 0 else -lit
         level[v] = len(trail_lim)
         reason[v] = why
         trail.append(lit)
 
-    def propagate():
+    # the hot functions below bind the search state as default arguments,
+    # which they read as fast locals rather than as cells of this frame
+
+    def propagate(
+        val=val, neg=neg, watches=watches, level=level, reason=reason,
+        trail=trail, trail_lim=trail_lim,
+    ):
         nonlocal qhead
+        head = qhead  # local until the return
         lvl = len(trail_lim)  # no decision is made inside
-        while qhead < len(trail):
-            fl = neg[trail[qhead]]  # literal that became false
-            qhead += 1
+        while head < len(trail):
+            fl = neg[trail[head]]  # literal that became false
+            head += 1
             wl = watches[fl]
             n = len(wl)  # only the swap-remove below changes it
             i = 0
@@ -482,40 +494,49 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
                         break
                 else:
                     if val_first == -1:
+                        qhead = head
                         return cl  # conflict
                     # enqueue(first, cl), inlined on this hot path
                     val[first] = 1
                     val[-first] = -1
-                    v = abs(first)
+                    v = first if first > 0 else -first
                     level[v] = lvl
                     reason[v] = cl
                     trail.append(first)
                     i += 1
+        qhead = head
         return None
 
-    def analyze(cl: list[int]):
+    def analyze(
+        cl: list[int], seen=seen, neg=neg, level=level, reason=reason,
+        activity=activity, trail=trail, trail_lim=trail_lim,
+    ):
         """First-UIP learned clause and the backjump level."""
         lower = []  # the clause's literals below the current level
-        seen = [False] * (num_vars + 1)
         counter = 0  # literals of the current level still to resolve
         lit = 0
         idx = len(trail) - 1
         cur_level = len(trail_lim)
         while True:
             for q in cl if lit == 0 else cl[1:]:
-                v = abs(q)
-                if seen[v] or level[v] == 0:
+                v = q if q > 0 else -q
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv == 0:
                     continue
                 seen[v] = True
                 activity[v] += 1
-                if level[v] == cur_level:
+                if lv == cur_level:
                     counter += 1
                 else:
                     lower.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             lit = trail[idx]
-            v = abs(lit)
+            v = lit if lit > 0 else -lit
+            while not seen[v]:
+                idx -= 1
+                lit = trail[idx]
+                v = lit if lit > 0 else -lit
             seen[v] = False
             idx -= 1
             counter -= 1
@@ -527,26 +548,35 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             if cl[0] != lit:
                 cl[cl.index(lit)] = cl[0]
                 cl[0] = lit
+        # every mark of the current level was cleared as it resolved
+        for q in lower:
+            seen[q if q > 0 else -q] = False
         # the asserting (UIP) literal first.  No learned clause is ever
-        # deleted, so they are most of a long search's memory; an array
-        # takes 4 bytes a literal where a list takes 8 and a larger header
-        learned = array("i", [-lit, *lower])
-        if not lower:
-            return learned, 0
-        # backjump to the second-highest level in the clause
-        bj = max(level[abs(q)] for q in lower)
-        # watch a literal of the backjump level in slot 1
-        for k in range(1, len(learned)):
-            if level[abs(learned[k])] == bj:
-                learned[1], learned[k] = learned[k], learned[1]
-                break
+        # deleted, so they are most of a long search's memory: a list of
+        # shared ints takes 8 bytes a literal, but propagate reads it
+        # without making an int per visit
+        learned = [neg[lit], *lower]
+        # backjump to the second-highest level in the clause, and watch
+        # its first literal of that level in slot 1
+        bj = 0
+        slot = 1
+        for k, q in enumerate(lower, 1):
+            lv = level[q if q > 0 else -q]
+            if lv > bj:
+                bj, slot = lv, k
+        if bj:
+            learned[1], learned[slot] = learned[slot], learned[1]
         return learned, bj
 
-    def backjump(lvl: int):
+    def backjump(
+        lvl: int, val=val, phase=phase, reason=reason, activity=activity,
+        queued=queued, order=order, trail=trail, trail_lim=trail_lim,
+        stride=stride,
+    ):
         nonlocal qhead, undone
         target = trail_lim[lvl]
         for lit in trail[target:]:
-            v = abs(lit)
+            v = lit if lit > 0 else -lit
             phase[v] = val[v]
             val[v] = val[-v] = 0
             reason[v] = None
@@ -598,6 +628,11 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             conflicts_since_restart = 0
             restarts += 1
             restart_limit = restart_limit * 3 // 2
+            logger.debug(
+                "restart %d: %d conflicts, %d decisions, %d learned, %.3f s",
+                restarts, conflicts, decisions, len(clauses) - given,
+                time.monotonic() - start,
+            )
             if trail_lim:
                 backjump(0)
             continue

@@ -226,6 +226,60 @@ def test_family_E_is_a_second_kind_leading_coefficient():
         assert family("E", n).poly == leading_f_second(base, sizes), n
 
 
+# The recurrences as they were on Fraction polynomials, the reference
+# for the integer ones of `roots`.
+
+
+def _reference_family_A(n):
+    a, b = UnivariatePoly.ONE, X + 1
+    if n == 0:
+        return a
+    for _ in range(n - 1):
+        a, b = b, X * (a + b)
+    return b
+
+
+def _reference_family_B(n):
+    if n == 0:
+        return UnivariatePoly.ONE
+    if n == 1:
+        return X + 3
+    return (X + 2) * _reference_family_A(n - 1) + X * _reference_family_A(n - 2)
+
+
+def _reference_family_L(n):
+    if n == 2:
+        return (X + 2) * (X + 4)
+    return (X + 2) * _reference_family_B(n - 1) + X * _reference_family_B(n - 2)
+
+
+def _reference_family_Phi(n):
+    a, b = UnivariatePoly.ONE, X
+    if n == 0:
+        return a
+    for _ in range(n - 1):
+        a, b = b, X * b - a
+    return b
+
+
+@pytest.mark.parametrize(
+    "tag, first, reference",
+    [
+        ("A", 0, _reference_family_A),
+        ("B", 0, _reference_family_B),
+        ("L", 2, _reference_family_L),
+        ("Phi", 0, _reference_family_Phi),
+        # E has no second recurrence; criterion 07's identity, which holds
+        # from n = 2 on, is its reference
+        ("E", 2, lambda n: (X + 2) * _reference_family_Phi(n - 1)),
+    ],
+)
+def test_family_matches_fraction_recurrence(tag, first, reference):
+    for n in range(first, 31):
+        assert family(tag, n).poly == reference(n), (tag, n)
+        assert family(tag, n, k=3) == reference(n)(Fraction(3))
+
+
 def test_family_unknown_tag():
     with pytest.raises(RootError, match="unknown family"):
         family("Q", 3)

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import logging
 import random
+from array import array
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -183,6 +186,39 @@ def test_search_counts_are_pinned(name):
     assert verdict.propagations > 0
     if verdict.status == WINNING:
         assert verify_strategy(game, verdict.strategy) is None
+
+
+# Propagations of the _PINNED searches, pinned apart from _PINNED so that
+# a change that keeps decisions and conflicts but moves the propagation
+# order still shows.
+_PINNED_PROPAGATIONS = {
+    "K3 (4,4,4)": 65975,
+    "K3 (3,3,4)": 10555,
+    "K4 h=4": 65274,
+    "C4 h=3": 783,
+    "P5 h=3": 870,
+    "H2^4 h=4": 35652,
+    "K3 (3,4,4)": 10312,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_search_propagations_are_pinned(name):
+    assert search_game(_PINNED[name][0]()).propagations == _PINNED_PROPAGATIONS[name]
+
+
+def test_restarts_log_progress_at_debug_only(caplog):
+    game = _PINNED["K3 (4,4,4)"][0]()
+    search_game(game)
+    assert not caplog.records  # the default level logs nothing
+    with caplog.at_level(logging.DEBUG, logger="hatlab.solver"):
+        verdict = search_game(game)
+    assert verdict.restarts == 5
+    records = [r for r in caplog.records if r.name == "hatlab.solver"]
+    assert len(records) == len(caplog.records) == 5
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert records[0].getMessage().startswith("restart 1: 100 conflicts, ")
+    assert records[-1].getMessage().startswith("restart 5: ")
 
 
 def test_hg_search_k3():
@@ -746,3 +782,272 @@ def test_timeout_of_zero_or_less_stops_at_once(timeout_ms):
     assert verdict.decisions <= 1
     assert set(verdict.seconds) == {"encode", "search"}
     assert decide_game(game, timeout_ms=timeout_ms).status == UNKNOWN
+
+
+# -- reference: the search with array-backed learned clauses -------------
+#
+# `_dpll` stores learned clauses as lists and reads its state as locals.
+# Neither may change the search.  This is the search it replaced; the tests
+# below require the same model, the same counts and, clause by clause, the
+# same final clause list, which holds every learned clause and every watch
+# move as the literal order each clause was left in.
+
+
+def _reference_dpll(num_vars: int, clauses: list[list[int]]):
+    """`solver._dpll` as it was with learned clauses as int arrays and
+    its state read from closure cells, without the deadline."""
+    # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
+    # negative literals index from the end, so val[-v] == -val[v]
+    val = [0] * (2 * num_vars + 1)
+    # neg[lit] is -lit, one int object per literal: propagate stores
+    # false literals into clauses, and fresh ints there would pile up
+    neg = [0] * (2 * num_vars + 1)
+    for v in range(1, num_vars + 1):
+        neg[v], neg[-v] = -v, v
+    level = [0] * (num_vars + 1)
+    reason: list = [None] * (num_vars + 1)  # clause of implied vars
+    activity = [0] * (num_vars + 1)
+    phase = [-1] * (num_vars + 1)  # last assigned polarity; initially false
+    # watched clauses by literal; lists hold the clauses themselves, not
+    # their indices, which spares a lookup per visit and an int per clause
+    watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+
+    def watch_clause(cl: list[int]):
+        if len(cl) == 1:
+            cl.append(cl[0])  # duplicate literal; keeps two watch slots
+        watches[cl[0]].append(cl)
+        watches[cl[1]].append(cl)
+
+    if not all(clauses):
+        # an empty clause is false under every assignment: a conflict at
+        # level 0 before any search
+        return None, dict(
+            decisions=0, conflicts=1, restarts=0, propagations=0, learned=0
+        )
+    for cl in clauses:
+        watch_clause(cl)
+    given = len(clauses)
+    # the order heap; all activities start at 0, so the sorted entries
+    # form a heap.  queued[v] is v's newest entry still in order, or 0; a
+    # variable gets no second copy of a current entry, so the heap holds
+    # one entry per variable plus the stale ones that bumps leave until
+    # they pop or a rescale drops them
+    stride = num_vars + 1
+    queued = list(range(num_vars + 1))
+    order = queued[1:]
+
+    trail: list[int] = []
+    trail_lim: list[int] = []  # trail length at each decision
+    qhead = 0
+    decisions = 0
+    conflicts = 0
+    restarts = 0
+    undone = 0  # trail entries popped by backjumps
+
+    def enqueue(lit: int, why):
+        val[lit] = 1
+        val[-lit] = -1
+        v = abs(lit)
+        level[v] = len(trail_lim)
+        reason[v] = why
+        trail.append(lit)
+
+    def propagate():
+        nonlocal qhead
+        lvl = len(trail_lim)  # no decision is made inside
+        while qhead < len(trail):
+            fl = neg[trail[qhead]]  # literal that became false
+            qhead += 1
+            wl = watches[fl]
+            n = len(wl)  # only the swap-remove below changes it
+            i = 0
+            while i < n:
+                cl = wl[i]
+                first = cl[0]
+                if first == fl:
+                    first = cl[0] = cl[1]
+                    cl[1] = fl
+                # cl[1] is the false watch now
+                val_first = val[first]
+                if val_first == 1:
+                    i += 1
+                    continue
+                for k in range(2, len(cl)):
+                    other = cl[k]
+                    if val[other] != -1:
+                        cl[1] = other
+                        cl[k] = fl
+                        watches[other].append(cl)
+                        n -= 1
+                        wl[i] = wl[n]
+                        wl.pop()
+                        break
+                else:
+                    if val_first == -1:
+                        return cl  # conflict
+                    # enqueue(first, cl), inlined on this hot path
+                    val[first] = 1
+                    val[-first] = -1
+                    v = abs(first)
+                    level[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
+                    i += 1
+        return None
+
+    def analyze(cl: list[int]):
+        """First-UIP learned clause and the backjump level."""
+        lower = []  # the clause's literals below the current level
+        seen = [False] * (num_vars + 1)
+        counter = 0  # literals of the current level still to resolve
+        lit = 0
+        idx = len(trail) - 1
+        cur_level = len(trail_lim)
+        while True:
+            for q in cl if lit == 0 else cl[1:]:
+                v = abs(q)
+                if seen[v] or level[v] == 0:
+                    continue
+                seen[v] = True
+                activity[v] += 1
+                if level[v] == cur_level:
+                    counter += 1
+                else:
+                    lower.append(q)
+            while not seen[abs(trail[idx])]:
+                idx -= 1
+            lit = trail[idx]
+            v = abs(lit)
+            seen[v] = False
+            idx -= 1
+            counter -= 1
+            if counter == 0:
+                break
+            cl = reason[v]
+            # put the resolved variable's literal first so the [1:] skip
+            # above drops it
+            if cl[0] != lit:
+                cl[cl.index(lit)] = cl[0]
+                cl[0] = lit
+        # the asserting (UIP) literal first.  No learned clause is ever
+        # deleted, so they are most of a long search's memory; an array
+        # takes 4 bytes a literal where a list takes 8 and a larger header
+        learned = array("i", [-lit, *lower])
+        if not lower:
+            return learned, 0
+        # backjump to the second-highest level in the clause
+        bj = max(level[abs(q)] for q in lower)
+        # watch a literal of the backjump level in slot 1
+        for k in range(1, len(learned)):
+            if level[abs(learned[k])] == bj:
+                learned[1], learned[k] = learned[k], learned[1]
+                break
+        return learned, bj
+
+    def backjump(lvl: int):
+        nonlocal qhead, undone
+        target = trail_lim[lvl]
+        for lit in trail[target:]:
+            v = abs(lit)
+            phase[v] = val[v]
+            val[v] = val[-v] = 0
+            reason[v] = None
+            entry = v - activity[v] * stride
+            if queued[v] != entry:
+                queued[v] = entry
+                heappush(order, entry)
+        undone += len(trail) - target
+        del trail[target:]
+        del trail_lim[lvl:]
+        qhead = target
+
+    def rescale():
+        for v in range(1, num_vars + 1):
+            activity[v] >>= 1
+            queued[v] = v - activity[v] * stride if val[v] == 0 else 0
+        order[:] = [entry for entry in queued if entry]
+        heapify(order)
+
+    def counts() -> dict:
+        return dict(
+            decisions=decisions,
+            conflicts=conflicts,
+            restarts=restarts,
+            propagations=undone + len(trail) - decisions,
+            learned=len(clauses) - given,
+        )
+
+    restart_limit = 100
+    conflicts_since_restart = 0
+    while True:
+        conflict = propagate()
+        if conflict is not None:
+            conflicts += 1
+            conflicts_since_restart += 1
+            if not trail_lim:
+                return None, counts()
+            learned, bj = analyze(conflict)
+            backjump(bj)
+            clauses.append(learned)
+            watch_clause(learned)
+            enqueue(learned[0], learned)
+            if conflicts % 256 == 0:
+                rescale()
+            continue
+        if conflicts_since_restart >= restart_limit:
+            conflicts_since_restart = 0
+            restarts += 1
+            restart_limit = restart_limit * 3 // 2
+            if trail_lim:
+                backjump(0)
+            continue
+        while order:
+            entry = heappop(order)
+            best = entry % stride
+            if queued[best] == entry:
+                queued[best] = 0
+            if val[best] == 0 and entry == best - activity[best] * stride:
+                break
+        else:
+            model = [val[v] == 1 for v in range(num_vars + 1)]
+            return model, counts()
+        decisions += 1
+        trail_lim.append(len(trail))
+        enqueue(best * phase[best], None)  # saved phase; false on first use
+
+
+def _assert_same_search(num_vars, clauses):
+    """`_dpll`'s (model, counts), asserting the reference's path."""
+    got_clauses = [list(c) for c in clauses]
+    want_clauses = [list(c) for c in clauses]
+    got = _dpll(num_vars, got_clauses)
+    assert got == _reference_dpll(num_vars, want_clauses)
+    assert list(map(list, got_clauses)) == list(map(list, want_clauses))
+    return got
+
+
+def _small_game(rng):
+    """1-4 vertices, random edges, h in 1..3 and g in 1..h."""
+    names = [f"v{i}" for i in range(rng.randint(1, 4))]
+    edges = {e for e in itertools.combinations(names, 2) if rng.random() < 0.6}
+    h = {v: rng.randint(1, 3) for v in names}
+    g = {v: rng.randint(1, h[v]) for v in names}
+    return make_game(make_graph(names, edges), h, g)
+
+
+def test_search_matches_reference_on_random_games():
+    rng = random.Random(20261023)
+    models = learned = 0
+    for _ in range(400):
+        cnf = encode(_small_game(rng))
+        model, counts = _assert_same_search(cnf.num_vars, cnf.clauses)
+        models += model is not None
+        learned += counts["learned"]
+    assert 0 < models < 400  # both verdicts
+    assert learned > 1000
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_search_matches_reference_on_pinned_games(name):
+    cnf = encode(_PINNED[name][0]())
+    _assert_same_search(cnf.num_vars, cnf.clauses)
