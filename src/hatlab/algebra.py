@@ -45,9 +45,8 @@ from .games import (
     HatGame,
     checked_counts,
     criterion_of_counts,
-    make_game,
 )
-from .graphs import GraphError, make_graph
+from .graphs import Graph, GraphError
 
 
 class ExprError(ValueError):
@@ -202,9 +201,11 @@ class _Table:
         """A clique leaf, checked as complete_graph and make_game check
         it."""
         verts = tuple(leaf.vertices)
-        known = set(verts)
-        if len(known) < len(verts):
-            make_graph(verts, ())  # raises on the first duplicate vertex
+        known = set()
+        for v in verts:
+            if v in known:
+                raise GraphError(f"duplicate vertex {v!r}")
+            known.add(v)
         h, g = checked_counts(verts, known, leaf.h, leaf.g)
         crit = criterion_of_counts(h, g)
         status = WINNING if crit.winning else LOSING
@@ -322,13 +323,17 @@ class _Table:
     def certificate(self, root: _Node) -> Certificate:
         names = self.names(root)
         order = [i for i in range(len(self.alive)) if self.alive[i]]
-        edges = [
-            (names[i], names[j]) for i in order for j in self.adj[i] if i < j
-        ]
-        graph = make_graph([names[i] for i in order], edges)
+        # the leaves were checked and every step keeps the table valid, so
+        # the graph and the game are built trusted, each live id renumbered
+        # to its rank among the live ones
+        rank = dict(zip(order, range(len(order))))
+        graph = Graph(
+            tuple(names[i] for i in order),
+            [frozenset(map(rank.__getitem__, self.adj[i])) for i in order],
+        )
         h = {names[i]: self.h[i] for i in order}
         g = {names[i]: self.g[i] for i in order}
-        return Certificate(make_game(graph, h, g), root.status, root.obstacle)
+        return Certificate(HatGame(graph, h, g), root.status, root.obstacle)
 
 
 def _children(e) -> tuple:

@@ -287,7 +287,7 @@ def _cmd_stats(args) -> int:
     st = stats(graph)
     payload = {
         "vertices": len(graph.vertices),
-        "edges": len(graph.edges),
+        "edges": sum(map(len, graph.adj)) // 2,
         "degrees": dict(st.degrees),
         "max_degree": st.max_degree,
         "connected": st.connected,

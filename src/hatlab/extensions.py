@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from operator import mul
 
-from .graphs import Graph, make_graph
+from .graphs import Graph, bridged_cliques
 from .indpoly import eval_P, univariate_P, univariate_U
 from .poly import UnivariatePoly
 
@@ -52,18 +51,11 @@ def _clique_vertex_names(base: Graph, sizes) -> list[list[str]]:
     return out
 
 
-def _with_cliques(cliques, edges: set) -> Graph:
-    """The graph on the clique vertices with the given edges, each clique
-    made complete."""
-    for cl in cliques:
-        edges.update(combinations(cl, 2))
-    return make_graph([v for cl in cliques for v in cl], edges)
-
-
 def build_first_kind(base: Graph, sizes) -> Graph:
     """Attach a clique K_{a_i} at each base vertex by vertex gluing; the
     base vertex is the marked vertex of its clique."""
-    return _with_cliques(_clique_vertex_names(base, sizes), set(base.edges))
+    bridges = [((i, 0), (j, 0)) for i, nb in enumerate(base.adj) for j in nb if i < j]
+    return bridged_cliques(_clique_vertex_names(base, sizes), bridges)
 
 
 def build_second_kind(base: Graph, sizes) -> Graph:
@@ -72,21 +64,21 @@ def build_second_kind(base: Graph, sizes) -> Graph:
     each marked vertex carrying exactly one bridge.  Bridges are assigned
     to the lowest-indexed unused marked vertex in each clique."""
     cliques = _clique_vertex_names(base, sizes)
-    index = {v: i for i, v in enumerate(base.vertices)}
     for v, a in zip(base.vertices, sizes):
         if a < base.degree(v):
             raise ExtensionError(
                 f"clique size {a} at {v!r} is below its degree "
                 f"{base.degree(v)}: each marked vertex carries one bridge"
             )
-    bridges = set()
+    bridges = []
     used = [0] * len(base.vertices)
+    index = base.index
     for (u, v) in sorted(base.edges, key=lambda e: (index[e[0]], index[e[1]])):
         i, j = index[u], index[v]
-        bridges.add((cliques[i][used[i]], cliques[j][used[j]]))
+        bridges.append(((i, used[i]), (j, used[j])))
         used[i] += 1
         used[j] += 1
-    return _with_cliques(cliques, bridges)
+    return bridged_cliques(cliques, bridges)
 
 
 def clique_of_vertex(base: Graph, sizes) -> dict[str, int]:
@@ -102,10 +94,9 @@ def _suffix_neighbor_counts(base: Graph) -> list[int]:
     """For each prefix length m, the degree d of v_m such that the
     neighbors of v_m among v_1..v_{m-1} are exactly v_{m-1}..v_{m-d};
     raises when the ordering is not suffix-contiguous."""
-    idx = {v: i for i, v in enumerate(base.vertices)}
     ds = []
     for m, v in enumerate(base.vertices):
-        before = sorted(idx[u] for u in base.neighbors(v) if idx[u] < m)
+        before = sorted(u for u in base.adj[m] if u < m)
         d = len(before)
         if before != list(range(m - d, m)):
             raise ExtensionError(

@@ -32,7 +32,7 @@ from .extensions import (
     build_first_kind,
     build_second_kind,
 )
-from .graphs import Graph, make_graph, path_graph
+from .graphs import Graph, bridged_cliques, path_graph
 from .poly import UnivariatePoly
 
 
@@ -185,25 +185,19 @@ def build_chain_graph(n: int, l: int, variant: str = "standard") -> Graph:
     if l < 3:
         raise GalleryError("chains need l >= 3")
     sizes = _chain_sizes(n, l, variant)
-    verts = []
-    edges = set()
-    for i, size in enumerate(sizes):
-        cl = [f"c{i}v{j}" for j in range(size)]
-        verts.extend(cl)
-        for a in range(size):
-            for b in range(a + 1, size):
-                edges.add((cl[a], cl[b]))
-    for i in range(n - 1):
-        right = f"c{i}v{min(1, sizes[i] - 1)}"
-        left = f"c{i + 1}v0"
-        edges.add((right, left))
-    if variant == "minus":
-        last = sizes[-1]
-        if last < 3:
-            raise GalleryError("minus variant needs a last clique K_3 or larger")
-        # the bridge endpoint of the last clique is c{n-1}v0
-        edges.remove((f"c{n - 1}v1", f"c{n - 1}v2"))
-    return make_graph(verts, edges)
+    if variant == "minus" and sizes[-1] < 3:
+        raise GalleryError("minus variant needs a last clique K_3 or larger")
+    cliques = [[f"c{i}v{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    # c{i}v1 (c{i}v0 in a K_1) is bridged to c{i+1}v0
+    bridges = [((i, min(1, sizes[i] - 1)), (i + 1, 0)) for i in range(n - 1)]
+    graph = bridged_cliques(cliques, bridges)
+    if variant != "minus":
+        return graph
+    # the bridge endpoint of the last clique is c{n-1}v0: drop v1 -- v2
+    a = len(graph) - sizes[-1] + 1
+    adj = list(graph.adj)
+    adj[a], adj[a + 1] = adj[a] - {a + 1}, adj[a + 1] - {a}
+    return Graph(graph.vertices, adj)
 
 
 def _bridged_chain_expr(n: int, end, inner) -> GameExpr:

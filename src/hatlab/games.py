@@ -49,7 +49,7 @@ def make_game(graph: Graph, h, g=None) -> HatGame:
     """Validate and build a game.  Missing g entries default to 1; g(v)
     larger than h(v) is clamped (a sage never needs more guesses than
     colors)."""
-    return HatGame(graph, *checked_counts(graph.vertices, graph._adj, h, g))
+    return HatGame(graph, *checked_counts(graph.vertices, graph.index, h, g))
 
 
 def _is_count(val) -> bool:

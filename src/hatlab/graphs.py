@@ -1,6 +1,21 @@
 """Simple undirected graphs with named vertices, plus the composition
 operations (clique join, vertex gluing, substitution) on whole graphs.
 
+Names live only at the edges of the program.  A `Graph` keeps its names
+in order, one `index` from name to position, and one integer adjacency:
+`adj[i]` is the frozenset of the positions of vertex i's neighbours.
+Both are built once.  The algorithms here, the solver's tables, the
+independence-polynomial evaluator and the extension recurrences read
+positions; `edges` and `neighbors` translate back to names on demand.
+== and hash compare the vertex order and the edge set.
+
+`make_graph` is the one validator of input from outside the program.
+Code that builds from data it already holds calls the trusted
+constructor `Graph(names, adj)`, which checks nothing: the joins below,
+`Graph.induced`, `algebra.eval_expr`, and `bridged_cliques`, which
+builds the extensions of `extensions` and the chain graphs of
+`gallery` from their cliques and bridges.
+
 Graphs are immutable values: every operation returns a new graph.  Under
 composition the operands are namespaced by their position ("L/" and "R/"
 prefixes) so that results are deterministic and collision-free; a glued
@@ -25,71 +40,100 @@ def _canon_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Graph:
+    """Names, their positions and the integer adjacency (module
+    docstring).  The constructor trusts `adj`: symmetric, loop-free and
+    in range, one entry per name, the names distinct."""
+
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    adj: tuple[frozenset[int], ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "adj", tuple(map(frozenset, self.adj)))
+        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.vertices)})
 
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The edges as name pairs (u, v) with u <= v."""
+        names = self.vertices
+        return frozenset(
+            _canon_edge(names[i], names[j])
+            for i, nb in enumerate(self.adj) for j in nb if i < j
+        )
+
     def neighbors(self, v: str) -> set[str]:
-        return self._adj[v]
+        return {self.vertices[j] for j in self.adj[self.index[v]]}
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self.adj[self.index[v]])
 
     def has_edge(self, u: str, v: str) -> bool:
-        return _canon_edge(u, v) in self.edges
+        i, j = self.index.get(u), self.index.get(v)
+        return i is not None and j in self.adj[i]
 
     def is_clique(self, S) -> bool:
-        S = list(S)
         return all(self.has_edge(u, v) for u, v in itertools.combinations(S, 2))
 
     def is_complete(self) -> bool:
-        return self.is_clique(self.vertices)
+        return all(len(nb) == len(self.adj) - 1 for nb in self.adj)
 
     def induced(self, keep) -> "Graph":
         keep = set(keep)
-        verts = tuple(v for v in self.vertices if v in keep)
-        edges = frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return Graph(verts, edges)
+        old = [i for i, v in enumerate(self.vertices) if v in keep]
+        if len(old) == len(self.vertices):
+            return self  # immutable, so the whole graph serves as is
+        new = {i: k for k, i in enumerate(old)}
+        return Graph(
+            tuple(self.vertices[i] for i in old),
+            [[new[j] for j in self.adj[i] if j in new] for i in old],
+        )
 
 
 def make_graph(vertices, edges) -> Graph:
     """Validate and build a graph. Rejects duplicate vertices, self-loops
     and edges with undeclared endpoints."""
     verts = tuple(vertices)
-    seen = set()
+    index = {}
     for v in verts:
-        if v in seen:
+        if v in index:
             raise GraphError(f"duplicate vertex {v!r}")
-        seen.add(v)
-    canon = set()
-    for e in edges:
-        u, v = e
+        index[v] = len(index)
+    adj = [set() for _ in verts]
+    for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop {u!r}")
-        if u not in seen:
-            raise GraphError(f"unknown endpoint {u!r}")
-        if v not in seen:
-            raise GraphError(f"unknown endpoint {v!r}")
-        canon.add(_canon_edge(u, v))
-    return Graph(verts, frozenset(canon))
+        for w in (u, v):
+            if w not in index:
+                raise GraphError(f"unknown endpoint {w!r}")
+        adj[index[u]].add(index[v])
+        adj[index[v]].add(index[u])
+    return Graph(verts, adj)
+
+
+def bridged_cliques(cliques, bridges) -> Graph:
+    """The graph on the names of `cliques` in order, each clique complete,
+    plus the bridges ((i, s), (j, t)), each joining member s of clique i
+    to member t of clique j.  Rejects a repeated name."""
+    off = list(itertools.accumulate(map(len, cliques), initial=0))
+    adj = [set(range(a, b)) - {k} for a, b in zip(off, off[1:]) for k in range(a, b)]
+    for (i, s), (j, t) in bridges:
+        adj[off[i] + s].add(off[j] + t)
+        adj[off[j] + t].add(off[i] + s)
+    graph = Graph(tuple(v for cl in cliques for v in cl), adj)
+    if len(graph.index) < len(graph):
+        make_graph(graph.vertices, ())  # raises on the first repeated name
+    return graph
 
 
 def complete_graph(names) -> Graph:
-    names = tuple(names)
-    return make_graph(names, itertools.combinations(names, 2))
+    return bridged_cliques([tuple(names)], ())
 
 
 def path_graph(names) -> Graph:
@@ -103,18 +147,19 @@ def path_graph(names) -> Graph:
 def _join(g1: Graph, S, g2: Graph, v: str) -> Graph:
     """g1 and g2 - v side by side, with every vertex of S joined to every
     former neighbor of v; "L/" and "R/" prefix the names."""
+    n1, cut = len(g1), g2.index[v]
     verts = ["L/" + u for u in g1.vertices]
     verts += ["R/" + u for u in g2.vertices if u != v]
-    edges = {_canon_edge("L/" + a, "L/" + b) for (a, b) in g1.edges}
-    edges |= {
-        _canon_edge("R/" + a, "R/" + b)
-        for (a, b) in g2.edges
-        if a != v and b != v
-    }
+    at = lambda j: n1 + j - (j > cut)  # g2's vertex j in the result
+    adj = [set(nb) for nb in g1.adj]
+    adj += [{at(j) for j in nb if j != cut} for i, nb in enumerate(g2.adj) if i != cut]
+    S = [g1.index[s] for s in S]
+    N = [at(j) for j in g2.adj[cut]]
     for s in S:
-        for u in g2.neighbors(v):
-            edges.add(_canon_edge("L/" + s, "R/" + u))
-    return Graph(tuple(verts), frozenset(edges))
+        adj[s].update(N)
+    for u in N:
+        adj[u].update(S)
+    return Graph(tuple(verts), adj)
 
 
 def clique_join(g1: Graph, S, g2: Graph, v: str) -> Graph:
@@ -124,11 +169,11 @@ def clique_join(g1: Graph, S, g2: Graph, v: str) -> Graph:
     Result names: left vertices get an "L/" prefix, right ones "R/"."""
     S = list(dict.fromkeys(S))
     for s in S:
-        if s not in g1._adj:
+        if s not in g1.index:
             raise GraphError(f"unknown vertex {s!r} in left operand")
     if not g1.is_clique(S):
         raise GraphError(f"S={S!r} is not a clique in the left operand")
-    if v not in g2._adj:
+    if v not in g2.index:
         raise GraphError(f"unknown vertex {v!r} in right operand")
     return _join(g1, S, g2, v)
 
@@ -141,7 +186,7 @@ def vertex_glue(g1: Graph, a1: str, g2: Graph, a2: str) -> Graph:
 def substitute(inner: Graph, outer: Graph, at: str) -> Graph:
     """Replace vertex `at` of `outer` by the whole graph `inner`; every
     inner vertex becomes adjacent to every former neighbor of `at`."""
-    if at not in outer._adj:
+    if at not in outer.index:
         raise GraphError(f"unknown vertex {at!r} in outer graph")
     return _join(inner, inner.vertices, outer, at)
 
@@ -156,12 +201,12 @@ class GraphStats:
     connected: bool = False
 
 
-def _bfs_dist(g: Graph, src: str) -> dict[str, int]:
+def _bfs_dist(adj, src: int) -> dict[int, int]:
     dist = {src: 0}
     q = deque([src])
     while q:
         u = q.popleft()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 q.append(w)
@@ -169,7 +214,7 @@ def _bfs_dist(g: Graph, src: str) -> dict[str, int]:
 
 
 def stats(g: Graph) -> GraphStats:
-    degrees = {v: g.degree(v) for v in g.vertices}
+    degrees = {v: len(nb) for v, nb in zip(g.vertices, g.adj)}
     max_degree = max(degrees.values(), default=0)
     return GraphStats(degrees, max_degree, len(components(g)) <= 1)
 
@@ -177,20 +222,21 @@ def stats(g: Graph) -> GraphStats:
 def components(g: Graph) -> list[set[str]]:
     """Vertex sets of the connected components, in declaration order of
     their first vertices."""
-    seen: set[str] = set()
+    names = g.vertices
+    seen: set[int] = set()
     comps = []
-    for v in g.vertices:
-        if v not in seen:
-            comp = set(_bfs_dist(g, v))
-            seen |= comp
-            comps.append(comp)
+    for i in range(len(names)):
+        if i not in seen:
+            comp = _bfs_dist(g.adj, i)
+            seen.update(comp)
+            comps.append({names[j] for j in comp})
     return comps
 
 
 def diameter(g: Graph) -> int:
     if len(components(g)) > 1:
         raise GraphError("diameter is undefined for a disconnected graph")
-    return max((max(_bfs_dist(g, v).values()) for v in g.vertices), default=0)
+    return max((max(_bfs_dist(g.adj, i).values()) for i in range(len(g))), default=0)
 
 
 # -- chordality --------------------------------------------------------
@@ -199,34 +245,32 @@ def diameter(g: Graph) -> int:
 def is_chordal(g: Graph):
     """Maximum cardinality search.  Returns a perfect elimination ordering
     (eliminate first element first) if the graph is chordal, else None."""
-    if not g.vertices:
-        return []
-    weight = {v: 0 for v in g.vertices}
-    position = {v: i for i, v in enumerate(g.vertices)}
+    adj = g.adj
+    weight = [0] * len(adj)
     # max (weight, -position) first, so ties go by declaration order; an
     # entry is stale once its vertex is visited or its weight has grown
-    heap = [(0, i, v) for i, v in enumerate(g.vertices)]
+    heap = [(0, i) for i in range(len(adj))]
     order = []  # MCS visit order
-    visited = set()
+    visited = [False] * len(adj)
     while heap:
-        w, _, best = heapq.heappop(heap)
-        if best in visited or -w != weight[best]:
+        w, best = heapq.heappop(heap)
+        if visited[best] or -w != weight[best]:
             continue
-        visited.add(best)
+        visited[best] = True
         order.append(best)
-        for u in g.neighbors(best):
-            if u not in visited:
+        for u in adj[best]:
+            if not visited[u]:
                 weight[u] += 1
-                heapq.heappush(heap, (-weight[u], position[u], u))
-    elim = list(reversed(order))
+                heapq.heappush(heap, (-weight[u], u))
+    order.reverse()
     # verify: each vertex's not-yet-eliminated neighborhood is a clique
-    remaining = set(g.vertices)
-    for v in elim:
-        remaining.discard(v)
-        nb = [u for u in g.neighbors(v) if u in remaining]
-        if not g.is_clique(nb):
+    gone = [False] * len(adj)
+    for v in order:
+        gone[v] = True
+        nb = [u for u in adj[v] if not gone[u]]
+        if not all(b in adj[a] for a, b in itertools.combinations(nb, 2)):
             return None
-    return elim
+    return [g.vertices[v] for v in order]
 
 
 # -- cliques -----------------------------------------------------------
@@ -239,22 +283,19 @@ def maximal_cliques(g: Graph):
     candidates, ties to the first vertex, and branches go in vertex order,
     so the sequence is fixed by the vertex order.  Recursion depth is the
     clique number."""
-    order = {v: i for i, v in enumerate(g.vertices)}
+    adj, names = g.adj, g.vertices
 
     def expand(clique, cand, done):
         if not cand and not done:
-            yield sorted(clique, key=order.get)
+            yield [names[i] for i in sorted(clique)]
             return
-        pivot = min(
-            cand | done, key=lambda u: (-len(cand & g.neighbors(u)), order[u])
-        )
-        for v in sorted(cand - g.neighbors(pivot), key=order.get):
-            nb = g.neighbors(v)
-            yield from expand(clique + [v], cand & nb, done & nb)
+        pivot = min(cand | done, key=lambda u: (-len(cand & adj[u]), u))
+        for v in sorted(cand - adj[pivot]):
+            yield from expand(clique + [v], cand & adj[v], done & adj[v])
             cand = cand - {v}
             done = done | {v}
 
-    yield from expand([], set(g.vertices), set())
+    yield from expand([], set(range(len(names))), set())
 
 
 # -- independent set oracle -------------------------------------------
@@ -268,11 +309,7 @@ def independent_sets(g: Graph, max_n: int = 20) -> list[frozenset]:
             f"graph has {len(g.vertices)} vertices, oracle guard is {max_n}"
         )
     sets = [frozenset()]
-    verts = g.vertices
-    for i, v in enumerate(verts):
-        new = []
-        for s in sets:
-            if not (g.neighbors(v) & s):
-                new.append(s | {v})
-        sets.extend(new)
+    for v in g.vertices:
+        nb = g.neighbors(v)
+        sets.extend([s | {v} for s in sets if not nb & s])
     return sets

@@ -88,22 +88,20 @@ class _Evaluator:
 
     def __init__(self, graph: Graph, x, sign: int = 1):
         names = graph.vertices
-        index = {v: i for i, v in enumerate(names)}
         xs = [x[v] for v in names]
-        nbrs = [[index[u] for u in graph.neighbors(v)] for v in names]
-        order = _elimination_order(nbrs)
+        order = _elimination_order(graph.adj)
         # bit[i]: the bit of vertex index i; adj and a are by bit position
         self.bit = [0] * len(names)
         for pos, i in enumerate(order):
             self.bit[i] = 1 << pos
-        self.adj = [sum(self.bit[u] for u in nbrs[i]) for i in order]
+        self.adj = [sum(self.bit[u] for u in graph.adj[i]) for i in order]
         self.scale = lcm(*(q.denominator for q in xs))
         self.a = [sign * xs[i].numerator * (self.scale // xs[i].denominator)
                   for i in order]
         # L^k for every k that _clique needs: |K| and |N(u) & S| are at
         # most the maximum degree plus one
         self.powers = [1]
-        for _ in range(max(map(len, nbrs), default=0) + 1):
+        for _ in range(max(map(len, graph.adj), default=0) + 1):
             self.powers.append(self.powers[-1] * self.scale)
         self.memo: dict[int, object] = {}
 

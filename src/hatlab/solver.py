@@ -175,10 +175,9 @@ class CNF:
 
 
 def _visible_order(game: HatGame) -> dict[str, tuple[str, ...]]:
-    order = {v: i for i, v in enumerate(game.vertices)}
+    names = game.vertices
     return {
-        v: tuple(sorted(game.graph.neighbors(v), key=order.get))
-        for v in game.vertices
+        v: tuple(names[j] for j in sorted(nb)) for v, nb in zip(names, game.graph.adj)
     }
 
 
@@ -705,39 +704,41 @@ def _peel_leaves(game: HatGame) -> tuple[list[tuple[str, str]], HatGame]:
     key is dropped.  h_B falls fewer than h_B times, so there are fewer
     than max h pushes per edge; nothing is enumerated, and the route
     runs on games beyond the guards."""
-    h = dict(game.h)
-    g = game.g
-    adj = {v: set(game.graph.neighbors(v)) for v in game.vertices}
-    pos = {v: i for i, v in enumerate(game.vertices)}
+    names = game.vertices
+    h = [game.h[v] for v in names]
+    g = [game.g[v] for v in names]
+    adj = dict(enumerate(map(set, game.graph.adj)))
 
-    def key(a: str) -> Optional[tuple[int, int, int]]:
+    def key(a: int) -> Optional[tuple[int, int, int]]:
         if a not in adj or len(adj[a]) != 1:
             return None
         (b,) = adj[a]
         kept = -(-h[b] * (h[a] - g[a]) // h[a])  # ceil, in integers
         if g[b] >= kept:  # also when g_A = h_A, as then kept = 0
             return None
-        return h[b] - kept, h[a], pos[a]
+        return h[b] - kept, h[a], a
 
-    heap = [k for k in map(key, game.vertices) if k is not None]
+    heap = [k for k in map(key, adj) if k is not None]
     heapify(heap)
     peels = []
     while heap:
         entry = heappop(heap)
-        a = game.vertices[entry[2]]
+        a = entry[2]
         if key(a) != entry:
             continue  # stale; the change that made it so pushed the new key
         (b,) = adj.pop(a)
         adj[b].remove(a)
         h[b] -= entry[0]
-        peels.append((a, b))
+        peels.append((names[a], names[b]))
         for c in (b, *adj[b]) if entry[0] else (b,):
             if (k := key(c)) is not None:
                 heappush(heap, k)
     if not peels:
         return peels, game
-    core = game.graph.induced(adj)
-    return peels, make_game(core, {v: h[v] for v in adj}, {v: g[v] for v in adj})
+    core = game.graph.induced(names[i] for i in adj)
+    return peels, make_game(
+        core, {names[i]: h[i] for i in adj}, {names[i]: g[i] for i in adj}
+    )
 
 
 def _heavy_clique(game: HatGame) -> Optional[tuple[list[str], Fraction]]:
@@ -851,10 +852,9 @@ def verify_strategy(game: HatGame, strategy: dict):
                 )
     # per sage: its table, the function reading what it sees off a
     # coloring tuple, and the position of its own color
-    pos = {v: i for i, v in enumerate(names)}
     sages = []
     for i, v in enumerate(names):
-        seen = [pos[u] for u in visible[v]]
+        seen = sorted(game.graph.adj[i])
         if not seen:
             sees = lambda phi: ()
         elif len(seen) == 1:

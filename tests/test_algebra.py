@@ -195,9 +195,9 @@ def _reference_join(rule, cl, S, cr, v):
     if not S:
         raise ExprError(f"{rule}: the glued clique S must not be empty")
     for s in S:
-        if s not in cl.game.graph._adj:
+        if s not in cl.game.graph.index:
             raise ExprError(f"{rule}: vertex {s!r} missing from left operand")
-    if v not in cr.game.graph._adj:
+    if v not in cr.game.graph.index:
         raise ExprError(f"{rule}: vertex {v!r} missing from right operand")
     graph = graphs.clique_join(cl.game.graph, S, cr.game.graph, v)
     h = glue_hatness(cl.game.h, S, cr.game.h, v)

@@ -280,6 +280,23 @@ def test_certify_malformed_expr_is_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, obj",
+    [
+        (["solve"], {"vertices": ["a", "b"], "edges": [[["a"], "b"]],
+                     "hatness": {"a": 2, "b": 2}}),
+        (["stats"], {"vertices": ["a", "b"], "edges": [[{"x": 1}, "b"]]}),
+    ],
+)
+def test_edge_endpoint_that_is_not_a_name_is_error(tmp_path, capsys, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code = main(command + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: /edges/0: expected a name pair\n"
+
+
+@pytest.mark.parametrize(
     "command", [["stats"], ["indpoly"], ["muhat"], ["export"], ["certify", "maximal"]]
 )
 def test_non_object_json_is_error(tmp_path, capsys, command):

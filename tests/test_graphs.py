@@ -1,12 +1,15 @@
+import heapq
 import itertools
 import random
 
 import pytest
 
 from hatlab.graphs import (
+    Graph,
     GraphError,
     clique_join,
     complete_graph,
+    components,
     diameter,
     independent_sets,
     is_chordal,
@@ -221,3 +224,179 @@ def test_maximal_cliques_match_brute_force():
         assert {frozenset(c) for c in found} == maximal
         index = {v: i for i, v in enumerate(names)}
         assert all(c == sorted(c, key=index.get) for c in found)
+
+
+# -- the integer core against name-keyed references -------------------
+#
+# Graph runs every algorithm on positions.  The references below are
+# written on names alone: a dict from each name to the set of its
+# neighbours' names, built from the edge list the graph was made from,
+# with the vertex order as the only tie-break.
+
+
+def _named_adj(names, edges):
+    adj = {v: set() for v in names}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _named_is_chordal(names, adj):
+    """Maximum cardinality search keyed by name, ties by vertex order."""
+    position = {v: i for i, v in enumerate(names)}
+    weight = {v: 0 for v in names}
+    heap = [(0, i, v) for i, v in enumerate(names)]
+    order, visited = [], set()
+    while heap:
+        w, _, best = heapq.heappop(heap)
+        if best in visited or -w != weight[best]:
+            continue
+        visited.add(best)
+        order.append(best)
+        for u in adj[best]:
+            if u not in visited:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], position[u], u))
+    elim = order[::-1]
+    remaining = set(names)
+    for v in elim:
+        remaining.discard(v)
+        nb = [u for u in adj[v] if u in remaining]
+        if any(b not in adj[a] for a, b in itertools.combinations(nb, 2)):
+            return None
+    return elim
+
+
+def _named_maximal_cliques(names, adj):
+    """Bron-Kerbosch with Tomita pivoting keyed by name."""
+    order = {v: i for i, v in enumerate(names)}
+    out = []
+
+    def expand(clique, cand, done):
+        if not cand and not done:
+            out.append(sorted(clique, key=order.get))
+            return
+        pivot = min(cand | done, key=lambda u: (-len(cand & adj[u]), order[u]))
+        for v in sorted(cand - adj[pivot], key=order.get):
+            expand(clique + [v], cand & adj[v], done & adj[v])
+            cand = cand - {v}
+            done = done | {v}
+
+    expand([], set(names), set())
+    return out
+
+
+def _named_dist(adj, src):
+    dist, todo = {src: 0}, [src]
+    for u in todo:
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                todo.append(w)
+    return dist
+
+
+def _named_components(names, adj):
+    comps, seen = [], set()
+    for v in names:
+        if v not in seen:
+            comps.append(set(_named_dist(adj, v)))
+            seen |= comps[-1]
+    return comps
+
+
+def _check_against_names(g, names, edges, rng):
+    adj = _named_adj(names, edges)
+    canon = {tuple(sorted(e)) for e in edges}
+    assert g.vertices == tuple(names)
+    assert g.edges == canon
+    for v in names:
+        assert g.neighbors(v) == adj[v]
+        assert g.degree(v) == len(adj[v])
+    pairs = list(itertools.product(names, repeat=2))
+    for u, v in rng.sample(pairs, min(len(pairs), 400)):
+        assert g.has_edge(u, v) == (tuple(sorted((u, v))) in canon)
+    assert not any(g.has_edge(v, "absent") or g.has_edge("absent", v) for v in names)
+    assert is_chordal(g) == _named_is_chordal(names, adj)
+    assert list(maximal_cliques(g)) == _named_maximal_cliques(names, adj)
+    comps = _named_components(names, adj)
+    assert components(g) == comps
+    if len(comps) == 1 and len(names) <= 100:
+        assert diameter(g) == max(max(_named_dist(adj, v).values()) for v in names)
+    keep = {v for v in names if rng.random() < 0.6}
+    sub = g.induced(keep)
+    sub_names = [v for v in names if v in keep]
+    sub_edges = {e for e in canon if e[0] in keep and e[1] in keep}
+    assert sub.vertices == tuple(sub_names)
+    assert sub.edges == sub_edges
+    assert sub == make_graph(sub_names, sub_edges)
+    # the trusted constructor on positions gives the validated graph
+    index = {v: i for i, v in enumerate(names)}
+    trusted = Graph(tuple(names), [{index[u] for u in adj[v]} for v in names])
+    assert trusted == g and hash(trusted) == hash(g)
+    assert trusted.index == index
+
+
+def _random_named_graph(rng):
+    n = rng.randint(0, 14)
+    names = [rng.choice(["v", "L/v", "R/x#"]) + str(i) for i in range(n)]
+    p = rng.choice([0.15, 0.3, 0.6])
+    edges = [(u, v) for u, v in itertools.combinations(names, 2) if rng.random() < p]
+    if rng.random() < 0.5:
+        rng.shuffle(names)
+    return names, [e[::-1] if rng.random() < 0.5 else e for e in edges]
+
+
+def test_int_core_matches_name_keyed_references_on_random_graphs():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        names, edges = _random_named_graph(rng)
+        _check_against_names(make_graph(names, edges), names, edges, rng)
+    for _ in range(100):
+        g = _random_chordal(rng, rng.randint(1, 20))
+        names = list(g.vertices)
+        rng.shuffle(names)
+        edges = list(g.edges)
+        _check_against_names(make_graph(names, edges), names, edges, rng)
+
+
+def _gallery_graphs():
+    from hatlab import gallery
+    from hatlab.algebra import eval_expr
+
+    exprs = [
+        gallery.build_delta6_hg8(),
+        gallery.build_scary(3),
+        gallery.build_scary(4),
+        gallery.build_delta_plus_k(1).expr,
+        gallery.build_chain(3, 5).expr,
+        gallery.build_chain(3, 5).muhat_expr,
+    ]
+    graphs = [eval_expr(e).game.graph for e in exprs]
+    graphs += [
+        gallery.build_chain_graph(4, l, variant)
+        for l in (3, 5)
+        for variant in gallery.VARIANTS
+        if (l, variant) != (3, "minus")
+    ]
+    graphs += [gallery.build_extension_example(k, 4, 2).graph for k in (1, 2, 3)]
+    return graphs
+
+
+def test_int_core_matches_name_keyed_references_on_gallery_graphs():
+    rng = random.Random(7)
+    for g in _gallery_graphs():
+        names = list(g.vertices)
+        edges = sorted(g.edges)
+        _check_against_names(g, names, edges, rng)
+        rng.shuffle(names)
+        _check_against_names(make_graph(names, edges), names, edges, rng)
+
+
+def test_graph_equality_and_hash_are_vertex_order_and_edge_set():
+    a = make_graph(["x", "y", "z"], [("x", "y"), ("z", "y")])
+    b = make_graph(["x", "y", "z"], [("y", "z"), ("y", "x"), ("x", "y")])
+    assert a == b and hash(a) == hash(b)
+    assert a != make_graph(["y", "x", "z"], [("x", "y"), ("z", "y")])
+    assert a != make_graph(["x", "y", "z"], [("x", "y")])

@@ -57,6 +57,16 @@ def test_graph_schema_errors_carry_pointers():
         graph_from_json({"vertices": ["a"], "edges": 5})
 
 
+@pytest.mark.parametrize(
+    "edges", [[["a", "b"], [["a"], "b"]], [["a", {"x": 1}]], [["a", 1]], [[None, "b"]]]
+)
+def test_graph_schema_rejects_edge_endpoints_that_are_not_names(edges):
+    # an unhashable endpoint used to escape as TypeError from make_graph
+    with pytest.raises(SchemaError) as info:
+        graph_from_json({"vertices": ["a", "b"], "edges": edges})
+    assert info.value.pointer == f"/edges/{len(edges) - 1}"
+
+
 def test_game_round_trip_classic_omits_guesses():
     game = uniform_game(complete_graph(["a", "b"]), 3)
     obj = game_to_json(game)
@@ -181,6 +191,27 @@ GALLERY_EXPRS = {
     "chain_3_5_lose": lambda: gallery.build_chain(3, 5).expr,
     "chain_3_5_muhat": lambda: gallery.build_chain(3, 5).muhat_expr,
 }
+
+
+# sha256 of the canonical game JSON that each gallery expression
+# evaluates to: pins the composite's vertex order, names, edges, h and g
+GALLERY_GAME_SHA256 = {
+    "delta6": "478e19e98f4bfca4a9ff6c27d7479a0637eea094bd54caa75391d3d04f74b22e",
+    "scary3": "0afb2c848ef0218494f2cf84160985fa0ea89ce653fb016af3167bcbbdd1642b",
+    "scary4": "70b48e0b4d2d4dbb794a10de936526b7cad5685f25a06734bb6e85ccd89f394c",
+    "delta_plus_1": "0c882abfa7e9576f48b5b790a5810089ecf0058d116a9a55939eecca9d219b92",
+    "delta_plus_3": "a8d0c084b5e6184fcbf3b86732ec23a42b94d54b15e5dc3002a29edc1a8202bd",
+    "chain_2_4": "48e52320cef4b2dacd4c7851bc12360d38d16a1d5711ea48d2bf948b4107e75d",
+    "chain_3_6": "9258476d96614239adc656287689160639dc7f30fa1dcb08cd6a46cecdeaff0b",
+    "chain_3_5_lose": "cc5d05d7419bb19b4ff87ceb7423f1252b97a0e505b270d3dcad9d60e25924f2",
+    "chain_3_5_muhat": "8628b19a1f5904b1055e137cbab630879c6b4f6a8cf9c8f55252f29bd0f7d159",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_EXPRS))
+def test_gallery_game_json_byte_identical(name):
+    text = canonical_dumps(game_to_json(eval_expr(GALLERY_EXPRS[name]()).game))
+    assert hashlib.sha256(text.encode()).hexdigest() == GALLERY_GAME_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY_EXPRS))
