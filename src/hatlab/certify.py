@@ -149,12 +149,14 @@ class Inconclusive:
 def check_maximal_direct(game: HatGame):
     """Decide maximality from the definition: Z(r) = 0 exactly and Z > 0
     on the box below r minus r, by the ray lemma of the module docstring.
-    A maximal game certifies the 2^n - 1 corners other than r."""
-    r, rays, z_at_r = _component_rays(game)
+    A maximal game certifies the 2^n - 1 corners other than r.  The ray
+    is built only when the values at r leave the question open: for a
+    connected graph with Z(r) = 0."""
+    r, parts, z_at_r = _component_values(game)
     if z_at_r != 0:
         return Refutation("Z(r) != 0", witness_point=r, witness_value=z_at_r)
-    if len(rays) > 1:
-        for comp, _, at_r in rays:
+    if len(parts) > 1:
+        for comp, _, at_r in parts:
             if at_r == 0:
                 point = {v: (r[v] if v in comp else Fraction(0)) for v in r}
                 return Refutation(
@@ -162,7 +164,7 @@ def check_maximal_direct(game: HatGame):
                     witness_point=point,
                     witness_value=Fraction(0),
                 )
-    t0 = unit_interval_root(rays[0][1])
+    t0 = unit_interval_root(z_ray(game.graph, r))
     if t0 is None:
         return MaximalityCertificate(
             game, z_at_r, method="ray", corner_count=2 ** len(r) - 1
@@ -175,18 +177,18 @@ def check_maximal_direct(game: HatGame):
     )
 
 
-def _component_rays(game: HatGame):
-    """r; each component W with its ray q_W(t) = Z_W(t r) and q_W(1); and
-    Z(r), the product of the q_W(1), since Z factors over the components."""
+def _component_values(game: HatGame):
+    """r; each component W with its induced graph and Z_W(r); and Z(r),
+    the product of the Z_W(r), since Z factors over the components."""
     r = fraction_vector(game)
-    rays = []
+    parts = []
     z = Fraction(1)
     for comp in components(game.graph):
-        q = z_ray(game.graph.induced(comp), r)
-        at_r = q(1)
+        sub = game.graph.induced(comp)
+        at_r = eval_Z(sub, r)
         z *= at_r
-        rays.append((comp, q, at_r))
-    return r, rays, z
+        parts.append((comp, sub, at_r))
+    return r, parts, z
 
 
 def _descend(graph: Graph, r: dict, t0: Fraction):
@@ -229,9 +231,12 @@ def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertific
 def losing_by_Z_positive(game: HatGame):
     """Losing certificate when r lies in Shearer's region, decided one
     component at a time by the ray (module docstring); inconclusive
-    otherwise.  Z(r) is the product of the components' q_W(1)."""
-    _, rays, z = _component_rays(game)
-    if all(at_r > 0 and unit_interval_root(q) is None for _, q, at_r in rays):
+    otherwise.  A component with Z_W(r) <= 0 settles it without rays.
+    Z(r) is the product of the components' Z_W(r)."""
+    r, parts, z = _component_values(game)
+    if all(at_r > 0 for _, _, at_r in parts) and all(
+        unit_interval_root(z_ray(sub, r)) is None for _, sub, _ in parts
+    ):
         return LosingCertificate(game, z)
     if z <= 0:
         return Inconclusive(f"Z(r) = {z} is not positive; the rule is silent")

@@ -242,35 +242,67 @@ def diameter(g: Graph) -> int:
 # -- chordality --------------------------------------------------------
 
 
-def is_chordal(g: Graph):
-    """Maximum cardinality search.  Returns a perfect elimination ordering
-    (eliminate first element first) if the graph is chordal, else None."""
+def perfect_elimination_order(g: Graph):
+    """Vertex positions in a perfect elimination ordering (eliminate the
+    first element first), or None if g is not chordal.
+
+    The order is the reverse of a maximum cardinality search, which finds
+    one exactly when g is chordal (Tarjan & Yannakakis, SIAM J. Comput.
+    1984).  It is checked by their parent rule as the search goes: the
+    later neighbours of v in the order are those visited before it, and
+    the earliest of them, p, is the last one visited.  The order is
+    perfect iff every later neighbour of v other than p is adjacent to p,
+    for every v.  (Take the vertices from the last: each later neighbour
+    other than p is a later neighbour of p, and those form a clique
+    already.)  That is one adjacency test per edge, where testing every
+    pair of later neighbours costs their number squared, and a graph that
+    is not chordal is rejected at the first vertex that breaks the rule."""
     adj = g.adj
-    weight = [0] * len(adj)
-    # max (weight, -position) first, so ties go by declaration order; an
-    # entry is stale once its vertex is visited or its weight has grown
-    heap = [(0, i) for i in range(len(adj))]
+    n = len(adj)
+    weight = [0] * n
+    when = [-1] * n  # visit number, -1 while unvisited
+    # max (weight, -position) first, so ties go by declaration order: the
+    # key -weight * n + position orders as that pair and compares as one
+    # int.  The heap holds the vertices of positive weight.  A vertex's
+    # newest entry has its largest weight and comes out first, so an entry
+    # is stale exactly when its vertex is visited.  With no live entry
+    # every unvisited vertex has weight 0, and the first of them in
+    # declaration order goes next
+    heap = []
+    first = 0  # no vertex before this position is unvisited
     order = []  # MCS visit order
-    visited = [False] * len(adj)
-    while heap:
-        w, best = heapq.heappop(heap)
-        if visited[best] or -w != weight[best]:
-            continue
-        visited[best] = True
-        order.append(best)
+    while len(order) < n:
+        while heap:
+            best = heapq.heappop(heap) % n
+            if when[best] < 0:
+                break
+        else:
+            while when[first] >= 0:
+                first += 1
+            best = first
+        later = []
         for u in adj[best]:
-            if not visited[u]:
+            if when[u] >= 0:
+                later.append(u)
+            else:
                 weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
+                heapq.heappush(heap, u - weight[u] * n)
+        if len(later) > 1:
+            p = max(later, key=when.__getitem__)
+            near = adj[p]
+            if not all(u in near for u in later if u != p):
+                return None
+        when[best] = len(order)
+        order.append(best)
     order.reverse()
-    # verify: each vertex's not-yet-eliminated neighborhood is a clique
-    gone = [False] * len(adj)
-    for v in order:
-        gone[v] = True
-        nb = [u for u in adj[v] if not gone[u]]
-        if not all(b in adj[a] for a, b in itertools.combinations(nb, 2)):
-            return None
-    return [g.vertices[v] for v in order]
+    return order
+
+
+def is_chordal(g: Graph):
+    """A perfect elimination ordering by name (eliminate the first element
+    first) if the graph is chordal, else None."""
+    order = perfect_elimination_order(g)
+    return None if order is None else [g.vertices[v] for v in order]
 
 
 # -- cliques -----------------------------------------------------------

@@ -1,21 +1,49 @@
 """Exact evaluation of independence polynomials.
 
-P_G(x) sums the products of variables over independent sets.  Evaluation
-uses the clique recurrence
+P_G(x) sums the products of variables over independent sets.  A point is
+evaluated over the integers: with L the least common denominator of the
+point and x_v = a_v / L, both routes below compute W(S) = L^|S| * P_S(x)
+for vertex sets S and divide by L^n once, at the end; no Fraction enters
+the loop.  The ray q(t) = P(t x) and the univariate P run the same
+routes over the integer coefficients of polynomials in s = t / L, where
+x_v t = a_v s, and coefficient k in t is that of s^k over L^k.
+
+Each public function picks its route from the graph.
+
+Chordal graphs: one sum-product over a perfect elimination order (PEO),
+from `graphs.perfect_elimination_order`.  The later neighbours C(v) of v
+form a clique, and the earliest of them is v's parent; the parents make
+the elimination tree, in which every later neighbour of v is an
+ancestor.  So a vertex of the subtree T(v) has no neighbour outside T(v)
+but in C(v), and an independent set meets the clique C(v) at most once:
+the state of T(v) is "no vertex of C(v) is in the set" or "exactly c
+is", |C(v)| + 1 states.  With the children's tables f_k,
+
+    f_v[none] = L * prod_k f_k[none] + a_v * prod_k f_k[v]
+    f_v[c]    = L * prod_k f_k[c or none, as c is in C(k) or not]
+
+(v is never in the set with a neighbour c), and W(G) is the product of
+f_root[none] over the roots, one per component.  The pass visits the
+vertices in the order, children first, with O(|C(v)| * children) ring
+operations each.
+
+Other graphs: the clique recurrence
 
     P_G = P_{G\\K} + sum_{u in K} x_u * P_{G\\N+(u)}
 
 with factorization over connected components and memoization on vertex
-subsets.  A point is evaluated over the integers: with L the least
-common denominator of the point and x_v = a_v / L, the memo holds the
-integer W(S) = L^|S| * P_S(x) of each subset S, and the recurrence reads
+subsets, which over the integers reads
 
     W(S) = L^|K| * W(S - K) + sum_{u in K} a_u * L^|N(u) & S| * W(S - N[u])
 
-(components multiply, since their sizes add up to |S|).  The value is
-W(S) / L^|S|, one division at the end; no Fraction enters the loop.
-Subsets are int bitmasks, and each step does Python-level work in
-proportion to the vertices it removes, not to the size of the subset:
+(components multiply, since their sizes add up to |S|).  It stays for
+graphs without a PEO because the PEO route would need a chordal
+completion, whose fill-in cliques make it exponential where the
+recurrence is not: K_{14,14} takes about 1 ms by the recurrence and took
+0.3 s by a fill-in sum-product.  It also serves every induced subgraph
+of one graph from one memo (`z_corner_evaluator`).  Subsets are int
+bitmasks, and each step does Python-level work in proportion to the
+vertices it removes, not to the size of the subset:
 
 * Pivot.  The vertices are relabelled once per evaluator by an
   elimination order: repeatedly remove a vertex of minimum (degree,
@@ -23,9 +51,7 @@ proportion to the vertices it removes, not to the size of the subset:
   its first vertex in that order (its lowest bit), and K is the greedy
   maximal clique of the pivot with its neighbours taken in the same
   order.  The pivot's neighbours in the subset come later in the order,
-  so there are at most degeneracy(G) of them.  On a path the order runs
-  from one end, and the recurrence stays linear on tree-of-cliques
-  graphs, which is what makes the large gallery graphs feasible.
+  so there are at most degeneracy(G) of them.
 * Connectivity.  A child C - X of a connected subset C is searched for
   components only when the removed set X borders two or more of the
   remaining vertices.  Every component D of C - X contains a neighbour
@@ -35,17 +61,17 @@ proportion to the vertices it removes, not to the size of the subset:
   component from one neighbour at a time, and once a single neighbour
   is left unplaced, the rest is its component.
 
-There is no recursion: the recurrence runs on an explicit stack of
-tasks, so its depth is bounded only by memory.
+Neither route recurses: the sum-product is one loop, and the recurrence
+runs on an explicit stack of tasks, so depth is bounded only by memory.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .graphs import Graph, independent_sets
+from .graphs import Graph, independent_sets, perfect_elimination_order
 from .poly import UnivariatePoly
 
 # stack tasks: evaluate a subset, or combine the values of its children
@@ -55,22 +81,69 @@ _EVAL, _PRODUCT, _CLIQUE = range(3)
 def _elimination_order(adj: list[list[int]]) -> list[int]:
     """Vertex indices in the order of repeatedly removing a vertex of
     minimum (degree, index) from the rest of the graph."""
+    n = len(adj)
     deg = [len(a) for a in adj]
-    heap = [(d, i) for i, d in enumerate(deg)]
+    # the key degree * n + index orders as (degree, index), as one int; a
+    # vertex's newest entry has its least degree and comes out first, so
+    # an entry is stale exactly when its vertex is gone
+    heap = [d * n + i for i, d in enumerate(deg)]
     heapq.heapify(heap)
-    gone = [False] * len(deg)
+    gone = [False] * n
     order = []
     while heap:
-        d, i = heapq.heappop(heap)
-        if gone[i] or d != deg[i]:
-            continue  # stale entry
+        i = heapq.heappop(heap) % n
+        if gone[i]:
+            continue
         gone[i] = True
         order.append(i)
         for w in adj[i]:
             if not gone[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
     return order
+
+
+def _scaled(graph: Graph, x, sign: int):
+    """The least common denominator L of the point and the numerators
+    a_v = sign * x_v * L, by vertex position."""
+    xs = [x[v] for v in graph.vertices]
+    scale = lcm(*(q.denominator for q in xs))
+    return scale, [sign * q.numerator * (scale // q.denominator) for q in xs]
+
+
+def _sum_product(adj, order, a, product, node, lift):
+    """The sum-product over the elimination tree of the perfect
+    elimination order `order` (module docstring).  The value domain comes
+    as three functions: `product` of a list of values (the one, for an
+    empty list); `node(out, inn, a_v)`, f_v[none] from the children's
+    products with v out of the set and with v in it; and `lift`, which
+    puts v out of the set into f_v[c]."""
+    rank = [0] * len(order)
+    for i, v in enumerate(order):
+        rank[v] = i
+    # kids[v]: the (f[none], {c: f[c]}) tables of v's children, filled in
+    # before v's turn and dropped at it
+    kids = [[] for _ in order]
+    roots = []
+    for v in order:
+        rv = rank[v]
+        later = [u for u in adj[v] if rank[u] > rv]
+        tables = kids[v]
+        kids[v] = None
+        if len(tables) == 1:
+            (none, f), = tables
+            out = node(none, f[v], a[v])
+            table = {c: lift(f.get(c, none)) for c in later}
+        else:
+            out = node(product([none for none, _ in tables]),
+                       product([f[v] for _, f in tables]), a[v])
+            table = {c: lift(product([f.get(c, none) for none, f in tables]))
+                     for c in later}
+        if later:
+            kids[min(later, key=rank.__getitem__)].append((out, table))
+        else:
+            roots.append(out)
+    return product(roots)
 
 
 class _Evaluator:
@@ -87,17 +160,14 @@ class _Evaluator:
     one = 1
 
     def __init__(self, graph: Graph, x, sign: int = 1):
-        names = graph.vertices
-        xs = [x[v] for v in names]
+        self.scale, a = _scaled(graph, x, sign)
         order = _elimination_order(graph.adj)
         # bit[i]: the bit of vertex index i; adj and a are by bit position
-        self.bit = [0] * len(names)
+        self.bit = [0] * len(graph)
         for pos, i in enumerate(order):
             self.bit[i] = 1 << pos
         self.adj = [sum(self.bit[u] for u in graph.adj[i]) for i in order]
-        self.scale = lcm(*(q.denominator for q in xs))
-        self.a = [sign * xs[i].numerator * (self.scale // xs[i].denominator)
-                  for i in order]
+        self.a = [a[i] for i in order]
         # L^k for every k that _clique needs: |K| and |N(u) & S| are at
         # most the maximum degree plus one
         self.powers = [1]
@@ -117,27 +187,29 @@ class _Evaluator:
         return Fraction(self._eval(mask), self.scale ** mask.bit_count())
 
     def _eval(self, root: int):
-        adj, memo = self.adj, self.memo
+        adj, memo, one = self.adj, self.memo, self.one
         vals = []
+        emit = vals.append
         # (_EVAL, sub, gone): sub is a connected subset less the vertices
         # gone, or any subset when gone is None
         stack = [(_EVAL, root, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            kind, sub, arg = stack.pop()
+            kind, sub, arg = pop()
             if kind == _EVAL:
                 if not sub:
-                    vals.append(self.one)
+                    emit(one)
                     continue
                 got = memo.get(sub)
                 if got is not None:
-                    vals.append(got)
+                    emit(got)
                     continue
                 # every component of sub holds a vertex of seeds
                 seeds = sub if arg is None else self._border(arg) & sub
                 if seeds & (seeds - 1):
                     comps = self._components(sub, seeds)
                     if len(comps) > 1:
-                        stack.append((_PRODUCT, sub, len(comps)))
+                        push((_PRODUCT, sub, len(comps)))
                         # a component is connected: nothing gone, no search
                         stack.extend((_EVAL, c, 0) for c in comps)
                         continue
@@ -151,11 +223,12 @@ class _Evaluator:
                     clique.append(b.bit_length() - 1)
                     kmask |= b
                     cand &= adj[clique[-1]]
-                stack.append((_CLIQUE, sub, clique))
+                push((_CLIQUE, sub, clique))
                 # P(sub - K) is evaluated first, then P(sub - N[u]) for u in K
-                removed = [kmask] + [(adj[u] & sub) | (1 << u) for u in clique]
-                for gone in reversed(removed):
-                    stack.append((_EVAL, sub & ~gone, gone))
+                for u in reversed(clique):
+                    gone = (adj[u] & sub) | (1 << u)
+                    push((_EVAL, sub & ~gone, gone))
+                push((_EVAL, sub & ~kmask, kmask))
             else:
                 # _PRODUCT: arg counts the factors; _CLIQUE: arg is K
                 n = arg if kind == _PRODUCT else len(arg) + 1
@@ -166,15 +239,10 @@ class _Evaluator:
                 else:
                     out = self._clique(args[0], arg, args[1:], sub)
                 memo[sub] = out
-                vals.append(out)
+                emit(out)
         return vals[0]
 
-    @staticmethod
-    def _product(factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = out * f
-        return out
+    _product = staticmethod(prod)
 
     def _clique(self, rest, clique, values, sub):
         """W(sub) = L^|K| * W(sub - K) + sum over u in K of
@@ -211,14 +279,26 @@ class _Evaluator:
         return comps
 
 
+def _point(graph: Graph, x, sign: int) -> Fraction:
+    """P_G(sign * x), by the route the graph allows (module docstring)."""
+    order = perfect_elimination_order(graph)
+    if order is None:
+        return _Evaluator(graph, x, sign).full()
+    scale, a = _scaled(graph, x, sign)
+    w = _sum_product(graph.adj, order, a, prod,
+                     lambda out, inn, av: scale * out + av * inn,
+                     lambda w: scale * w)
+    return Fraction(w, scale ** len(a))
+
+
 def eval_P(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Exact value of the independence polynomial at the given point."""
-    return _Evaluator(graph, x).full()
+    return _point(graph, x, 1)
 
 
 def eval_Z(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Signed independence polynomial Z_G(x) = P_G(-x)."""
-    return _Evaluator(graph, x, -1).full()
+    return _point(graph, x, -1)
 
 
 def z_corner_evaluator(graph: Graph, r: dict[str, Fraction]) -> _Evaluator:
@@ -238,47 +318,66 @@ def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fract
     return total
 
 
+def _poly_product(factors):
+    """Product of integer coefficient lists (low degree first)."""
+    if not factors:
+        return [1]
+    out = factors[0]
+    for f in factors[1:]:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(f, i):
+                    acc[j] += a * b
+        out = acc
+    return out
+
+
+def _shift_add(out, inn, a):
+    """out + a * s * inn over integer coefficient lists in s."""
+    n = len(inn) + 1
+    out = out + [0] * (n - len(out))
+    out[1:n] = [o + a * c for o, c in zip(out[1:n], inn)]
+    return out
+
+
+def _in_t(coeffs, scale) -> UnivariatePoly:
+    """The polynomial in t = L * s with the given coefficients in s."""
+    return UnivariatePoly.of(*(Fraction(c, scale**k) for k, c in enumerate(coeffs)))
+
+
 class _RayEvaluator(_Evaluator):
-    """P at sign * t * x as a polynomial in t.  With t = L * s, the
-    recurrence runs at x_v = a_v * s over the integer coefficients of
-    polynomials in s, low degree first, and coefficient k in t is that
-    of s^k over L^k."""
+    """The clique recurrence at sign * t * x, as a polynomial in t over
+    the integer coefficients of polynomials in s (module docstring)."""
 
     one = [1]  # shared, never mutated: every combination builds a new list
+    _product = staticmethod(_poly_product)
 
     def full(self) -> UnivariatePoly:
-        coeffs = self._eval((1 << len(self.a)) - 1)
-        return UnivariatePoly.of(
-            *(Fraction(c, self.scale**k) for k, c in enumerate(coeffs))
-        )
-
-    @staticmethod
-    def _product(factors):
-        out = factors[0]
-        for f in factors[1:]:
-            prod = [0] * (len(out) + len(f) - 1)
-            for i, a in enumerate(out):
-                if a:
-                    for j, b in enumerate(f, i):
-                        prod[j] += a * b
-            out = prod
-        return out
+        return _in_t(self._eval((1 << len(self.a)) - 1), self.scale)
 
     def _clique(self, rest, clique, values, sub):
-        out = list(rest)
         for u, v in zip(clique, values):
-            a = self.a[u]
-            n = len(v) + 1
-            if len(out) < n:
-                out += [0] * (n - len(out))
-            out[1:n] = [o + a * c for o, c in zip(out[1:n], v)]
-        return out
+            rest = _shift_add(rest, v, self.a[u])
+        return rest
+
+
+def _ray(graph: Graph, x, sign: int) -> UnivariatePoly:
+    """P_G(sign * t * x) as a polynomial in t, by the route the graph
+    allows (module docstring)."""
+    order = perfect_elimination_order(graph)
+    if order is None:
+        return _RayEvaluator(graph, x, sign).full()
+    scale, a = _scaled(graph, x, sign)
+    coeffs = _sum_product(graph.adj, order, a, _poly_product, _shift_add,
+                          lambda q: q)
+    return _in_t(coeffs, scale)
 
 
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return _RayEvaluator(graph, dict.fromkeys(graph.vertices, 1)).full()
+    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1)
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
@@ -289,5 +388,5 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
-    independence number of G, by the recurrence over integers."""
-    return _RayEvaluator(graph, r, -1).full()
+    independence number of G, exactly over the integers."""
+    return _ray(graph, r, -1)

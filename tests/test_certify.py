@@ -259,6 +259,32 @@ def test_losing_rule_silent_at_zero():
     assert isinstance(out, Inconclusive)
 
 
+def test_values_at_r_settle_without_a_ray(monkeypatch):
+    # C4 at h = 3: Z(r) = 1 - 4/3 + 2/9 = -1/9, which refutes maximality
+    # and silences the region rule, so neither check builds a ray
+    import hatlab.certify
+
+    calls = []
+    ray = hatlab.certify.z_ray
+    monkeypatch.setattr(hatlab.certify, "z_ray", lambda *a: calls.append(a) or ray(*a))
+    c4 = make_graph(list("abcd"), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
+    game = uniform_game(c4, 3)
+    out = check_maximal_direct(game)
+    assert (out.reason, out.witness_value) == ("Z(r) != 0", Fraction(-1, 9))
+    assert out.witness_point == fraction_vector(game)
+    out = losing_by_Z_positive(game)
+    assert out.reason == "Z(r) = -1/9 is not positive; the rule is silent"
+    # nor does a component that vanishes at r beside one that does not
+    two = make_graph(list("abcd"), {("a", "b"), ("c", "d")})
+    out = check_maximal_direct(make_game(two, {"a": 2, "b": 2, "c": 2, "d": 3}))
+    assert out.reason == "disconnected: Z vanishes on one component"
+    assert calls == []
+    # a connected game with Z(r) = 0 needs its one ray
+    k3 = uniform_game(complete_graph("abc"), 3)
+    assert isinstance(check_maximal_direct(k3), MaximalityCertificate)
+    assert len(calls) == 1
+
+
 def test_mu_hat_chordal_p4():
     res = mu_hat_chordal(path_graph(["a", "b", "c", "d"]))
     assert res.value == 3

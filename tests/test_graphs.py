@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import random
@@ -16,6 +17,7 @@ from hatlab.graphs import (
     make_graph,
     maximal_cliques,
     path_graph,
+    perfect_elimination_order,
     stats,
     substitute,
     vertex_glue,
@@ -175,21 +177,52 @@ def _random_chordal(rng, n):
     return make_graph(names, edges)
 
 
+def _random_connected_chordal(rng, n):
+    """Vertex v joins a vertex u < v and part of the clique that u joined,
+    so the vertices in decreasing order are a perfect elimination order."""
+    joined, edges = [[]], set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        joined.append([u] + [w for w in joined[u] if rng.random() < 0.6])
+        edges |= {(f"v{w}", f"v{v}") for w in joined[v]}
+    names = [f"v{v}" for v in range(n)]
+    return make_graph(rng.sample(names, n), edges)
+
+
 def test_chordal_heap_matches_scan():
+    # random graphs, random chordal graphs (often disconnected), connected
+    # ones, and connected ones with an edge removed or added, which breaks
+    # chordality about half the time: the heap search and the parent rule
+    # against the scan and the pairwise check of _chordal_by_scan
     rng = random.Random(11)
-    chordal = 0
-    for i in range(300):
-        n = rng.randint(0, 25)
-        if i % 3:
-            g = _random_chordal(rng, n)
-        else:
+    verdicts = collections.Counter()
+    for i in range(400):
+        n, kind = rng.randint(0, 25), i % 5
+        if kind == 0:
             names = [f"v{v}" for v in range(n)]
             g = make_graph(names, {(u, v) for u in names for v in names
                                    if u < v and rng.random() < 0.3})
+        elif kind == 1:
+            g = _random_chordal(rng, n)
+        else:
+            g = _random_connected_chordal(rng, n)
+            edges = set(g.edges)
+            if kind == 3:
+                # an edge of two triangles if there is one
+                both = lambda e: len(g.neighbors(e[0]) & g.neighbors(e[1])) > 1
+                pool = sorted(filter(both, edges)) or sorted(edges)
+                edges -= set(rng.sample(pool, min(len(pool), 1)))
+            elif kind == 4:
+                pool = sorted(set(itertools.combinations(sorted(g.vertices), 2)) - edges)
+                edges |= set(rng.sample(pool, min(len(pool), 1)))
+            g = make_graph(g.vertices, edges)
         expected = _chordal_by_scan(g)
         assert is_chordal(g) == expected
-        chordal += expected is not None
-    assert chordal >= 200
+        order = perfect_elimination_order(g)
+        assert expected == (None if order is None else [g.vertices[v] for v in order])
+        verdicts[kind, expected is None] += 1
+    assert min(verdicts[kind, False] for kind in range(5)) >= 15
+    assert min(verdicts[kind, True] for kind in (0, 3, 4)) >= 15
 
 
 def test_independent_sets_p4():

@@ -1,11 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, lcm
 
 import pytest
 
-from hatlab.graphs import complete_graph, components, make_graph, path_graph
+from hatlab import indpoly
+from hatlab.graphs import (
+    complete_graph,
+    components,
+    make_graph,
+    path_graph,
+    perfect_elimination_order,
+)
 from hatlab.indpoly import (
+    _Evaluator,
+    _RayEvaluator,
     eval_P,
     eval_P_brute,
     eval_Z,
@@ -233,3 +243,114 @@ def test_integer_ray_matches_fraction_build():
         cases += 1
     assert cases == 30
 
+
+def _random_chordal(rng, n):
+    """A chordal graph built from a random perfect elimination order,
+    last vertex first: each new vertex joins part of a clique of the
+    vertices so far (a vertex and some of its later neighbours), or
+    nothing, which starts a new component."""
+    later = []  # later[v]: the later neighbours of vertex v, a clique
+    edges = set()
+    for v in range(n):
+        if v and rng.random() < 0.85:
+            u = rng.randrange(v)
+            joined = [u] + [w for w in later[u] if rng.random() < 0.7]
+        else:
+            joined = []
+        later.append(joined)
+        edges |= {(f"v{u}", f"v{v}") for u in joined}
+    names = [f"v{v}" for v in range(n)]
+    return make_graph(rng.sample(names, n), edges)
+
+
+def _chordal_point_cases():
+    """Random chordal graphs of at most 12 vertices with _point_cases'
+    coordinates: zero, negative, over mixed denominators."""
+    rng = random.Random(4711)
+    for _ in range(200):
+        g = _random_chordal(rng, rng.randint(0, 12))
+        x = {v: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7, 8, 9)))
+             for v in g.vertices}
+        yield g, x
+
+
+def test_sum_product_matches_recurrence_and_brute_force():
+    disconnected = zeros = negatives = big = 0
+    for g, x in _chordal_point_cases():
+        assert perfect_elimination_order(g) is not None
+        for sign in (1, -1):
+            want = eval_P_brute(g, {v: sign * q for v, q in x.items()})
+            assert _Evaluator(g, x, sign).full() == want, (g, x)
+            assert (eval_P if sign == 1 else eval_Z)(g, x) == want, (g, x)
+        disconnected += len(components(g)) > 1
+        zeros += 0 in x.values()
+        negatives += any(q < 0 for q in x.values())
+        big += lcm(*(q.denominator for q in x.values())) == 2520
+    assert min(disconnected, zeros, negatives, big) >= 10
+
+
+def _chordal_ray_cases():
+    rng = random.Random(2027)
+    for i in range(60):
+        g = _random_chordal(rng, rng.randint(0, 11))
+        r = {v: Fraction(rng.randint(1, 5), rng.randint(1, 9)) for v in g.vertices}
+        yield f"chordal{i}", g, r
+
+
+def test_ray_by_sum_product_matches_fraction_build_and_recurrence():
+    chordal = 0
+    for name, g, r in itertools.chain(_ray_cases(), _chordal_ray_cases()):
+        q = z_ray(g, r)
+        assert q == _fraction_ray(g, r), name
+        assert q == _RayEvaluator(g, r, -1).full(), name
+        ones = dict.fromkeys(g.vertices, 1)
+        assert univariate_P(g) == _RayEvaluator(g, ones).full(), name
+        chordal += perfect_elimination_order(g) is not None
+    # every gallery graph and every path is chordal
+    assert chordal >= 70
+
+
+def _grid(k):
+    names = [f"{i},{j}" for i in range(k) for j in range(k)]
+    return make_graph(names, {(f"{i},{j}", f"{i + di},{j + dj}")
+                              for i in range(k) for j in range(k)
+                              for di, dj in ((0, 1), (1, 0))
+                              if i + di < k and j + dj < k})
+
+
+def _cycle(n):
+    names = [f"c{i}" for i in range(n)]
+    return make_graph(names, {(names[i], names[i - 1]) for i in range(n)})
+
+
+def _complete_bipartite(n):
+    left, right = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    return make_graph(left + right, {(u, v) for u in left for v in right})
+
+
+def test_route_follows_the_elimination_order(monkeypatch):
+    # graphs without a perfect elimination order never enter the
+    # sum-product, and chordal graphs never enter the recurrence
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    others = [_cycle(n) for n in (4, 5, 9)] + [_grid(3), _grid(4)]
+    others += [_complete_bipartite(n) for n in (2, 3, 5)]
+    for g in others:
+        assert perfect_elimination_order(g) is None
+    with monkeypatch.context() as m:
+        m.setattr(indpoly, "_sum_product", refuse)
+        for g in others:
+            x = {v: Fraction(1, 2 + i % 3) for i, v in enumerate(g.vertices)}
+            assert eval_P(g, x) == eval_P_brute(g, x)
+            assert eval_Z(g, x) == z_ray(g, x)(1)
+            assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
+    chordal = [path_graph("abcde"), complete_graph("abcd"), make_graph("ab", ())]
+    with monkeypatch.context() as m:
+        m.setattr(indpoly, "_Evaluator", refuse)
+        m.setattr(indpoly, "_RayEvaluator", refuse)
+        for g in chordal:
+            x = dict.fromkeys(g.vertices, Fraction(1, 3))
+            assert eval_P(g, x) == eval_P_brute(g, x)
+            assert eval_Z(g, x) == z_ray(g, x)(1)
+            assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
