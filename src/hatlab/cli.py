@@ -9,7 +9,6 @@ in lowest terms and no floating point appears anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -70,8 +69,7 @@ def _emit(payload: dict):
 
 
 def _load_object(path: str) -> dict:
-    with open(path) as f:
-        obj = json.load(f)
+    obj = hio._read_json(path)
     if not isinstance(obj, dict):
         raise hio.SchemaError("/", "expected an object")
     return obj

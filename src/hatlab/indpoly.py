@@ -279,9 +279,10 @@ class _Evaluator:
         return comps
 
 
-def _point(graph: Graph, x, sign: int) -> Fraction:
-    """P_G(sign * x), by the route the graph allows (module docstring)."""
-    order = perfect_elimination_order(graph)
+def _point(graph: Graph, x, sign: int, order) -> Fraction:
+    """P_G(sign * x), by the route the graph allows (module docstring):
+    `order` is `perfect_elimination_order(graph)`, which a caller that
+    already has it passes on."""
     if order is None:
         return _Evaluator(graph, x, sign).full()
     scale, a = _scaled(graph, x, sign)
@@ -293,12 +294,12 @@ def _point(graph: Graph, x, sign: int) -> Fraction:
 
 def eval_P(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Exact value of the independence polynomial at the given point."""
-    return _point(graph, x, 1)
+    return _point(graph, x, 1, perfect_elimination_order(graph))
 
 
 def eval_Z(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Signed independence polynomial Z_G(x) = P_G(-x)."""
-    return _point(graph, x, -1)
+    return _point(graph, x, -1, perfect_elimination_order(graph))
 
 
 def z_corner_evaluator(graph: Graph, r: dict[str, Fraction]) -> _Evaluator:
@@ -362,10 +363,9 @@ class _RayEvaluator(_Evaluator):
         return rest
 
 
-def _ray(graph: Graph, x, sign: int) -> UnivariatePoly:
+def _ray(graph: Graph, x, sign: int, order) -> UnivariatePoly:
     """P_G(sign * t * x) as a polynomial in t, by the route the graph
-    allows (module docstring)."""
-    order = perfect_elimination_order(graph)
+    allows (module docstring); `order` as for `_point`."""
     if order is None:
         return _RayEvaluator(graph, x, sign).full()
     scale, a = _scaled(graph, x, sign)
@@ -377,7 +377,8 @@ def _ray(graph: Graph, x, sign: int) -> UnivariatePoly:
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1)
+    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1,
+                perfect_elimination_order(graph))
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
@@ -389,4 +390,4 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
     independence number of G, exactly over the integers."""
-    return _ray(graph, r, -1)
+    return _ray(graph, r, -1, perfect_elimination_order(graph))

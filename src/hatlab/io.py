@@ -8,8 +8,10 @@ byte-identical.  Schema errors carry JSON-pointer paths ("/hatness/x").
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import algebra
@@ -32,12 +34,83 @@ def frac_str(x) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline.  Objects,
+    lists and tuples of str and int at most _JOIN_DEPTH levels deep, which
+    holds every strategy and game, are written by joins: with an indent,
+    CPython's json runs its pure-Python encoder, one generator per level.
+    Anything else goes to json itself."""
+    try:
+        return _joined(obj, "\n") + "\n"
+    except _Unfit:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_JOIN_DEPTH = 8
+
+
+class _Unfit(Exception):
+    """A value that `_joined` leaves to json."""
+
+
+def _joined(obj, newline: str) -> str:
+    """The JSON text of obj as `canonical_dumps` writes it, where
+    `newline` is a newline and the indent of the line obj starts on;
+    raises _Unfit on any other value or a deeper nesting."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if len(newline) > 2 * _JOIN_DEPTH:
+        raise _Unfit
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if any(type(k) is not str for k in obj):
+            raise _Unfit
+        items = [
+            f"{encode_basestring_ascii(k)}: {_joined(obj[k], inner)}"
+            for k in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        # lists of colors are the bulk of a strategy: ints skip the call
+        items = [
+            int.__repr__(x) if type(x) is int else _joined(x, inner) for x in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise _Unfit
 
 
 def _write(path: str, text: str):
     with open(path, "w", newline="\n") as f:
         f.write(text)
+
+
+def _read_json(path: str):
+    """The JSON value in a file; malformed or too deeply nested text is a
+    SchemaError."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as err:
+            raise SchemaError("/", f"invalid JSON: {err}") from err
+        except RecursionError as err:
+            raise _too_deep() from err
+
+
+def _too_deep() -> SchemaError:
+    """The error for a value nested past what json can read or write: it
+    recurses once per level, up to the recursion limit."""
+    return SchemaError(
+        "/",
+        "nested past the JSON nesting limit: json recurses once per level "
+        f"and stops near the recursion limit of {sys.getrecursionlimit()} "
+        "frames",
+    )
 
 
 def _names_from_json(obj, pointer: str) -> tuple:
@@ -125,12 +198,7 @@ def game_from_json(obj) -> HatGame:
 
 
 def load_game(path: str) -> HatGame:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as err:
-            raise SchemaError("/", f"invalid JSON: {err}") from err
-    return game_from_json(obj)
+    return game_from_json(_read_json(path))
 
 
 def save_game(game: HatGame, path: str):
@@ -233,16 +301,16 @@ _CODECS = {
 
 
 def load_expr(path: str) -> algebra.GameExpr:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as err:
-            raise SchemaError("/", f"invalid JSON: {err}") from err
-    return expr_from_json(obj)
+    return expr_from_json(_read_json(path))
 
 
 def save_expr(e: algebra.GameExpr, path: str):
-    _write(path, canonical_dumps(expr_to_json(e)))
+    obj = expr_to_json(e)
+    try:
+        text = canonical_dumps(obj)
+    except RecursionError as err:
+        raise _too_deep() from err
+    _write(path, text)
 
 
 # -- strategies --------------------------------------------------------

@@ -1,16 +1,19 @@
 """Exact decision of small hat games by propositional search.
 
-`decide_game` runs one losing check and then two routes; its verdict
-names the route that settled the game.  The losing check peels the
-leaves by the leaf lemma below and loses when the core left lies in
-Shearer's region (proof in the `certify` docstring): route "pendant"
-when some leaf peeled, "region" when none did.  By the preservation
-lemma below it misses no game of the region.  It encodes and enumerates
-nothing, so it also settles games beyond the guards of `encode`.
-"clique": a game with a clique K of weight sum_K g/h >= 1 is winning
-(the criterion of Kokhas & Latyshev on complete games); the sages of K
-play the strategy below, the others guess 0; it encodes nothing, and
-runs only within the guards.  "sat": `search_game`, the search alone.
+`decide_game` tries the routes in turn; its verdict names the route that
+settled the game.  Within the guards of `encode`, "clique" comes first: a
+game with a clique K of weight sum_K g/h >= 1 is winning (the criterion
+of Kokhas & Latyshev on complete games); the sages of K play the strategy
+below, the others guess 0, and nothing is encoded.  Then the losing
+check: it peels the leaves by the leaf lemma below and loses when the
+core left lies in Shearer's region (proof in the `certify` docstring):
+route "pendant" when some leaf peeled, "region" when none did.  By the
+preservation lemma below it misses no game of the region.  It encodes
+and enumerates nothing, so it also settles games beyond the guards,
+which then raise GuardExceeded when it cannot.  The order changes no
+verdict: a game with a heavy clique is winning, and the losing check is
+sound, so on such a game it could only have come back inconclusive.
+"sat": `search_game`, the search alone.
 
 The leaf lemma.  Let A be a leaf whose one neighbor is B, with
 g_A < h_A, and let G' be G - A with h_B replaced by
@@ -248,11 +251,16 @@ def _value_precedence(
 def _guarded_visible(game: HatGame) -> dict[str, tuple[str, ...]]:
     """`_visible_order(game)`, or GuardExceeded when the game has more
     colorings than COLORING_GUARD or a vertex has more visible
-    configurations than CONFIG_GUARD: the games no route may enumerate."""
-    if game.num_colorings() > COLORING_GUARD:
-        raise GuardExceeded(
-            f"{game.num_colorings()} colorings exceed the guard {COLORING_GUARD}"
-        )
+    configurations than CONFIG_GUARD: the games no route may enumerate.
+    The coloring count stops growing once it passes the guard, so a huge
+    game costs a few products and its message stays short."""
+    colorings = 1
+    for v in game.vertices:
+        colorings *= game.h[v]
+        if colorings > COLORING_GUARD:
+            raise GuardExceeded(
+                f"more than {COLORING_GUARD} colorings exceed the guard"
+            )
     visible = _visible_order(game)
     for v in game.vertices:
         configs = 1
@@ -655,13 +663,27 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """The first route that settles the game:
 
+    * "clique": winning by the interval strategy on a clique with
+      sum g/h >= 1, verified on every coloring; only within the guards.
     * "region" or "pendant", the losing check: losing when the core left
       by peeling the leaves (the leaf lemma of the module docstring) lies
       in Shearer's region (the proof is in `certify`); "region" when no
-      leaf peeled.  Nothing is enumerated.
-    * "clique": winning by the interval strategy on a clique with
-      sum g/h >= 1, verified on every coloring; only within the guards.
-    * "sat": the verdict of `search_game`."""
+      leaf peeled.  Nothing is enumerated, so it runs beyond the guards
+      too, and a game it leaves open there raises GuardExceeded.
+    * "sat": the verdict of `search_game`.
+
+    The order changes no verdict: a heavy clique makes the game winning,
+    and the losing check is sound, so on such a game it could only have
+    been inconclusive."""
+    try:
+        visible = _guarded_visible(game)
+    except GuardExceeded as err:
+        beyond: Optional[GuardExceeded] = err
+    else:
+        beyond = None
+        found = _heavy_clique(game)
+        if found is not None:
+            return _clique_verdict(game, *found, visible)
     peels, core = _peel_leaves(game)
     # through the module attribute, so that a wrapper installed on it sees
     # the call
@@ -674,11 +696,16 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
         leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
         reason = f"peeled {leaves} ({steps}); the core is in {reason}"
         return GameVerdict(LOSING, route="pendant", reason=reason)
-    visible = _guarded_visible(game)
-    found = _heavy_clique(game)
-    if found is None:
-        return search_game(game, timeout_ms)
-    clique, total = found
+    if beyond is not None:
+        raise beyond
+    return search_game(game, timeout_ms)
+
+
+def _clique_verdict(
+    game: HatGame, clique: list[str], total: Fraction, visible: dict
+) -> GameVerdict:
+    """The clique route's verdict: the strategy of `_clique_strategy`,
+    checked on every coloring."""
     strategy = _clique_strategy(game, clique, visible)
     start = time.perf_counter()
     bad = verify_strategy(game, strategy)
@@ -760,7 +787,11 @@ def _heavy_clique(game: HatGame) -> Optional[tuple[list[str], Fraction]]:
 
 def _clique_strategy(game: HatGame, clique: list[str], visible: dict) -> dict:
     """The interval strategy of the module docstring on `clique`, whose
-    vertices come in vertex order; every other sage guesses 0."""
+    vertices come in vertex order; every other sage guesses 0.  Sage v's
+    sum t over its configurations is affine in them, so it is expanded
+    over `itertools.product` order as `_coloring_clauses` expands
+    literals, and the guesses, which depend on t mod L alone, are found
+    once per residue."""
     lcm = math.lcm(*(game.h[v] for v in clique))
     step = {v: lcm // game.h[v] for v in clique}
     strategy = {}
@@ -771,14 +802,18 @@ def _clique_strategy(game: HatGame, clique: list[str], visible: dict) -> dict:
             strategy[v] = dict.fromkeys(configs, (0,))
             continue
         hi = min(lo + game.g[v] * step[v], lcm)
-        weights = [step.get(u, 0) for u in visible[v]]
-        table = {}
-        for sigma in configs:
-            t = sum(c * w for c, w in zip(sigma, weights))
-            table[sigma] = tuple(
+        sums = [0]
+        for u in visible[v]:
+            shifts = [c * step.get(u, 0) for c in range(game.h[u])]
+            sums = [t + s for t in sums for s in shifts]
+        residues = [t % lcm for t in sums]
+        guesses = {
+            t: tuple(
                 c for c in range(game.h[v]) if lo <= (t + c * step[v]) % lcm < hi
             ) or (0,)
-        strategy[v] = table
+            for t in set(residues)
+        }
+        strategy[v] = dict(zip(configs, map(guesses.__getitem__, residues)))
         lo = hi
     return strategy
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hatlab import gallery
+from hatlab import gallery, graphs
 from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose, conclude_hg, eval_expr
 from hatlab.certify import (
     CertifyError,
@@ -265,8 +265,8 @@ def test_values_at_r_settle_without_a_ray(monkeypatch):
     import hatlab.certify
 
     calls = []
-    ray = hatlab.certify.z_ray
-    monkeypatch.setattr(hatlab.certify, "z_ray", lambda *a: calls.append(a) or ray(*a))
+    ray = hatlab.certify._ray
+    monkeypatch.setattr(hatlab.certify, "_ray", lambda *a: calls.append(a) or ray(*a))
     c4 = make_graph(list("abcd"), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
     game = uniform_game(c4, 3)
     out = check_maximal_direct(game)
@@ -283,6 +283,33 @@ def test_values_at_r_settle_without_a_ray(monkeypatch):
     k3 = uniform_game(complete_graph("abc"), 3)
     assert isinstance(check_maximal_direct(k3), MaximalityCertificate)
     assert len(calls) == 1
+
+
+def test_one_elimination_order_per_graph(monkeypatch):
+    # the value at r and the ray share one maximum cardinality search, as
+    # do the chordality test and U of mu-hat
+    import hatlab.certify
+    import hatlab.indpoly
+
+    calls = []
+    search = graphs.perfect_elimination_order
+
+    def counted(graph):
+        calls.append(graph)
+        return search(graph)
+
+    for module in (hatlab.certify, hatlab.indpoly):
+        monkeypatch.setattr(module, "perfect_elimination_order", counted)
+    k3 = uniform_game(complete_graph("abc"), 3)
+    assert isinstance(check_maximal_direct(k3), MaximalityCertificate)
+    assert calls == [k3.graph]
+    calls.clear()
+    p4 = uniform_game(path_graph("abcd"), 4)  # Z(r) = 3/16, so a ray too
+    assert isinstance(losing_by_Z_positive(p4), LosingCertificate)
+    assert calls == [p4.graph]
+    calls.clear()
+    assert mu_hat_chordal(p4.graph).value == 3
+    assert calls == [p4.graph]
 
 
 def test_mu_hat_chordal_p4():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab import io as hio
 from hatlab.certify import LosingCertificate
 from hatlab.cli import main
 from hatlab.games import make_game, uniform_game
@@ -369,6 +370,54 @@ def test_certify_deeply_nested_expr_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "recursion" in err
+
+
+def test_build_too_deep_expr_is_error(tmp_path, capsys):
+    # H_500^4 nests 1,001 JSON levels, past what json writes
+    ep = tmp_path / "chain.expr.json"
+    code = main(["build", "chain", "--n", "500", "--expr", str(ep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: /: nested past the JSON nesting limit")
+    assert not ep.exists()
+
+
+def test_readme_payloads_match_json(tmp_path, capsys, monkeypatch):
+    # every payload the README's commands write, through the joined
+    # writer and through json itself
+    payloads = []
+    dumps = hio.canonical_dumps
+
+    def recorded(obj):
+        payloads.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(hio, "canonical_dumps", recorded)
+    monkeypatch.chdir(tmp_path)
+    save_game(make_game(complete_graph(["a", "b"]), {"a": 2, "b": 3}), "game.json")
+    at = ["c0v0=1/2", "c0v1=1/4", "c0v2=1/4", "c1v0=1/2", "c1v1=1/4", "c1v2=1/4"]
+    commands = [
+        ["build", "delta6"],
+        ["build", "chain", "--n", "2", "--l", "4", "-o", "chain.json",
+         "--expr", "chain.expr.json"],
+        ["build", "scary", "--n", "3"],
+        ["solve", "chain.json", "--emit-strategy", "strategy.json"],
+        ["certify", "maximal", "chain.json"],
+        ["certify", "maximal", "chain.expr.json"],
+        ["certify", "losing", "game.json"],
+        ["indpoly", "chain.json"],
+        ["indpoly", "chain.json", "--at", *at],
+        ["muhat", "chain.json", "--candidate", "1/4"],
+        ["roots", "--family", "A", "--n", "8", "--interval", "-4", "0",
+         "--min-positive-root"],
+        ["stats", "chain.json"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(payloads) == len(commands) + 3  # game, expression, strategy
+    for obj in payloads:
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_unknown_subcommand_exits():

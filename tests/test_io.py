@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -291,6 +292,58 @@ def test_dot_text_graph_and_game():
     labeled = dot_text(game)
     assert 'label="a\\nh=2"' in labeled
     assert 'label="b\\nh=4,g=2"' in labeled
+
+
+def _random_json(rng, depth):
+    """A JSON value nested at most `depth` levels, mixing what the joined
+    writer takes (str, int, dict, list, tuple) with what it leaves to
+    json."""
+    chars = 'ab"\\\n\t\x00\x7fé€😀 /'
+    leaves = [
+        lambda: rng.randint(-(10**30), 10**30),
+        lambda: rng.choice([0, -1, 10**300, -(10**300)]),
+        lambda: "".join(rng.choice(chars) for _ in range(rng.randint(0, 6))),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([0.5, -0.0, 1e300, *map(float, ("inf", "-inf", "nan"))]),
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    kind = rng.choice(["dict", "list", "tuple", "empty"])
+    if kind == "empty":
+        return rng.choice([{}, [], ()])
+    kids = [_random_json(rng, depth - 1) for _ in range(rng.randint(1, 4))]
+    if kind == "dict":
+        return {leaves[2]() + str(i): kid for i, kid in enumerate(kids)}
+    return kids if kind == "list" else tuple(kids)
+
+
+def test_canonical_dumps_matches_json():
+    rng = random.Random(20261022)
+    values = [_random_json(rng, rng.randint(0, 8)) for _ in range(3000)]
+    # the writer's own kinds alone, at the depth where it hands over
+    values += [{"a": [[[[[[["x", 1]]]]]]]}, {"a": [[[[[[[["x", 1]]]]]]]]}]
+    values += [{"b": 1, "a": {"é": [-5, ""]}}, [(), {}, [()]], {1: "x"}, {"a": 1.0}]
+    for value in values:
+        want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(value) == want, value
+
+
+def test_too_deep_expr_is_a_schema_error(tmp_path):
+    # 20,000 sums: deeper than json writes or reads on CPython 3.10-3.13
+    leaf = CliqueLeaf(("a",), {"a": 1})
+    e = leaf
+    for _ in range(20_000):
+        e = Sum(e, (), leaf, "a")
+    path = tmp_path / "deep.expr.json"
+    with pytest.raises(SchemaError, match="nesting limit"):
+        save_expr(e, str(path))
+    assert not path.exists()
+    # hand-built text as deep, without the names a real chain would carry
+    depth = 20_000
+    text = '{"op": "sum", "S": [], "v": "a", "right": {}, "left": '
+    path.write_text(text * depth + "{}" + "}" * depth)
+    with pytest.raises(SchemaError, match="nesting limit"):
+        load_expr(str(path))
 
 
 def test_deep_expr_round_trips_without_recursion():

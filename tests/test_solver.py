@@ -1,26 +1,33 @@
+import collections
 import dataclasses
 import itertools
 import logging
+import math
 import random
 from array import array
 from heapq import heapify, heappop, heappush
 
 import pytest
 
-from hatlab import certify
+from hatlab import certify, solver
 from hatlab.gallery import build_chain
 from hatlab.games import clique_criterion, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.solver import (
     CNF,
+    COLORING_GUARD,
+    GameVerdict,
     GuardExceeded,
     LOSING,
     SolverError,
     UNKNOWN,
     WINNING,
     _at_most,
+    _clique_strategy,
     _dpll,
     _guarded_visible,
+    _heavy_clique,
+    _peel_leaves,
     _precedence_vertices,
     _value_precedence,
     _visible_order,
@@ -534,6 +541,145 @@ def test_region_route_settles_k4_h5():
     verdict = decide_game(uniform_game(complete_graph(list("abcd")), 5))
     assert (verdict.status, verdict.route) == (LOSING, "region")
     assert "Z(r) = 1/5" in verdict.reason
+
+
+def test_guard_message_is_short_on_a_huge_cycle():
+    # C_2000 at h = 3 has 3^2000 colorings, a 955-digit count
+    names = [f"c{i}" for i in range(2000)]
+    cycle = make_graph(names, {(names[i - 1], names[i]) for i in range(2000)})
+    with pytest.raises(GuardExceeded) as info:
+        decide_game(uniform_game(cycle, 3))
+    assert str(info.value) == f"more than {COLORING_GUARD} colorings exceed the guard"
+    assert len(str(info.value)) < 200
+
+
+# -- the clique route before the losing check ----------------------------
+
+
+def _reference_clique_strategy(game, clique, visible):
+    """The interval strategy built row by row: one weighted sum and one
+    scan of the colors per configuration."""
+    lcm = math.lcm(*(game.h[v] for v in clique))
+    step = {v: lcm // game.h[v] for v in clique}
+    strategy = {}
+    lo = 0
+    for v in game.vertices:
+        configs = itertools.product(*(range(game.h[u]) for u in visible[v]))
+        if v not in step:
+            strategy[v] = dict.fromkeys(configs, (0,))
+            continue
+        hi = min(lo + game.g[v] * step[v], lcm)
+        weights = [step.get(u, 0) for u in visible[v]]
+        table = {}
+        for sigma in configs:
+            t = sum(c * w for c, w in zip(sigma, weights))
+            table[sigma] = tuple(
+                c for c in range(game.h[v]) if lo <= (t + c * step[v]) % lcm < hi
+            ) or (0,)
+        strategy[v] = table
+        lo = hi
+    return strategy
+
+
+def _assert_tables_match_reference(game):
+    """True when the game has a heavy clique, whose tables then equal the
+    row-by-row reference's, configuration for configuration."""
+    found = _heavy_clique(game)
+    if found is None:
+        return False
+    visible = _visible_order(game)
+    got = _clique_strategy(game, found[0], visible)
+    want = _reference_clique_strategy(game, found[0], visible)
+    assert got == want, game
+    for v in game.vertices:
+        assert list(got[v]) == list(want[v]), (game, v)
+    return True
+
+
+def test_clique_tables_match_the_row_by_row_reference():
+    rng = random.Random(20261020)
+    heavy = 0
+    for _ in range(2500):
+        names = [f"v{i}" for i in range(rng.randint(1, 4))]
+        h = {v: rng.randint(1, 6) for v in names}
+        g = {v: rng.randint(1, h[v]) for v in names}
+        heavy += _assert_tables_match_reference(
+            make_game(complete_graph(names), h, g)
+        )
+    assert heavy > 1000
+    edges = {("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e")}
+    edge_cases = [
+        make_game(complete_graph(["a", "b"]), {"a": 3, "b": 3}, {"a": 2}),
+        make_game(complete_graph(["a", "b"]), {"a": 3, "b": 3}, {"a": 2, "b": 2}),
+        make_game(complete_graph(list("abcd")), dict(zip("abcd", (2, 3, 4, 5)))),
+        make_game(complete_graph(list("dcab")), dict(zip("abcd", (2, 3, 4, 5)))),
+        make_game(path_graph(list("abcd")), {"a": 3, "b": 3, "c": 1, "d": 3}),
+        uniform_game(make_graph(list("deabc"), edges), 3),
+        make_game(make_graph(list("abcd"), {("a", "b"), ("c", "d")}),
+                  {"a": 3, "b": 3, "c": 2, "d": 2}),
+    ]
+    assert all(map(_assert_tables_match_reference, edge_cases))
+    for game in _criterion_01_games():
+        _assert_tables_match_reference(game)
+
+
+def _losing_check_first(game):
+    """decide_game with the losing check before the clique route, from
+    the same pieces; the search is left to the caller's stub."""
+    peels, core = _peel_leaves(game)
+    cert = certify.losing_by_Z_positive(core)
+    if isinstance(cert, certify.LosingCertificate):
+        reason = f"Shearer's region, Z(r) = {cert.z_at_r}"
+        if not peels:
+            return GameVerdict(LOSING, route="region", reason=f"r in {reason}")
+        steps = ", ".join(f"{a} into {b}" for a, b in peels)
+        leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
+        reason = f"peeled {leaves} ({steps}); the core is in {reason}"
+        return GameVerdict(LOSING, route="pendant", reason=reason)
+    visible = _guarded_visible(game)
+    found = _heavy_clique(game)
+    if found is None:
+        return solver.search_game(game)
+    clique, total = found
+    strategy = _reference_clique_strategy(game, clique, visible)
+    assert verify_strategy(game, strategy) is None
+    reason = f"clique ({', '.join(clique)}) has sum g/h = {total}"
+    return GameVerdict(WINNING, strategy=strategy, route="clique", reason=reason)
+
+
+def test_clique_first_gives_the_verdicts_of_the_losing_check_first(monkeypatch):
+    # the sat route is search_game's own verdict on either side, so a stub
+    # stands in for it and only the order of the other routes is compared
+    stub = GameVerdict(UNKNOWN, reason="search")
+    monkeypatch.setattr(solver, "search_game", lambda game, timeout_ms=None: stub)
+    rng = random.Random(20261021)
+    routes = collections.Counter()
+    for i in range(500):
+        game = _random_game(rng)
+        if i % 2:  # one guess each: fewer heavy cliques, more searches
+            game = make_game(game.graph, dict(game.h))
+        got, want = decide_game(game), _losing_check_first(game)
+        assert (got.status, got.route, got.reason, got.strategy) == (
+            want.status, want.route, want.reason, want.strategy
+        ), game
+        routes[got.route] += 1
+    assert len(routes) == 4 and min(routes.values()) >= 5, routes
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        uniform_game(complete_graph(list("abc")), 3),
+        make_game(path_graph(list("abcd")), {"a": 3, "b": 3, "c": 1, "d": 3}),
+    ],
+    ids=["k3", "single-color-in-path"],
+)
+def test_clique_route_skips_the_losing_check(game, monkeypatch):
+    def refuse(checked):
+        raise AssertionError("the losing check ran")
+
+    monkeypatch.setattr(certify, "losing_by_Z_positive", refuse)
+    assert decide_game(game).route == "clique"
 
 
 # -- the pendant route: the leaf lemma against the search ---------------
