@@ -370,10 +370,6 @@ class Conclusion:
     reason: str = ""
     game: Optional[HatGame] = None  # conclude_hg: the evaluated composite game
 
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
-
 
 def conclude_hg(e: GameExpr) -> Conclusion:
     """Hat guessing number of a sum-composed game of precise classic

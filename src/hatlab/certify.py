@@ -93,8 +93,8 @@ from typing import ClassVar, Optional
 
 from . import algebra
 from .games import HatGame, fraction_vector
-from .graphs import Graph, components, perfect_elimination_order
-from .indpoly import _point, _ray, eval_Z
+from .graphs import Graph, components, is_chordal
+from .indpoly import eval_Z, univariate_U, z_ray
 from .poly import UnivariatePoly
 from .roots import IsolatingInterval, smallest_positive_root, unit_interval_root
 
@@ -156,16 +156,16 @@ def check_maximal_direct(game: HatGame):
     if z_at_r != 0:
         return Refutation("Z(r) != 0", witness_point=r, witness_value=z_at_r)
     if len(parts) > 1:
-        for comp, _, at_r, _ in parts:
+        for sub, at_r in parts:
             if at_r == 0:
-                point = {v: (r[v] if v in comp else Fraction(0)) for v in r}
+                point = {v: (r[v] if v in sub.index else Fraction(0)) for v in r}
                 return Refutation(
                     "disconnected: Z vanishes on one component",
                     witness_point=point,
                     witness_value=Fraction(0),
                 )
-    ((_, sub, _, order),) = parts  # connected: sub is game.graph
-    t0 = unit_interval_root(_ray(sub, r, -1, order))
+    ((sub, _),) = parts  # connected: sub is game.graph
+    t0 = unit_interval_root(z_ray(sub, r))
     if t0 is None:
         return MaximalityCertificate(
             game, z_at_r, method="ray", corner_count=2 ** len(r) - 1
@@ -179,18 +179,17 @@ def check_maximal_direct(game: HatGame):
 
 
 def _component_values(game: HatGame):
-    """r; each component W with its induced graph, Z_W(r) and the graph's
-    perfect elimination order (or None), which its ray reuses; and Z(r),
-    the product of the Z_W(r), since Z factors over the components."""
+    """r; the (graph, Z_W(r)) pairs of the components W, whose graphs
+    keep the elimination order that their rays reuse; and Z(r), the
+    product of the Z_W(r), since Z factors over the components."""
     r = fraction_vector(game)
     parts = []
     z = Fraction(1)
     for comp in components(game.graph):
         sub = game.graph.induced(comp)
-        order = perfect_elimination_order(sub)
-        at_r = _point(sub, r, -1, order)
+        at_r = eval_Z(sub, r)
         z *= at_r
-        parts.append((comp, sub, at_r, order))
+        parts.append((sub, at_r))
     return r, parts, z
 
 
@@ -237,9 +236,8 @@ def losing_by_Z_positive(game: HatGame):
     otherwise.  A component with Z_W(r) <= 0 settles it without rays.
     Z(r) is the product of the components' Z_W(r)."""
     r, parts, z = _component_values(game)
-    if all(at_r > 0 for _, _, at_r, _ in parts) and all(
-        unit_interval_root(_ray(sub, r, -1, order)) is None
-        for _, sub, _, order in parts
+    if all(at_r > 0 for _, at_r in parts) and all(
+        unit_interval_root(z_ray(sub, r)) is None for sub, _ in parts
     ):
         return LosingCertificate(game, z)
     if z <= 0:
@@ -267,12 +265,10 @@ def mu_hat_chordal(
     interval (1/upper, 1/lower) that holds mu-hat and no other reciprocal
     of a root of U_G; compare against it by exact rationals, never by a
     rounded value."""
-    order = perfect_elimination_order(graph)
-    if order is None:
+    ordering = is_chordal(graph)
+    if ordering is None:
         raise CertifyError("graph is not chordal; the corollary does not apply")
-    # U_G as `univariate_U` builds it, on the order just found
-    u = _ray(graph, dict.fromkeys(graph.vertices, 1), 1, order).compose_neg_x()
-    ordering = [graph.vertices[v] for v in order]
+    u = univariate_U(graph)
     iso = smallest_positive_root(u, candidate=candidate)
     if iso is None:
         raise CertifyError("U_G has no positive real root")

@@ -44,7 +44,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"error: not a rational number: {text!r}")
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -69,7 +69,7 @@ def _emit(payload: dict):
 
 
 def _load_object(path: str) -> dict:
-    obj = hio._read_json(path)
+    obj = hio.read_json(path)
     if not isinstance(obj, dict):
         raise hio.SchemaError("/", "expected an object")
     return obj
@@ -127,7 +127,7 @@ def _cmd_build(args) -> int:
     else:
         payload = hio.game_to_json(game)
     if args.output:
-        hio._write(args.output, hio.canonical_dumps(payload))
+        hio.write_text(args.output, hio.canonical_dumps(payload))
     else:
         _emit(payload)
     if args.expr_output:
@@ -157,7 +157,7 @@ def _cmd_solve(args) -> int:
     if args.emit_strategy:
         if verdict.strategy is None:
             raise SystemExit("error: no strategy to emit (game not winning)")
-        hio._write(
+        hio.write_text(
             args.emit_strategy,
             hio.canonical_dumps(hio.strategy_to_json(verdict.strategy)),
         )
@@ -209,16 +209,20 @@ def _cmd_indpoly(args) -> int:
     loaded = _load_game_or_graph(args.path)
     graph = _as_graph(loaded)
     payload: dict = {"vertices": len(graph.vertices)}
-    if args.at:
+    if args.at is not None:  # a bare --at gives no vertex a value
         x = {}
         for spec in args.at:
-            if "=" not in spec:
-                raise SystemExit(f"error: --at expects vertex=p/q, got {spec!r}")
-            v, val = spec.split("=", 1)
+            v, eq, val = spec.partition("=")
+            if not eq:
+                raise ValueError(f"--at expects vertex=p/q, got {spec!r}")
+            if v not in graph.index:
+                raise ValueError(f"--at names unknown vertex {v!r}")
+            if v in x:
+                raise ValueError(f"--at gives vertex {v!r} twice")
             x[v] = _parse_fraction(val)
         missing = [v for v in graph.vertices if v not in x]
         if missing:
-            raise SystemExit(f"error: --at missing vertices {missing}")
+            raise ValueError(f"--at missing vertices {missing}")
         payload["P"] = hio.frac_str(eval_P(graph, x))
         payload["Z"] = hio.frac_str(eval_Z(graph, x))
     else:

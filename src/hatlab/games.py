@@ -35,12 +35,6 @@ class HatGame:
     def vertices(self):
         return self.graph.vertices
 
-    def num_colorings(self) -> int:
-        n = 1
-        for v in self.vertices:
-            n *= self.h[v]
-        return n
-
     def is_classic(self) -> bool:
         return all(gv == 1 for gv in self.g.values())
 

@@ -7,6 +7,10 @@ in order, one `index` from name to position, and one integer adjacency:
 Both are built once.  The algorithms here, the solver's tables, the
 independence-polynomial evaluator and the extension recurrences read
 positions; `edges` and `neighbors` translate back to names on demand.
+A graph also keeps its perfect elimination order, or None when it is
+not chordal: `elimination_order` runs the maximum cardinality search on
+first use, and `is_chordal` and the evaluators of `indpoly` read the
+kept result, so each graph object is searched at most once.
 == and hash compare the vertex order and the edge set.
 
 `make_graph` is the one validator of input from outside the program.
@@ -30,6 +34,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -58,6 +63,12 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def elimination_order(self):
+        """`perfect_elimination_order(self)`, found on first use and kept:
+        a derived attribute, like `index`."""
+        return perfect_elimination_order(self)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -301,7 +312,7 @@ def perfect_elimination_order(g: Graph):
 def is_chordal(g: Graph):
     """A perfect elimination ordering by name (eliminate the first element
     first) if the graph is chordal, else None."""
-    order = perfect_elimination_order(g)
+    order = g.elimination_order
     return None if order is None else [g.vertices[v] for v in order]
 
 

@@ -8,11 +8,13 @@ the loop.  The ray q(t) = P(t x) and the univariate P run the same
 routes over the integer coefficients of polynomials in s = t / L, where
 x_v t = a_v s, and coefficient k in t is that of s^k over L^k.
 
-Each public function picks its route from the graph.
+Each public function picks its route from the graph, which keeps its
+perfect elimination order or None (`Graph.elimination_order`, found once
+per graph object), so callers pass graphs and points, never orders.
 
-Chordal graphs: one sum-product over a perfect elimination order (PEO),
-from `graphs.perfect_elimination_order`.  The later neighbours C(v) of v
-form a clique, and the earliest of them is v's parent; the parents make
+Chordal graphs: one sum-product over the perfect elimination order
+(PEO) that the graph keeps.  The later neighbours C(v) of v form a
+clique, and the earliest of them is v's parent; the parents make
 the elimination tree, in which every later neighbour of v is an
 ancestor.  So a vertex of the subtree T(v) has no neighbour outside T(v)
 but in C(v), and an independent set meets the clique C(v) at most once:
@@ -71,7 +73,7 @@ import heapq
 from fractions import Fraction
 from math import lcm, prod
 
-from .graphs import Graph, independent_sets, perfect_elimination_order
+from .graphs import Graph, independent_sets
 from .poly import UnivariatePoly
 
 # stack tasks: evaluate a subset, or combine the values of its children
@@ -279,10 +281,9 @@ class _Evaluator:
         return comps
 
 
-def _point(graph: Graph, x, sign: int, order) -> Fraction:
-    """P_G(sign * x), by the route the graph allows (module docstring):
-    `order` is `perfect_elimination_order(graph)`, which a caller that
-    already has it passes on."""
+def _point(graph: Graph, x, sign: int) -> Fraction:
+    """P_G(sign * x), by the route the graph allows (module docstring)."""
+    order = graph.elimination_order
     if order is None:
         return _Evaluator(graph, x, sign).full()
     scale, a = _scaled(graph, x, sign)
@@ -294,12 +295,12 @@ def _point(graph: Graph, x, sign: int, order) -> Fraction:
 
 def eval_P(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Exact value of the independence polynomial at the given point."""
-    return _point(graph, x, 1, perfect_elimination_order(graph))
+    return _point(graph, x, 1)
 
 
 def eval_Z(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Signed independence polynomial Z_G(x) = P_G(-x)."""
-    return _point(graph, x, -1, perfect_elimination_order(graph))
+    return _point(graph, x, -1)
 
 
 def z_corner_evaluator(graph: Graph, r: dict[str, Fraction]) -> _Evaluator:
@@ -363,9 +364,10 @@ class _RayEvaluator(_Evaluator):
         return rest
 
 
-def _ray(graph: Graph, x, sign: int, order) -> UnivariatePoly:
+def _ray(graph: Graph, x, sign: int) -> UnivariatePoly:
     """P_G(sign * t * x) as a polynomial in t, by the route the graph
-    allows (module docstring); `order` as for `_point`."""
+    allows (module docstring)."""
+    order = graph.elimination_order
     if order is None:
         return _RayEvaluator(graph, x, sign).full()
     scale, a = _scaled(graph, x, sign)
@@ -377,8 +379,7 @@ def _ray(graph: Graph, x, sign: int, order) -> UnivariatePoly:
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1,
-                perfect_elimination_order(graph))
+    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1)
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
@@ -390,4 +391,4 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
     independence number of G, exactly over the integers."""
-    return _ray(graph, r, -1, perfect_elimination_order(graph))
+    return _ray(graph, r, -1)

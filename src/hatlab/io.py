@@ -85,12 +85,13 @@ def _joined(obj, newline: str) -> str:
     raise _Unfit
 
 
-def _write(path: str, text: str):
+def write_text(path: str, text: str):
+    """Write text to a file with LF line ends on every platform."""
     with open(path, "w", newline="\n") as f:
         f.write(text)
 
 
-def _read_json(path: str):
+def read_json(path: str):
     """The JSON value in a file; malformed or too deeply nested text is a
     SchemaError."""
     with open(path) as f:
@@ -198,11 +199,11 @@ def game_from_json(obj) -> HatGame:
 
 
 def load_game(path: str) -> HatGame:
-    return game_from_json(_read_json(path))
+    return game_from_json(read_json(path))
 
 
 def save_game(game: HatGame, path: str):
-    _write(path, canonical_dumps(game_to_json(game)))
+    write_text(path, canonical_dumps(game_to_json(game)))
 
 
 # -- expressions -------------------------------------------------------
@@ -301,7 +302,7 @@ _CODECS = {
 
 
 def load_expr(path: str) -> algebra.GameExpr:
-    return expr_from_json(_read_json(path))
+    return expr_from_json(read_json(path))
 
 
 def save_expr(e: algebra.GameExpr, path: str):
@@ -310,7 +311,7 @@ def save_expr(e: algebra.GameExpr, path: str):
         text = canonical_dumps(obj)
     except RecursionError as err:
         raise _too_deep() from err
-    _write(path, text)
+    write_text(path, text)
 
 
 # -- strategies --------------------------------------------------------
@@ -385,4 +386,4 @@ def dot_text(game_or_graph) -> str:
 
 
 def export_dot(game_or_graph, path: str):
-    _write(path, dot_text(game_or_graph))
+    write_text(path, dot_text(game_or_graph))

@@ -179,19 +179,11 @@ def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
     return found[1] if isinstance(found, tuple) else found
 
 
-def cauchy_bound(p: UnivariatePoly) -> Fraction:
-    """All real roots lie in (-B, B)."""
-    return _cauchy_bound(_primitive(p))
-
-
 @dataclass(frozen=True)
 class IsolatingInterval:
     lower: Fraction
     upper: Fraction
     exact_root: Fraction | None = None
-
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 # an irrational root is isolated to an interval no wider than this

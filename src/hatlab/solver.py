@@ -69,14 +69,21 @@ Satisfiable iff the sages win.
 
 The guess variables are numbered vertex by vertex in vertex order, each
 table's configurations in `itertools.product` order, colors innermost:
+on its j-th configuration sigma,
 
-    y[v][sigma][c] = base_v + sum_{u in vis(v)} sigma_u stride(v, u) + c,
+    y[v][sigma][c] = base_v + j h_v + c
+                   = base_v + sum_{u in vis(v)} sigma_u stride(v, u) + c,
 
 where stride(v, u) is h_v times the product of h_w over the vertices w
 after u in vis(v), and base_v is 1 plus the number of variables of the
-vertices before v.  On a coloring phi, sage v's literal is this with
-sigma = phi|vis(v) and c = phi_v, which is affine in phi, so
-`_coloring_clauses` builds the coloring clauses by sums and no lookups.
+vertices before v.  `CNF.base` keeps base_v by position, and no table
+maps variables back: `extract_strategy` reads the model at
+base_v + j h_v + c.  The solver reads vertices by position, vis(v) as
+the sorted positions of v's neighbours; names appear only in the
+strategies it returns.  On a coloring phi, sage v's literal is the sum
+with sigma = phi|vis(v) and c = phi_v, affine in phi, so `_affine`, the
+one expansion of an affine form over product order, builds the coloring
+clauses, as it builds the clique strategy's weighted sums.
 `verify_strategy` does not use the numbering: it looks the tables up by
 tuples of visible colors, so that the checker shares no arithmetic with
 the encoder and a numbering fault in the encoder cannot pass its own
@@ -145,7 +152,7 @@ from .games import (
     UNKNOWN,
     WINNING,
     HatGame,
-    fraction_vector,
+    criterion_of_counts,
     make_game,
     uniform_game,
 )
@@ -169,33 +176,27 @@ class GuardExceeded(SolverError):
 class CNF:
     num_vars: int
     clauses: list[list[int]]
-    # (vertex, sigma, color) -> 1-based variable index
-    var_of: dict[tuple, int]
-    visible: dict[str, tuple[str, ...]]
+    # base[i]: the first guess variable of vertex i (module docstring)
+    base: list[int]
     coloring_clauses: int
     # exactly-one and value-precedence clauses, at the end of `clauses`
     symmetry_clauses: int
 
 
-def _visible_order(game: HatGame) -> dict[str, tuple[str, ...]]:
-    names = game.vertices
-    return {
-        v: tuple(names[j] for j in sorted(nb)) for v, nb in zip(names, game.graph.adj)
-    }
-
-
-def _precedence_vertices(game: HatGame) -> list[str]:
+def _precedence_vertices(game: HatGame) -> list[int]:
     """Greedy independent set of the vertices with g = 1 and h >= 2,
-    visited in order of decreasing h, ties in vertex order: the tables
-    whose colors value precedence orders.  Any independent set is sound
-    (step 3 of the module docstring); this one spends it on the largest
-    color sets."""
-    chosen: list[str] = []
-    taken: set[str] = set()
-    for v in sorted(game.vertices, key=lambda v: -game.h[v]):
-        if game.g[v] == 1 and game.h[v] >= 2 and v not in taken:
-            chosen.append(v)
-            taken.update(game.graph.neighbors(v))
+    visited in order of decreasing h, ties in vertex order, as positions:
+    the tables whose colors value precedence orders.  Any independent set
+    is sound (step 3 of the module docstring); this one spends it on the
+    largest color sets."""
+    names, adj = game.vertices, game.graph.adj
+    chosen: list[int] = []
+    taken: set[int] = set()
+    for i in sorted(range(len(names)), key=lambda i: -game.h[names[i]]):
+        v = names[i]
+        if game.g[v] == 1 and game.h[v] >= 2 and i not in taken:
+            chosen.append(i)
+            taken.update(adj[i])
     return chosen
 
 
@@ -248,12 +249,13 @@ def _value_precedence(
     return clauses, fresh
 
 
-def _guarded_visible(game: HatGame) -> dict[str, tuple[str, ...]]:
-    """`_visible_order(game)`, or GuardExceeded when the game has more
-    colorings than COLORING_GUARD or a vertex has more visible
-    configurations than CONFIG_GUARD: the games no route may enumerate.
-    The coloring count stops growing once it passes the guard, so a huge
-    game costs a few products and its message stays short."""
+def _guarded_configs(game: HatGame) -> list[int]:
+    """The number of visible configurations of each vertex, by position,
+    or GuardExceeded when the game has more colorings than COLORING_GUARD
+    or a vertex has more visible configurations than CONFIG_GUARD: the
+    games no route may enumerate.  The coloring count stops growing once
+    it passes the guard, so a huge game costs a few products and its
+    message stays short."""
     colorings = 1
     for v in game.vertices:
         colorings *= game.h[v]
@@ -261,82 +263,79 @@ def _guarded_visible(game: HatGame) -> dict[str, tuple[str, ...]]:
             raise GuardExceeded(
                 f"more than {COLORING_GUARD} colorings exceed the guard"
             )
-    visible = _visible_order(game)
-    for v in game.vertices:
-        configs = 1
-        for u in visible[v]:
-            configs *= game.h[u]
+    h = [game.h[v] for v in game.vertices]
+    out = []
+    for v, nb in zip(game.vertices, game.graph.adj):
+        configs = math.prod(h[u] for u in nb)
         if configs > CONFIG_GUARD:
             raise GuardExceeded(
                 f"vertex {v!r} has {configs} visible configurations, "
                 f"guard is {CONFIG_GUARD}"
             )
-    return visible
+        out.append(configs)
+    return out
 
 
-def _coloring_clauses(
-    game: HatGame,
-    visible: dict[str, tuple[str, ...]],
-    rows: dict[str, list[list[int]]],
-) -> list[list[int]]:
-    """One clause per coloring, in `itertools.product` order, holding
-    each sage's variable of its own color on what it sees, in vertex
-    order.  That variable is affine in the coloring (module docstring):
-    sage v's column of literals over all colorings starts as [base_v], and
-    each vertex x in turn expands every entry into h_x entries, the c-th
-    shifted by c times x's weight (stride(v, x) on vis(v), 1 on v itself,
-    0 elsewhere).  The clauses are the rows of the columns."""
-    names = game.vertices
-    if not names:
+def _affine(start: int, weights, sizes) -> list[int]:
+    """start + sum_k c_k * weights[k] for every c in
+    `itertools.product(*map(range, sizes))`, in that order: the list
+    starts as [start], and each k in turn expands every entry into
+    sizes[k] entries, the c-th shifted by c * weights[k]."""
+    out = [start]
+    for w, size in zip(weights, sizes):
+        steps = [c * w for c in range(size)]
+        out = [y + s for y in out for s in steps]
+    return out
+
+
+def _coloring_clauses(adj, h: list[int], base: list[int]) -> list[list[int]]:
+    """One clause per coloring of the vertices (adjacency `adj`, color
+    counts `h`, by position), in `itertools.product` order, holding each
+    sage's variable of its own color on what it sees, in vertex order.  That variable is affine in the coloring (module docstring):
+    sage i's weight on vertex x is stride(i, x) on vis(i), 1 on i itself
+    and 0 elsewhere, and its column of literals over all colorings is
+    `_affine` from base_i.  The clauses are the rows of the columns."""
+    if not base:
         return [[]]  # the one empty coloring, on which no sage can win
     columns = []
-    for v in names:
-        weight = dict.fromkeys(names, 0)
-        weight[v] = 1
-        stride = game.h[v]
-        for u in reversed(visible[v]):
+    for i, nb in enumerate(adj):
+        weight = [0] * len(h)
+        weight[i] = 1
+        stride = h[i]
+        for u in sorted(nb, reverse=True):
             weight[u] = stride
-            stride *= game.h[u]
-        column = [rows[v][0][0]]
-        for x in names:
-            steps = [c * weight[x] for c in range(game.h[x])]
-            column = [y + s for y in column for s in steps]
-        columns.append(column)
+            stride *= h[u]
+        columns.append(_affine(base[i], weight, h))
     return list(map(list, zip(*columns)))
 
 
 def encode(game: HatGame) -> CNF:
     """CNF whose satisfiability is equivalent to the sages winning."""
-    visible = _guarded_visible(game)
-    names = game.vertices
-    var_of: dict[tuple, int] = {}
-    # rows[v][j]: v's variables on its j-th configuration, one per color
-    rows: dict[str, list[list[int]]] = {}
-    fresh = 1
-    for v in names:
-        rows[v] = []
-        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
-            row = list(range(fresh, fresh + game.h[v]))
-            fresh += game.h[v]
-            rows[v].append(row)
-            for c, y in enumerate(row):
-                var_of[(v, sigma, c)] = y
-    clauses = _coloring_clauses(game, visible, rows)
+    configs = _guarded_configs(game)
+    h = [game.h[v] for v in game.vertices]
+    g = [game.g[v] for v in game.vertices]
+    base = list(itertools.accumulate(map(operator.mul, configs, h), initial=1))
+    fresh = base.pop()  # the first variable after the guess variables
+    # rows[i][j]: vertex i's variables on its j-th configuration, one per
+    # color
+    rows = [
+        [list(range(y, y + hi)) for y in range(b, b + k * hi, hi)]
+        for b, k, hi in zip(base, configs, h)
+    ]
+    clauses = _coloring_clauses(game.graph.adj, h, base)
     coloring_clauses = len(clauses)
-    for v in names:
-        for row in rows[v]:
-            extra, fresh = _at_most(game.g[v], row, fresh)
+    for gi, table in zip(g, rows):
+        for row in table:
+            extra, fresh = _at_most(gi, row, fresh)
             clauses.extend(extra)
     # symmetry breaking comes last, so that dropping the last
     # symmetry_clauses clauses leaves the plain formula
-    symmetry = [list(row) for v in names if game.g[v] == 1 for row in rows[v]]
-    for v in _precedence_vertices(game):
-        extra, fresh = _value_precedence(rows[v], fresh)
+    symmetry = [list(row) for gi, table in zip(g, rows) if gi == 1 for row in table]
+    for i in _precedence_vertices(game):
+        extra, fresh = _value_precedence(rows[i], fresh)
         symmetry.extend(extra)
     clauses.extend(symmetry)
-    return CNF(
-        fresh - 1, clauses, var_of, visible, coloring_clauses, len(symmetry)
-    )
+    return CNF(fresh - 1, clauses, base, coloring_clauses, len(symmetry))
 
 
 # -- DPLL with watched literals ---------------------------------------
@@ -676,14 +675,14 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     and the losing check is sound, so on such a game it could only have
     been inconclusive."""
     try:
-        visible = _guarded_visible(game)
+        _guarded_configs(game)
     except GuardExceeded as err:
         beyond: Optional[GuardExceeded] = err
     else:
         beyond = None
         found = _heavy_clique(game)
         if found is not None:
-            return _clique_verdict(game, *found, visible)
+            return _clique_verdict(game, *found)
     peels, core = _peel_leaves(game)
     # through the module attribute, so that a wrapper installed on it sees
     # the call
@@ -701,12 +700,10 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     return search_game(game, timeout_ms)
 
 
-def _clique_verdict(
-    game: HatGame, clique: list[str], total: Fraction, visible: dict
-) -> GameVerdict:
+def _clique_verdict(game: HatGame, clique: list[str], total: Fraction) -> GameVerdict:
     """The clique route's verdict: the strategy of `_clique_strategy`,
     checked on every coloring."""
-    strategy = _clique_strategy(game, clique, visible)
+    strategy = _clique_strategy(game, clique)
     start = time.perf_counter()
     bad = verify_strategy(game, strategy)
     seconds = {"verify": time.perf_counter() - start}
@@ -777,39 +774,41 @@ def _heavy_clique(game: HatGame) -> Optional[tuple[list[str], Fraction]]:
     for v in game.vertices:
         if game.g[v] == game.h[v]:
             return [v], Fraction(1)
-    r = fraction_vector(game)
     for clique in maximal_cliques(game.graph):
-        total = sum(r[v] for v in clique)
-        if total >= 1:
-            return clique, total
+        crit = criterion_of_counts(
+            {v: game.h[v] for v in clique}, {v: game.g[v] for v in clique}
+        )
+        if crit.winning:
+            return clique, crit.total
     return None
 
 
-def _clique_strategy(game: HatGame, clique: list[str], visible: dict) -> dict:
+def _clique_strategy(game: HatGame, clique: list[str]) -> dict:
     """The interval strategy of the module docstring on `clique`, whose
     vertices come in vertex order; every other sage guesses 0.  Sage v's
-    sum t over its configurations is affine in them, so it is expanded
-    over `itertools.product` order as `_coloring_clauses` expands
-    literals, and the guesses, which depend on t mod L alone, are found
-    once per residue."""
+    sum t over its configurations is affine in them, so `_affine`
+    expands it over `itertools.product` order, and the guesses, which
+    depend on t mod L alone, are found once per residue."""
+    names = game.vertices
+    h = [game.h[v] for v in names]
     lcm = math.lcm(*(game.h[v] for v in clique))
-    step = {v: lcm // game.h[v] for v in clique}
+    step = [0] * len(names)  # 0 off the clique
+    for v in clique:
+        step[game.graph.index[v]] = lcm // game.h[v]
     strategy = {}
     lo = 0
-    for v in game.vertices:
-        configs = itertools.product(*(range(game.h[u]) for u in visible[v]))
-        if v not in step:
+    for i, v in enumerate(names):
+        seen = sorted(game.graph.adj[i])
+        configs = itertools.product(*(range(h[u]) for u in seen))
+        if not step[i]:
             strategy[v] = dict.fromkeys(configs, (0,))
             continue
-        hi = min(lo + game.g[v] * step[v], lcm)
-        sums = [0]
-        for u in visible[v]:
-            shifts = [c * step.get(u, 0) for c in range(game.h[u])]
-            sums = [t + s for t in sums for s in shifts]
+        hi = min(lo + game.g[v] * step[i], lcm)
+        sums = _affine(0, [step[u] for u in seen], [h[u] for u in seen])
         residues = [t % lcm for t in sums]
         guesses = {
             t: tuple(
-                c for c in range(game.h[v]) if lo <= (t + c * step[v]) % lcm < hi
+                c for c in range(h[i]) if lo <= (t + c * step[i]) % lcm < hi
             ) or (0,)
             for t in set(residues)
         }
@@ -849,20 +848,20 @@ def search_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
 
 
 def extract_strategy(game: HatGame, cnf: CNF, model: list[bool]) -> dict:
-    """Per-vertex guess tables from a satisfying assignment.  Configurations
+    """Per-vertex guess tables from a satisfying assignment, read at the
+    variables base_i + j h_i + c of the module docstring.  Configurations
     whose guess set came out empty get color 0: extra guesses never hurt."""
+    names = game.vertices
+    h = [game.h[v] for v in names]
     strategy: dict[str, dict[tuple, tuple]] = {}
-    for v in game.vertices:
+    for i, (v, nb) in enumerate(zip(names, game.graph.adj)):
+        hi, gi = h[i], game.g[v]
+        y = cnf.base[i]
         table = {}
-        for sigma in itertools.product(
-            *(range(game.h[u]) for u in cnf.visible[v])
-        ):
-            guesses = tuple(
-                c
-                for c in range(game.h[v])
-                if model[cnf.var_of[(v, sigma, c)]]
-            )
-            table[sigma] = guesses[: game.g[v]] or (0,)
+        for sigma in itertools.product(*(range(h[u]) for u in sorted(nb))):
+            guesses = tuple(c for c in range(hi) if model[y + c])
+            table[sigma] = guesses[:gi] or (0,)
+            y += hi
         strategy[v] = table
     return strategy
 
@@ -870,13 +869,13 @@ def extract_strategy(game: HatGame, cnf: CNF, model: list[bool]) -> dict:
 def verify_strategy(game: HatGame, strategy: dict):
     """None if the strategy wins on all colorings, else the first coloring
     on which every sage misses."""
-    visible = _visible_order(game)
     names = game.vertices
-    for v in names:
+    h = [game.h[v] for v in names]
+    for v, nb in zip(names, game.graph.adj):
         if v not in strategy:
             raise SolverError(f"partial strategy: vertex {v!r} missing")
         table = strategy[v]
-        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
+        for sigma in itertools.product(*(range(h[u]) for u in sorted(nb))):
             if sigma not in table:
                 raise SolverError(
                     f"partial strategy: vertex {v!r} missing configuration {sigma}"

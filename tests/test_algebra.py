@@ -125,7 +125,7 @@ def test_pendant_lose_rejects_winning_base():
 def test_conclude_hg_constant_hatness():
     e = Product(_k("ab", 2), "b", _k("bc", 2), "b")
     # resulting h: L/a=2, L/b=4, R/c=2 -- not constant
-    assert not conclude_hg(e).applicable
+    assert conclude_hg(e).value is None
     # substituting K2 into both vertices of K2 gives K4 with h identically 4
     e4 = Substitute(_k("ij", 2), Substitute(_k("ij", 2), _k("ab", 2), "a"), "R/b")
     got = conclude_hg(e4)
@@ -146,14 +146,14 @@ def test_conclude_muhat_constant_ratio():
         "b",
     )
     # L/b has h=4, g=1 -- ratio 4 differs from 2
-    assert not conclude_muhat(e).applicable
+    assert conclude_muhat(e).value is None
     e2 = Product(
         _k("ab", {"a": 3, "b": 3}, {"a": 1, "b": 1}),
         "b",
         _k("bc", {"b": 3, "c": 3}, {"b": 1, "c": 1}),
         "b",
     )
-    assert not conclude_muhat(e2).applicable
+    assert conclude_muhat(e2).value is None
 
 
 def test_conclude_muhat_constant_ratio_chain():
@@ -170,7 +170,7 @@ def test_conclude_hg_rejects_glued_multi_guess_leaf():
     e = Product(_k("ab", 2), "b", right, "v")
     assert eval_expr(e).maximal
     got = conclude_hg(e)
-    assert not got.applicable and "g != 1" in got.reason
+    assert got.value is None and "g != 1" in got.reason
 
 
 # -- reference evaluator ------------------------------------------------

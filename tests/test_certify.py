@@ -26,7 +26,14 @@ from hatlab.graphs import (
     path_graph,
     stats,
 )
-from hatlab.indpoly import eval_Z, z_corner_evaluator
+from hatlab.indpoly import (
+    eval_P,
+    eval_Z,
+    univariate_P,
+    univariate_U,
+    z_corner_evaluator,
+    z_ray,
+)
 from hatlab.solver import search_game, verify_strategy
 
 
@@ -265,8 +272,8 @@ def test_values_at_r_settle_without_a_ray(monkeypatch):
     import hatlab.certify
 
     calls = []
-    ray = hatlab.certify._ray
-    monkeypatch.setattr(hatlab.certify, "_ray", lambda *a: calls.append(a) or ray(*a))
+    ray = hatlab.certify.z_ray
+    monkeypatch.setattr(hatlab.certify, "z_ray", lambda *a: calls.append(a) or ray(*a))
     c4 = make_graph(list("abcd"), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
     game = uniform_game(c4, 3)
     out = check_maximal_direct(game)
@@ -286,11 +293,9 @@ def test_values_at_r_settle_without_a_ray(monkeypatch):
 
 
 def test_one_elimination_order_per_graph(monkeypatch):
-    # the value at r and the ray share one maximum cardinality search, as
-    # do the chordality test and U of mu-hat
-    import hatlab.certify
-    import hatlab.indpoly
-
+    # the graph keeps its order: every evaluator, the chordality test and
+    # the certificates on one graph object share one maximum cardinality
+    # search, and an equal but fresh graph object gets its own
     calls = []
     search = graphs.perfect_elimination_order
 
@@ -298,18 +303,40 @@ def test_one_elimination_order_per_graph(monkeypatch):
         calls.append(graph)
         return search(graph)
 
-    for module in (hatlab.certify, hatlab.indpoly):
-        monkeypatch.setattr(module, "perfect_elimination_order", counted)
-    k3 = uniform_game(complete_graph("abc"), 3)
-    assert isinstance(check_maximal_direct(k3), MaximalityCertificate)
-    assert calls == [k3.graph]
-    calls.clear()
-    p4 = uniform_game(path_graph("abcd"), 4)  # Z(r) = 3/16, so a ray too
-    assert isinstance(losing_by_Z_positive(p4), LosingCertificate)
-    assert calls == [p4.graph]
-    calls.clear()
-    assert mu_hat_chordal(p4.graph).value == 3
-    assert calls == [p4.graph]
+    monkeypatch.setattr(graphs, "perfect_elimination_order", counted)
+    c4 = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
+    cases = [
+        # P4 at h = 4: Z(r) = 3/16, so the losing rule builds a ray too
+        (lambda: path_graph("abcd"), 4, 3, Refutation, LosingCertificate),
+        (lambda: complete_graph("abc"), 3, 3, MaximalityCertificate, Inconclusive),
+        # C4 is not chordal: the recurrence everywhere, and no mu-hat
+        (lambda: make_graph("abcd", c4), 3, None, Refutation, Inconclusive),
+    ]
+    for make, h, muhat, direct, losing in cases:
+        graph = make()
+        game = uniform_game(graph, h)
+        x = dict.fromkeys(graph.vertices, Fraction(1, 5))
+        for _ in range(2):
+            eval_P(graph, x)
+            eval_Z(graph, x)
+            z_ray(graph, x)
+            univariate_P(graph)
+            univariate_U(graph)
+            graphs.is_chordal(graph)
+            assert isinstance(check_maximal_direct(game), direct)
+            assert isinstance(losing_by_Z_positive(game), losing)
+            if muhat is None:
+                with pytest.raises(CertifyError):
+                    mu_hat_chordal(graph)
+            else:
+                assert mu_hat_chordal(graph).value == muhat
+        assert calls == [graph]
+        fresh = make()
+        assert fresh == graph and fresh is not graph
+        eval_Z(fresh, x)
+        univariate_U(fresh)
+        assert calls == [graph, fresh]
+        calls.clear()
 
 
 def test_mu_hat_chordal_p4():

@@ -206,6 +206,26 @@ def test_indpoly_at_point(tmp_path, capsys):
     assert obj["Z"] == "0"
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (["a=1/2", "b=1/3", "zz=5"], "error: --at names unknown vertex 'zz'\n"),
+        (["a=1/2", "b=1/3", "a=7"], "error: --at gives vertex 'a' twice\n"),
+        ([], "error: --at missing vertices ['a', 'b']\n"),
+        (["a=1/2", "b=x"], "error: not a rational number: 'x'\n"),
+    ],
+)
+def test_indpoly_at_rejects_bad_input(tmp_path, capsys, at, message):
+    # an unknown vertex, a repeated one and a bare --at used to be
+    # dropped, overwritten and read as no --at at all; a value that is
+    # not rational exited 1, where every other input error exits 2
+    gp = tmp_path / "k2.json"
+    save_game(uniform_game(complete_graph(["a", "b"]), 2), str(gp))
+    code = main(["indpoly", str(gp), "--at", *at])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+
+
 def test_muhat_p4(tmp_path, capsys):
     gp = tmp_path / "p4.json"
     save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 2), str(gp))

@@ -53,11 +53,6 @@ def test_make_game_rejects_nonpositive_hatness():
         make_game(complete_graph(["a"]), {"a": 0})
 
 
-def test_num_colorings():
-    game = make_game(complete_graph(["a", "b", "c"]), {"a": 2, "b": 3, "c": 4})
-    assert game.num_colorings() == 24
-
-
 def test_fraction_vector():
     game = make_game(
         complete_graph(["a", "b"]), {"a": 2, "b": 4}, {"a": 1, "b": 3}

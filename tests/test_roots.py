@@ -13,7 +13,6 @@ from hatlab.roots import (
     WIDTH,
     IsolatingInterval,
     RootError,
-    cauchy_bound,
     count_real_roots,
     family,
     smallest_positive_root,
@@ -51,7 +50,7 @@ def test_count_real_roots():
 
 def test_cauchy_bound_contains_roots():
     p = (X - 3) * (X + 5)
-    b = cauchy_bound(p)
+    b = roots._cauchy_bound(roots._primitive(p))
     assert b > 5
 
 
@@ -65,7 +64,7 @@ def test_smallest_positive_root_candidate_confirmed():
     p = UnivariatePoly.of(1, -4, 3)
     iso = smallest_positive_root(p, candidate=Fraction(1, 3))
     assert iso.exact_root == Fraction(1, 3)
-    assert iso.width() == 0
+    assert iso.upper - iso.lower == 0
 
 
 def test_smallest_positive_root_candidate_not_minimal():
@@ -85,7 +84,7 @@ def test_smallest_positive_root_irrational_isolated():
     assert iso.exact_root is None
     assert iso.lower < iso.upper
     assert p(iso.lower) * p(iso.upper) < 0
-    assert iso.width() <= Fraction(1, 10**12)
+    assert iso.upper - iso.lower <= Fraction(1, 10**12)
 
 
 def test_smallest_positive_root_none_when_all_negative():
@@ -100,7 +99,7 @@ def test_smallest_positive_root_not_fooled_by_nearby_rational_root():
     assert iso.exact_root is None
     assert iso.lower * iso.lower < 23 < iso.upper * iso.upper
     assert p(iso.lower) * p(iso.upper) < 0
-    assert iso.width() <= WIDTH
+    assert iso.upper - iso.lower <= WIDTH
 
 
 def test_smallest_positive_root_exact_with_large_coefficients():
@@ -109,7 +108,7 @@ def test_smallest_positive_root_exact_with_large_coefficients():
     q = (X * X - 2) * (12345678901 * X - 98765432109)
     iso = smallest_positive_root(q)
     assert iso.exact_root is None and iso.lower * iso.lower < 2 < iso.upper**2
-    assert iso.width() <= WIDTH
+    assert iso.upper - iso.lower <= WIDTH
 
 
 @pytest.mark.parametrize("which, root_of_k", [(2, 4), (3, 2)])
@@ -164,7 +163,8 @@ def test_smallest_positive_root_agrees_with_sturm_counts():
     for p, known in _differential_corpus():
         iso = smallest_positive_root(p)
         if iso is None:
-            assert sturm_roots(p, Fraction(0), cauchy_bound(p)) == 0, p
+            bound = roots._cauchy_bound(roots._primitive(p))
+            assert sturm_roots(p, Fraction(0), bound) == 0, p
             seen["none"] += 1
             continue
         if iso.exact_root is not None:
@@ -175,7 +175,7 @@ def test_smallest_positive_root_agrees_with_sturm_counts():
         else:
             assert iso.lower == 0 or sturm_roots(p, Fraction(0), iso.lower) == 0, p
             assert sturm_roots(p, iso.lower, iso.upper) == 1, p
-            assert iso.width() <= WIDTH
+            assert iso.upper - iso.lower <= WIDTH
             seen["interval"] += 1
         for r in known:
             if r > iso.upper:
@@ -352,7 +352,7 @@ def test_smallest_positive_root_divides_out_a_root_at_zero():
 def test_smallest_positive_root_of_phi_5_against_sturm():
     # Phi_5 = k (k^2 - 1)(k^2 - 3): positive roots 1 and sqrt 3
     p = family("Phi", 5).poly
-    b = cauchy_bound(p)
+    b = roots._cauchy_bound(roots._primitive(p))
     assert sturm_roots(p, Fraction(0), b) == 2
     iso = smallest_positive_root(p)
     assert iso.exact_root == 1

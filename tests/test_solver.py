@@ -14,7 +14,6 @@ from hatlab.gallery import build_chain
 from hatlab.games import clique_criterion, make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.solver import (
-    CNF,
     COLORING_GUARD,
     GameVerdict,
     GuardExceeded,
@@ -25,19 +24,28 @@ from hatlab.solver import (
     _at_most,
     _clique_strategy,
     _dpll,
-    _guarded_visible,
+    _guarded_configs,
     _heavy_clique,
     _peel_leaves,
     _precedence_vertices,
     _value_precedence,
-    _visible_order,
     decide_game,
     encode,
+    extract_strategy,
     hg_search,
     search_game,
     verify_strategy,
 )
 from hatlab.verify import _corpus_graphs
+
+
+def _visible(game):
+    """Each vertex's visible neighbours by name, in vertex order: the
+    tables' configurations range over their colors in this order."""
+    names = game.vertices
+    return {
+        v: tuple(names[j] for j in sorted(nb)) for v, nb in zip(names, game.graph.adj)
+    }
 
 
 def test_k1_single_color_wins():
@@ -283,8 +291,8 @@ def _wins_without_symmetry_clauses(game) -> bool:
 def _precedent_tables(game, strategy) -> int:
     """Number of value-precedence tables in a strategy; fails on a table
     that uses a color before the one below it."""
-    visible = _visible_order(game)
-    for v in _precedence_vertices(game):
+    visible = _visible(game)
+    for v in map(game.vertices.__getitem__, _precedence_vertices(game)):
         used = 0  # colors 0..used-1 have appeared
         for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
             (c,) = strategy[v][sigma]
@@ -318,7 +326,7 @@ def test_symmetry_clauses_encoding():
     # on each of the tables of a and c (3 configurations): 2 units for
     # the first row, 2 precedence clauses per later row, and 2 state
     # variables with 3 clauses each for the middle row
-    assert _precedence_vertices(game) == ["a", "c"]
+    assert _precedence_vertices(game) == [0, 2]  # a and c
     assert cnf.num_vars == 45 + 2 * 2
     assert cnf.symmetry_clauses == 15 + 2 * (2 + 2 * 2 + 2 * 3)
     plain = len(cnf.clauses) - cnf.symmetry_clauses
@@ -328,7 +336,7 @@ def test_symmetry_clauses_encoding():
 def test_precedence_goes_to_the_largest_color_set():
     for hs in itertools.permutations((3, 3, 4)):
         game = make_game(complete_graph(list("abc")), dict(zip("abc", hs)))
-        assert _precedence_vertices(game) == ["abc"[hs.index(4)]]
+        assert _precedence_vertices(game) == [hs.index(4)]
 
 
 # Left out, both losing: C5 at h = 3, which neither formula settles in
@@ -587,9 +595,8 @@ def _assert_tables_match_reference(game):
     found = _heavy_clique(game)
     if found is None:
         return False
-    visible = _visible_order(game)
-    got = _clique_strategy(game, found[0], visible)
-    want = _reference_clique_strategy(game, found[0], visible)
+    got = _clique_strategy(game, found[0])
+    want = _reference_clique_strategy(game, found[0], _visible(game))
     assert got == want, game
     for v in game.vertices:
         assert list(got[v]) == list(want[v]), (game, v)
@@ -636,12 +643,12 @@ def _losing_check_first(game):
         leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
         reason = f"peeled {leaves} ({steps}); the core is in {reason}"
         return GameVerdict(LOSING, route="pendant", reason=reason)
-    visible = _guarded_visible(game)
+    _guarded_configs(game)
     found = _heavy_clique(game)
     if found is None:
         return solver.search_game(game)
     clique, total = found
-    strategy = _reference_clique_strategy(game, clique, visible)
+    strategy = _reference_clique_strategy(game, clique, _visible(game))
     assert verify_strategy(game, strategy) is None
     reason = f"clique ({', '.join(clique)}) has sum g/h = {total}"
     return GameVerdict(WINNING, strategy=strategy, route="clique", reason=reason)
@@ -753,8 +760,11 @@ def test_hg_search_p10():
 # require identical results.
 
 
-def _reference_encode(game) -> CNF:
-    visible = _guarded_visible(game)
+def _reference_encode(game):
+    """(var_of, num_vars, clauses, coloring clauses, symmetry clauses),
+    with var_of the (vertex, sigma, color) -> variable table, which the
+    encoder does not keep."""
+    visible = _visible(game)
     var_of = {}
     rows = {}
     fresh = 1
@@ -779,15 +789,31 @@ def _reference_encode(game) -> CNF:
             extra, fresh = _at_most(game.g[v], row, fresh)
             clauses.extend(extra)
     symmetry = [list(row) for v in names if game.g[v] == 1 for row in rows[v]]
-    for v in _precedence_vertices(game):
-        extra, fresh = _value_precedence(rows[v], fresh)
+    for i in _precedence_vertices(game):
+        extra, fresh = _value_precedence(rows[names[i]], fresh)
         symmetry.extend(extra)
     clauses.extend(symmetry)
-    return CNF(fresh - 1, clauses, var_of, visible, coloring_clauses, len(symmetry))
+    return var_of, fresh - 1, clauses, coloring_clauses, len(symmetry)
+
+
+def _reference_extract(game, var_of, model):
+    """The strategy read off a model by lookups in the (vertex, sigma,
+    color) table, where `extract_strategy` computes each variable."""
+    visible = _visible(game)
+    strategy = {}
+    for v in game.vertices:
+        table = {}
+        for sigma in itertools.product(*(range(game.h[u]) for u in visible[v])):
+            guesses = tuple(
+                c for c in range(game.h[v]) if model[var_of[(v, sigma, c)]]
+            )
+            table[sigma] = guesses[: game.g[v]] or (0,)
+        strategy[v] = table
+    return strategy
 
 
 def _reference_verify(game, strategy):
-    visible = _visible_order(game)
+    visible = _visible(game)
     names = game.vertices
     for v in names:
         if v not in strategy:
@@ -822,31 +848,51 @@ def _shuffled_game(rng):
     return make_game(make_graph(names, edges), h, g)
 
 
-def _assert_same_cnf(game):
-    cnf, ref = encode(game), _reference_encode(game)
-    assert cnf == ref, game
-    assert list(cnf.var_of) == list(ref.var_of)
+def _assert_same_cnf(game, rng):
+    """The encoder's clauses and counts equal the reference's, every
+    entry of the reference's table is base_i + j h_i + c, and a random
+    model reads as the same strategy, key order included."""
+    cnf = encode(game)
+    var_of, *ref = _reference_encode(game)
+    got = [cnf.num_vars, cnf.clauses, cnf.coloring_clauses, cnf.symmetry_clauses]
+    assert got == ref, game
+    visible = _visible(game)
+    numbered = {}
+    for i, v in enumerate(game.vertices):
+        h = game.h[v]
+        configs = itertools.product(*(range(game.h[u]) for u in visible[v]))
+        for j, sigma in enumerate(configs):
+            for c in range(h):
+                numbered[(v, sigma, c)] = cnf.base[i] + j * h + c
+    assert list(numbered.items()) == list(var_of.items()), game
+    model = [rng.random() < 0.5 for _ in range(cnf.num_vars + 1)]
+    got = extract_strategy(game, cnf, model)
+    want = _reference_extract(game, var_of, model)
+    assert got == want, game
+    assert [list(t) for t in got.values()] == [list(t) for t in want.values()]
+    assert list(got) == list(want)
 
 
 def test_encode_matches_reference_on_random_games():
     rng = random.Random(20261021)
+    models = random.Random(20261019)  # apart, so the games stay the same
     sizes = set()
     for _ in range(400):
         game = _shuffled_game(rng)
-        _assert_same_cnf(game)
+        _assert_same_cnf(game, models)
         sizes.add(len(game.vertices))
     assert sizes == set(range(7))
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_encode_matches_reference_on_pinned_games(name):
-    _assert_same_cnf(_PINNED[name][0]())
+    _assert_same_cnf(_PINNED[name][0](), random.Random(name))
 
 
 def test_empty_game_has_one_empty_clause_and_loses():
     empty = make_game(make_graph([], set()), {})
     assert encode(empty).clauses == [[]]
-    assert _reference_encode(empty).clauses == [[]]
+    assert _reference_encode(empty)[2] == [[]]
     verdict = search_game(empty)
     assert verdict.status == LOSING
     assert (verdict.decisions, verdict.conflicts, verdict.learned) == (0, 1, 0)
@@ -856,7 +902,7 @@ def _random_strategy(game, rng):
     """Random tables: mostly losing, some missing a vertex or a
     configuration, some with an entry over g guesses, some with keys no
     sage can see."""
-    visible = _visible_order(game)
+    visible = _visible(game)
     strategy = {}
     for v in game.vertices:
         table = {}
