@@ -62,10 +62,8 @@ from .indpoly import eval_P, eval_Z, univariate_P, univariate_U
 from .poly import UnivariatePoly
 from .roots import (
     IsolatingInterval,
-    count_real_roots,
     family,
     smallest_positive_root,
-    sturm_roots,
     verify_root_interval,
 )
 from .solver import (

@@ -118,8 +118,12 @@ def _cmd_build(args) -> int:
             int(name[2]), _given(args.n, 2), _given(args.k, 0)
         )
         graph = built.graph
+        if graph is None:
+            raise ValueError(f"{name} with sizes {built.sizes} builds no graph")
     else:
         raise SystemExit(f"error: unknown construction {name!r}")
+    if args.expr_output and expr is None:
+        raise ValueError(f"{name!r} has no certificate expression")
     if game is None and expr is not None:
         game = eval_expr(expr).game
     if game is None:
@@ -131,8 +135,6 @@ def _cmd_build(args) -> int:
     else:
         _emit(payload)
     if args.expr_output:
-        if expr is None:
-            raise SystemExit(f"error: {name!r} has no certificate expression")
         hio.save_expr(expr, args.expr_output)
     return 0
 
@@ -254,14 +256,14 @@ def _cmd_muhat(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    fam = family(args.family, args.n)
+    poly = family(args.family, args.n)
     payload: dict = {
         "family": args.family,
         "n": args.n,
-        "poly": _poly_payload(fam.poly),
+        "poly": _poly_payload(poly),
     }
     if args.k is not None:
-        payload["value_at_k"] = hio.frac_str(family(args.family, args.n, args.k))
+        payload["value_at_k"] = hio.frac_str(poly(Fraction(args.k)))
     if args.interval:
         lo, hi = (_parse_fraction(t) for t in args.interval)
         payload["interval"] = [hio.frac_str(lo), hio.frac_str(hi)]
@@ -269,7 +271,7 @@ def _cmd_roots(args) -> int:
             args.family, args.n, (lo, hi)
         )
     if args.min_positive_root:
-        iso = smallest_positive_root(fam.poly)
+        iso = smallest_positive_root(poly)
         if iso is None:
             payload["min_positive_root"] = None
         elif iso.exact_root is not None:

@@ -230,9 +230,9 @@ def U_from_f(base: Graph, sizes, kind: int = 1) -> UnivariatePoly:
             build = build_first_kind if kind == 1 else build_second_kind
             return univariate_U(build(base, sizes))
     y = UnivariatePoly.x()
-    c = _extension(kind, base, [UnivariatePoly.const(a) - y for a in sizes])
+    c = _extension(kind, base, [UnivariatePoly.of(a) - y for a in sizes])
     if not isinstance(c, UnivariatePoly):
-        c = UnivariatePoly.const(c)
+        c = UnivariatePoly.of(c)
     n = len(base.vertices)
     sign = 1 if n % 2 == 0 else -1
     return UnivariatePoly.of(*[sign * c.coeff(n - m) for m in range(n + 1)])

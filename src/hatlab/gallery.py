@@ -303,7 +303,7 @@ def build_chain(n: int, l: int, variant: str = "standard") -> ChainBuild:
 
 @dataclass(frozen=True)
 class ExtensionExample:
-    graph: Graph
+    graph: Graph | None
     u_poly: UnivariatePoly
     kind: int
     sizes: tuple[int, ...]
@@ -312,7 +312,8 @@ class ExtensionExample:
 def build_extension_example(which: int, n: int, k: int) -> ExtensionExample:
     """The three path-extension examples: G(k+1, ..., k+1) and
     G(k+3, k+1, ..., k+1, k+3) of the first kind, H(k+1, k, ..., k, k+1)
-    of the second kind."""
+    of the second kind.  Sizes below a vertex's degree give U of the
+    recurrence but no graph, and graph is None."""
     if n < 2:
         raise GalleryError("extension examples need n >= 2")
     if k < 0:
@@ -333,7 +334,5 @@ def build_extension_example(which: int, n: int, k: int) -> ExtensionExample:
     try:
         graph = (build_first_kind if kind == 1 else build_second_kind)(base, sizes)
     except ExtensionError:
-        # degenerate sizes: the polynomial identities still make sense,
-        # but there is no graph to build
-        graph = base
+        graph = None
     return ExtensionExample(graph, u, kind, sizes)

@@ -4,9 +4,11 @@ P_G(x) sums the products of variables over independent sets.  A point is
 evaluated over the integers: with L the least common denominator of the
 point and x_v = a_v / L, both routes below compute W(S) = L^|S| * P_S(x)
 for vertex sets S and divide by L^n once, at the end; no Fraction enters
-the loop.  The ray q(t) = P(t x) and the univariate P run the same
-routes over the integer coefficients of polynomials in s = t / L, where
-x_v t = a_v s, and coefficient k in t is that of s^k over L^k.
+the loop.  The ray q(t) = P(sign * t * x) runs the same routes over the
+integer coefficients of polynomials in s = t / L, where
+sign * x_v * t = a_v * s, and coefficient k in t is that of s^k over
+L^k.  At the all-ones point the ray is the univariate P (sign +1) and U
+(sign -1); at r with sign -1 it is the Shearer ray Z(t * r).
 
 Each public function picks its route from the graph, which keeps its
 perfect elimination order or None (`Graph.elimination_order`, found once
@@ -383,9 +385,10 @@ def univariate_P(graph: Graph) -> UnivariatePoly:
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
-    """Monovariate signed independence polynomial U_G(x): coefficient k
-    is (-1)^k times the number of independent k-sets."""
-    return univariate_P(graph).compose_neg_x()
+    """Monovariate signed independence polynomial U_G(x) = P_G(-x), the
+    ray at sign -1: coefficient k is (-1)^k times the number of
+    independent k-sets."""
+    return _ray(graph, dict.fromkeys(graph.vertices, 1), -1)
 
 
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:

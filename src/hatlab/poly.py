@@ -1,10 +1,17 @@
-"""Univariate polynomials over exact rationals (low degree first)."""
+"""Univariate polynomials over exact rationals (low degree first).
+
+`integer_cleared` is the one integer form of a polynomial: the coprime
+integer coefficients of a positive multiple, computed on integers.  Root
+isolation and the CLI's payloads start from it.  The Fraction routines
+(divmod, gcd, normalized, square_free) serve the Sturm reference in
+`roots`, which stays off the integer route.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _norm(coeffs) -> tuple[Fraction, ...]:
@@ -21,10 +28,6 @@ class UnivariatePoly:
     @staticmethod
     def of(*coeffs) -> "UnivariatePoly":
         return UnivariatePoly(_norm(coeffs))
-
-    @staticmethod
-    def const(c) -> "UnivariatePoly":
-        return UnivariatePoly(_norm([c]))
 
     @staticmethod
     def x() -> "UnivariatePoly":
@@ -92,12 +95,6 @@ class UnivariatePoly:
             _norm([i * c for i, c in enumerate(self.coeffs)][1:])
         )
 
-    def compose_neg_x(self) -> "UnivariatePoly":
-        """p(-x)."""
-        return UnivariatePoly(
-            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
-        )
-
     def divmod(self, other):
         other = _as_poly(other)
         if other.is_zero():
@@ -149,9 +146,13 @@ class UnivariatePoly:
         return self.divmod(g)[0]
 
     def integer_cleared(self) -> list[int]:
-        """Coefficients scaled to coprime integers (low degree first)."""
-        p = self.normalized()
-        return [int(c) for c in p.coeffs]
+        """The coefficients times a positive rational, coprime integers
+        (low degree first): times the lcm of the denominators, then
+        divided by the gcd of the results."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = gcd(*ints)
+        return [c // g for c in ints] if g > 1 else ints
 
     def __str__(self):
         if self.is_zero():

@@ -2,18 +2,21 @@
 recurrence polynomial families of the minimal-root theorems.
 
 Each entry point (unit_interval_root, smallest_positive_root,
-verify_root_interval) clears p once to coprime integers; from there
-isolation runs on Python integers only.  The square-free part comes from
-a primitive pseudo-remainder sequence and an exact division over Z, a
-subinterval is reached by integer scaling and Taylor shifts, and every
-sign test is a homogeneous Horner sum.  One Descartes bisection routine,
+verify_root_interval) clears p once to coprime integers by
+`UnivariatePoly.integer_cleared`; from there isolation runs on Python
+integers only.  The square-free part comes from a primitive
+pseudo-remainder sequence and an exact division over Z, a subinterval is
+reached by integer scaling and Taylor shifts, and every sign test is a
+homogeneous Horner sum.  One Descartes bisection routine,
 _first_root, serves the Shearer ray (unit_interval_root), the smallest
 positive root and the family root intervals.
 
 Sturm sequences (sturm_sequence, sturm_roots, count_real_roots) are an
 independent reference the tests check it by.  They run on poly's
-Fraction routines (square_free, gcd, divmod), which the integer route
-never calls.
+Fraction routines (square_free, gcd, divmod, normalized), which the
+integer route never calls.
+
+`family(tag, n)` returns the polynomial of a recurrence family in k.
 """
 
 from __future__ import annotations
@@ -30,13 +33,6 @@ class RootError(ValueError):
 
 
 # -- integer polynomials: coefficient lists, low degree first ----------
-
-
-def _primitive(p: UnivariatePoly) -> list[int]:
-    """The coefficients of p times a positive rational, coprime integers."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    return _content_free(ints)
 
 
 def _content_free(c: list[int]) -> list[int]:
@@ -175,7 +171,7 @@ def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
     root itself when a bisection midpoint hits it, else the upper end t
     of an interval (a, t) that holds exactly one root, simple, and no
     root in (0, a].  The search ends when that first root is simple."""
-    found = _first_root(_primitive(p), Fraction(0), Fraction(1))
+    found = _first_root(p.integer_cleared(), Fraction(0), Fraction(1))
     return found[1] if isinstance(found, tuple) else found
 
 
@@ -210,7 +206,7 @@ def smallest_positive_root(p: UnivariatePoly, candidate: Fraction | None = None)
     denominator."""
     if p.is_zero():
         raise RootError("zero polynomial")
-    c = _primitive(p)
+    c = p.integer_cleared()
     while c[0] == 0:  # a root at 0 is not positive
         c.pop(0)
     s = _square_free(c)
@@ -375,24 +371,13 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyPoly:
-    tag: str
-    n: int
-    poly: UnivariatePoly
-
-
-def family(tag: str, n: int, k=None):
-    """Polynomial of the named family at index n, as a polynomial in k,
-    or its exact value when k is given."""
+def family(tag: str, n: int) -> UnivariatePoly:
+    """Polynomial of the named family at index n, in k."""
     if tag not in _FAMILIES:
         raise RootError(f"unknown family {tag!r}; choose from {sorted(_FAMILIES)}")
     if n < 0:
         raise RootError("family index must be nonnegative")
-    p = UnivariatePoly.of(*_FAMILIES[tag](n))
-    if k is not None:
-        return p(Fraction(k))
-    return FamilyPoly(tag, n, p)
+    return UnivariatePoly.of(*_FAMILIES[tag](n))
 
 
 _FAMILY_INTERVALS = {"A": (Fraction(-4), Fraction(0)), "Phi": (Fraction(-2), Fraction(2))}
@@ -409,7 +394,7 @@ def verify_root_interval(tag: str, n: int, interval=None) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise RootError("empty interval")
-    s = _square_free(_primitive(family(tag, n).poly))
+    s = _square_free(family(tag, n).integer_cleared())
     b = _cauchy_bound(s)
     outside = [(x, y) for x, y in ((-b, lo), (hi, b)) if x < y]
     return all(_first_root(s, x, y) is None for x, y in outside)

@@ -253,13 +253,13 @@ def _check_root_intervals():
 def _check_identities():
     k = UnivariatePoly.x()
     for n in range(2, 11):
-        lhs = family("L", n).poly * k
-        rhs = family("A", n).poly * (k + 4)
+        lhs = family("L", n) * k
+        rhs = family("A", n) * (k + 4)
         if lhs != rhs:
             return False, f"L_{n}*k != A_{n}*(k+4)"
     for n in range(2, 11):
-        lhs = family("E", n).poly
-        rhs = family("Phi", n - 1).poly * (k + 2)
+        lhs = family("E", n)
+        rhs = family("Phi", n - 1) * (k + 2)
         if lhs != rhs:
             return False, f"E_{n} != (k+2)*Phi_{n - 1}"
     return True, "L_n*k = A_n*(k+4) and E_n = (k+2)*Phi_(n-1) for n <= 10"

@@ -53,6 +53,7 @@ def test_build_chain_writes_files(tmp_path, capsys):
         (("chain", "--l", "0"), "chains need l >= 3"),
         (("delta-plus-k", "--k", "0"), "build_delta_plus_k requires k >= 1"),
         (("ex1", "--n", "0"), "extension examples need n >= 2"),
+        (("ex3", "--n", "4", "--k", "1"), "ex3 with sizes (2, 1, 1, 2) builds no graph"),
     ],
 )
 def test_build_zero_option_is_not_the_default(capsys, argv, message):
@@ -61,6 +62,24 @@ def test_build_zero_option_is_not_the_default(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, to_file",
+    [(("chain", "--variant", "tilde"), False),
+     (("chain", "--variant", "minus"), True),
+     (("ex1",), True)],
+)
+def test_build_expr_without_expression_writes_nothing(tmp_path, capsys, argv, to_file):
+    # checked before any output: no payload on stdout, no -o file
+    out_path, expr_path = tmp_path / "out.json", tmp_path / "expr.json"
+    output = ["-o", str(out_path)] if to_file else []
+    code = main(["build", *argv, *output, "--expr", str(expr_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]!r} has no certificate expression\n"
+    assert not out_path.exists() and not expr_path.exists()
 
 
 def test_solve_winning_with_strategy(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_recurrences_match_reference_on_suffix_ordered_bases():
         base, ds = _suffix_ordered_base(rng, n)
         sizes = [rng.randint(1, 4) for _ in range(n)]
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
-        shifted = [UnivariatePoly.const(a) - y for a in sizes]
+        shifted = [UnivariatePoly.of(a) - y for a in sizes]
         assert reduced_P_first(base, sizes, x) == _reference_reduced_P_first(ds, sizes, x)
         assert reduced_P_second(base, sizes, x) == _reference_second_kind_P(ds, sizes, x, {})
         assert leading_f(base, sizes) == _reference_leading_f(ds, sizes)

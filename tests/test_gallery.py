@@ -14,6 +14,7 @@ from hatlab.gallery import (
     delta_plus_k_ratio,
 )
 from hatlab.graphs import stats
+from hatlab.poly import UnivariatePoly
 
 
 def test_delta6_shape_and_status():
@@ -151,6 +152,16 @@ def test_extension_example_root_candidates():
     assert ex2.u_poly(Fraction(1, k + 4)) == 0
     ex3 = build_extension_example(3, 4, k)
     assert ex3.u_poly(Fraction(1, k + 2)) == 0
+
+
+def test_extension_example_without_a_graph_keeps_u():
+    # H(2, 1, 1, 2): the inner cliques are smaller than their degree 2,
+    # so no graph exists, but U of the recurrence still has the root 1/3
+    ex = build_extension_example(3, 4, 1)
+    assert ex.graph is None
+    assert ex.sizes == (2, 1, 1, 2)
+    assert ex.u_poly == UnivariatePoly.of(1, -6, 10, -2, -3)
+    assert ex.u_poly(Fraction(1, 3)) == 0
 
 
 def test_extension_example_rejects_bad_which():

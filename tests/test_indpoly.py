@@ -193,7 +193,7 @@ def _fraction_ray(graph, r):
 
     def poly(sub):
         if not sub:
-            return UnivariatePoly.const(1)
+            return UnivariatePoly.of(1)
         if sub in memo:
             return memo[sub]
         first, *rest = components(graph.induced(sub))
@@ -328,14 +328,18 @@ def _complete_bipartite(n):
     return make_graph(left + right, {(u, v) for u in left for v in right})
 
 
+def _non_chordal():
+    return ([_cycle(n) for n in (4, 5, 9)] + [_grid(3), _grid(4)]
+            + [_complete_bipartite(n) for n in (2, 3, 5)])
+
+
 def test_route_follows_the_elimination_order(monkeypatch):
     # graphs without a perfect elimination order never enter the
     # sum-product, and chordal graphs never enter the recurrence
     def refuse(*args):
         raise AssertionError("wrong route")
 
-    others = [_cycle(n) for n in (4, 5, 9)] + [_grid(3), _grid(4)]
-    others += [_complete_bipartite(n) for n in (2, 3, 5)]
+    others = _non_chordal()
     for g in others:
         assert perfect_elimination_order(g) is None
     with monkeypatch.context() as m:
@@ -354,3 +358,13 @@ def test_route_follows_the_elimination_order(monkeypatch):
             assert eval_P(g, x) == eval_P_brute(g, x)
             assert eval_Z(g, x) == z_ray(g, x)(1)
             assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
+
+
+def test_u_is_p_at_minus_x():
+    graphs = [g for _, g, _ in itertools.chain(_ray_cases(), _chordal_ray_cases())]
+    graphs += _non_chordal()
+    for g in graphs:
+        p = univariate_P(g)
+        flipped = UnivariatePoly.of(*((-1) ** k * c for k, c in enumerate(p.coeffs)))
+        assert univariate_U(g) == flipped, g.vertices
+    assert len(graphs) == 98

@@ -78,7 +78,7 @@ def test_the_check_sees_each_kind_of_use():
         "from ._own import _fine",
         "hio._write(p, t)",
         "solver._dpll(n, c)",
-        "hr._primitive(p)",
+        "hr._first_root(c, a, b)",
         "hatlab.graphs._bfs_dist(adj, 0)",
         "x = eval_Z.__name__ + self._private",
         "def _helper(): return _helper",
@@ -88,7 +88,7 @@ def test_the_check_sees_each_kind_of_use():
         "graphs._bfs_dist",
         "indpoly._point",
         "io._write",
-        "roots._primitive",
+        "roots._first_root",
         "solver._dpll",
     ]
     assert len(MODULES) > 10

@@ -50,7 +50,7 @@ def test_count_real_roots():
 
 def test_cauchy_bound_contains_roots():
     p = (X - 3) * (X + 5)
-    b = roots._cauchy_bound(roots._primitive(p))
+    b = roots._cauchy_bound(p.integer_cleared())
     assert b > 5
 
 
@@ -163,7 +163,7 @@ def test_smallest_positive_root_agrees_with_sturm_counts():
     for p, known in _differential_corpus():
         iso = smallest_positive_root(p)
         if iso is None:
-            bound = roots._cauchy_bound(roots._primitive(p))
+            bound = roots._cauchy_bound(p.integer_cleared())
             assert sturm_roots(p, Fraction(0), bound) == 0, p
             seen["none"] += 1
             continue
@@ -196,7 +196,7 @@ _INTERVALS = [
 def test_verify_root_interval_agrees_with_sturm_counts(tag, first):
     verdicts = set()
     for n in range(first, 13):
-        p = family(tag, n).poly
+        p = family(tag, n)
         total = count_real_roots(p)
         for lo, hi in _INTERVALS:
             lo, hi = Fraction(lo), Fraction(hi)
@@ -209,13 +209,13 @@ def test_verify_root_interval_agrees_with_sturm_counts(tag, first):
 
 def test_family_values():
     # A_0 = 1, A_1 = k+1, A_2 = k(k+2)
-    assert family("A", 0).poly == UnivariatePoly.ONE
-    assert family("A", 1).poly == X + 1
-    assert family("A", 2).poly == X * (X + 2)
-    assert family("A", 2, k=2) == 8
+    assert family("A", 0) == UnivariatePoly.ONE
+    assert family("A", 1) == X + 1
+    assert family("A", 2) == X * (X + 2)
+    assert family("A", 2)(2) == 8
     # Phi is the Chebyshev-style recurrence Phi_n = k Phi_{n-1} - Phi_{n-2}
-    assert family("Phi", 2).poly == X * X - 1
-    assert family("E", 1).poly == X + 1
+    assert family("Phi", 2) == X * X - 1
+    assert family("E", 1) == X + 1
 
 
 def test_family_E_is_a_second_kind_leading_coefficient():
@@ -223,7 +223,7 @@ def test_family_E_is_a_second_kind_leading_coefficient():
     for n in range(2, 11):
         sizes = [X + 1] + [X] * (n - 2) + [X + 1]
         base = path_graph([f"v{i}" for i in range(n)])
-        assert family("E", n).poly == leading_f_second(base, sizes), n
+        assert family("E", n) == leading_f_second(base, sizes), n
 
 
 # The recurrences as they were on Fraction polynomials, the reference
@@ -276,8 +276,9 @@ def _reference_family_Phi(n):
 )
 def test_family_matches_fraction_recurrence(tag, first, reference):
     for n in range(first, 31):
-        assert family(tag, n).poly == reference(n), (tag, n)
-        assert family(tag, n, k=3) == reference(n)(Fraction(3))
+        assert family(tag, n) == reference(n), (tag, n)
+        for k in range(-5, 6):
+            assert family(tag, n)(k) == reference(n)(Fraction(k)), (tag, n, k)
 
 
 def test_family_unknown_tag():
@@ -351,8 +352,8 @@ def test_smallest_positive_root_divides_out_a_root_at_zero():
 
 def test_smallest_positive_root_of_phi_5_against_sturm():
     # Phi_5 = k (k^2 - 1)(k^2 - 3): positive roots 1 and sqrt 3
-    p = family("Phi", 5).poly
-    b = roots._cauchy_bound(roots._primitive(p))
+    p = family("Phi", 5)
+    b = roots._cauchy_bound(p.integer_cleared())
     assert sturm_roots(p, Fraction(0), b) == 2
     iso = smallest_positive_root(p)
     assert iso.exact_root == 1
@@ -455,7 +456,7 @@ def _reference_verify_root_interval(tag: str, n: int, interval=None) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise RootError("empty interval")
-    s = family(tag, n).poly.square_free()
+    s = family(tag, n).square_free()
     b = _reference_cauchy_bound(s)
     outside = [(x, y) for x, y in ((-b, lo), (hi, b)) if x < y]
     return all(_reference_first_root(s, x, y) is None for x, y in outside)
@@ -521,7 +522,7 @@ def test_differential_families(tag, first):
                 got = verify_root_interval(tag, n, interval)
                 assert got == _reference_verify_root_interval(tag, n, interval)
                 verdicts.add(got)
-        _same_smallest_positive_root(family(tag, n).poly)
+        _same_smallest_positive_root(family(tag, n))
     assert verdicts == {True, False}
 
 
@@ -571,7 +572,7 @@ def test_differential_random_products():
         assert unit_interval_root(q) == (want[1] if isinstance(want, tuple) else want)
         a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         b = a + Fraction(rng.randint(1, 20), rng.randint(1, 7))
-        assert roots._first_root(roots._primitive(q), a, b) == _reference_first_root(q, a, b)
+        assert roots._first_root(q.integer_cleared(), a, b) == _reference_first_root(q, a, b)
     assert min(seen.values()) >= 20, seen
 
 
@@ -580,8 +581,8 @@ def test_roots_at_interval_ends():
         # 0 = hi is a root of A_n; the open interval (hi, B) excludes it
         assert verify_root_interval("A", n, (-4, 0)) is True
         assert verify_root_interval("A", n, (-4, Fraction(-1, 2))) is False
-        s = family("A", n).poly.square_free()
-        got = roots._first_root(roots._primitive(s), Fraction(-4), Fraction(0))
+        s = family("A", n).square_free()
+        got = roots._first_root(s.integer_cleared(), Fraction(-4), Fraction(0))
         assert got == _reference_first_root(s, Fraction(-4), Fraction(0)) is not None
     # a double root as candidate, and a larger candidate past it
     p = (3 * X - 1) * (3 * X - 1) * (X - 2) * (X + 1)
@@ -595,8 +596,8 @@ def test_integer_square_free_part():
     square = (X * X - 2) * (X * X - 2)
     for p in (cube * square, cube * square * Fraction(5, 7), square * (3 * X - 5) * (3 * X - 5)):
         # (3x - 1)(x^2 - 2) or (x^2 - 2)(3x - 5), up to sign
-        s = roots._square_free(roots._primitive(p))
-        want = roots._primitive(p.square_free())
+        s = roots._square_free(p.integer_cleared())
+        want = p.square_free().integer_cleared()
         assert len(s) == 4 and s in (want, [-c for c in want])
     assert _same_smallest_positive_root(cube * square).exact_root == Fraction(1, 3)
     iso = _same_smallest_positive_root(square * (3 * X - 5) * (3 * X - 5))
