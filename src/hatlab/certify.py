@@ -10,51 +10,6 @@ for v in W
 
 Z_W is affine in each coordinate, and dZ_W/dp_v = -Z_{W-N[v]}.
 
-Ray lemma (Shearer, Combinatorica 1985; Scott & Sokal, J. Stat. Phys.
-2005, section 2).  Let G = (V, E) be connected, r > 0 and Z_V(r) = 0.
-Then the game is maximal exactly when q(t) = Z_V(t r) has no root in
-(0, 1).
-
-Proof.  A root t in (0, 1) is a zero t r of Z in the box minus r.
-Conversely, let t1 be the least t > 0 at which some Z_W(t r) vanishes;
-every Z_W is 1 at t = 0, and t1 <= 1 because Z_V(r) = 0.
-
-(a) t1 is the first positive root of q.  For t < t1 every Z_U(t r) is
-    positive, so (1) gives Z_W <= Z_{W-v} at t r, and deleting the
-    vertices of V - W one at a time gives Z_V <= Z_W.  In the limit
-    0 <= Z_V(t1 r) <= Z_W(t1 r) = 0 for the W that vanishes.
-(b) At p = t1 r, Z_W(p) > 0 for every proper subset W.  All Z_U(p) >= 0
-    by continuity.  Take a nonempty proper W with Z_W(p) = 0 of least
-    size.  G is connected, so a vertex v outside W has a neighbour in W,
-    and (1) on W + v gives 0 <= Z_{W+v}(p) = -p_v Z_{W-N(v)}(p) <= 0.  So
-    Z_{W-N(v)}(p) = 0 on a smaller set, which is impossible: it is
-    either empty (Z = 1) or contradicts the choice of W.
-(c) q'(t1) = -sum_v r_v Z_{V-N[v]}(t1 r) < 0 by (b), so t1 is a simple
-    root and q changes sign there.
-
-If q has no root in (0, 1), then t1 = 1 and (b) says Z > 0 at every
-corner other than r.  Suppose Z(p) <= 0 at some other p in the box.
-Fix the coordinates one at a time, starting with one where p_u < r_u,
-to the end of their interval where the affine restriction is smaller,
-0 on a tie.  Z never grows, and the first step either sets p_u = 0 or
-makes Z negative, so this ends at a corner other than r with Z <= 0: a
-contradiction.  The same descent, started at t0 r with t0 < 1 and
-q(t0) <= 0, gives the witness corner of a refutation.
-
-Deciding the ray.  q has degree at most the independence number of G.
-Its roots in (0, 1) number at most the sign variations of
-(1 + x)^d q(1/(1 + x)) (Descartes' rule of signs), which integer Taylor
-shifts compute; zero variations prove maximality, and a root of q at
-t = 1 does not count.  Otherwise Descartes bisection searches (0, 1)
-from the left (roots.unit_interval_root).  It ends, because by (c) a
-first root there is simple, at that root or at the upper end t0 of an
-interval (a, t0) that holds exactly one root, simple, with q(a) > 0;
-q changes sign once between them, so q(t0) <= 0.
-
-A disconnected graph is never maximal: Z is the product of Z over the
-components, so Z(r) = 0 makes it vanish on some component W, and the
-corner that keeps only W is a zero other than r.
-
 Losing rule.  r lies in Shearer's region when Z_W(r) > 0 for every W.
 Then the sages lose.  Colour at random, uniformly.  Given the colours
 of all other sages, sage v guesses right with probability r_v, and
@@ -66,17 +21,84 @@ Phys. 2005) every sage misses with probability at least Z_V(r) > 0, so
 some colouring beats every strategy.  Z(r) > 0 alone is not enough:
 P_7 and P_8 at h = 2 have Z(r) > 0 and are winning.
 
-Deciding the region.  If q(t) = Z_V(t r) > 0 for every t in [0, 1],
-then r lies in the region: were some Z_W(t r) to vanish for a t in
-(0, 1], the least such t would be a root of q by (a), whose proof uses
-neither connectivity nor Z_V(r) = 0.  The converse holds because the
-region is closed downwards (Scott & Sokal, section 2), so the test
-misses no point of it.  Z factors over the components, and so does the
-region, so each component W is tested on its own: q_W(1) > 0, and no
-root in (0, 1) by Descartes' rule and bisection as above.  On a
-component the bisection ends because a first root is simple by (c); a
-product of components can have a double root, on which it need not
-end.
+Ratio lemma (Shearer 1985; Scott & Sokal, section 2).  Let p >= 0 and
+Z_U(p) > 0 for every subset U of Y.  Then for every subset X of Y and
+every vertex set A
+
+    Z_{X-A}(p) / Z_X(p) <= Z_{Y-A}(p) / Z_Y(p).                       (2)
+
+Proof, by induction on |Y|.  Both sides are 1 when A misses Y.  Else let
+w_1, ..., w_k be the vertices of A in Y, and X_j, Y_j what is left of X
+and Y once w_1, ..., w_j are gone; each side of (2) is the product over
+j of Z_{X_j} / Z_{X_(j-1)}, resp. Z_{Y_j} / Z_{Y_(j-1)}.  By (1) at
+w = w_j,
+
+    Z_{Y_(j-1)} / Z_{Y_j} = 1 - p_w * Z_{Y_j-N(w)} / Z_{Y_j},
+
+a ratio of positive values, and at most 1, so the factor of Y is at
+least 1.  The factor of X is 1 when w is not in X.  Else the same
+identity holds for X, and (2) on the smaller set Y_j, which contains
+X_j, with A = N(w) gives Z_{X_j-N(w)} / Z_{X_j} <= Z_{Y_j-N(w)} / Z_{Y_j};
+so Z_{X_(j-1)} / Z_{X_j} >= Z_{Y_(j-1)} / Z_{Y_j} > 0, and the factor of
+X is at most that of Y.  The factors are positive, so the products
+compare alike.
+
+Chain lemma.  Fix any order v_1, ..., v_n of V, let W_i = {v_1, ...,
+v_i}, and p >= 0.
+
+(a) Z_W(p) > 0 for every subset W of V exactly when Z_{W_i}(p) > 0 for
+    every i <= n.
+(b) If G is connected and p > 0: the game at p is maximal (Z_V(p) = 0,
+    and Z > 0 on the box [0, p] minus p) exactly when Z_{W_i}(p) > 0
+    for every i < n and Z_V(p) = 0.
+
+Proof of (a).  The W_i are among the W.  Conversely, by induction on n,
+with nothing to show at n = 0 (Z of the empty set is 1).  Let v = v_n
+and V' = W_(n-1).  The order v_1, ..., v_(n-1) of G - v meets the
+hypothesis, so Z_U(p) > 0 for every subset U of V'.  Any other set S
+contains v and has S - v in V', and (1), then (2) with X = S - v, Y = V',
+A = N(v), give
+
+    Z_S = Z_{S-v} * (1 - p_v * Z_{S-v-N(v)} / Z_{S-v})
+       >= Z_{S-v} * (1 - p_v * Z_{V'-N(v)} / Z_{V'})
+        = Z_{S-v} * Z_V / Z_{V'},                                     (3)
+
+which is positive because Z_V = Z_{W_n} > 0.
+
+Proof of (b).  Only if: Z_V(p) = 0, and for i < n the corner that is p
+on W_i and 0 off it is not p, so Z_{W_i}(p) > 0.  If: by (a) on G - v_n,
+Z_U(p) > 0 for every subset U of V', and (3) with Z_V = 0 gives
+Z_S >= 0 for every S that contains v_n; so Z_U(p) >= 0 for every U.
+Strictness:
+suppose some nonempty proper W has Z_W(p) = 0, and take one of least
+size.  G is connected, so a vertex u outside W has a neighbour in W, and
+(1) on W + u gives 0 <= Z_{W+u}(p) = -p_u * Z_{W-N(u)}(p) <= 0.  As
+p_u > 0, Z_{W-N(u)}(p) = 0, on a set smaller than W since u has a
+neighbour in W: it is either empty, where Z = 1, or contradicts the
+choice of W.  The corner that is p on W and 0 off it has the value
+Z_W(p), so Z > 0 at every corner of the box other than p.  Now suppose
+Z(q) <= 0 at some q in the box other than p.  Fix the coordinates one
+at a time, starting with one where q_u < p_u, to the end of their
+interval where the affine restriction is smaller, 0 on a tie.  Z never
+grows, and the first step either sets q_u = 0 or makes Z negative, so
+this ends at a corner other than p with Z <= 0: a contradiction.
+
+Without connectivity (b) is false.  Take K1 + K2, vertices a and b - c,
+r = (1/3, 1/2, 1/2) and the order a, b, c: the proper prefixes give
+Z = 2/3 and 1/3, and Z(r) = 2/3 * 0 = 0, but Z vanishes on the corner
+that keeps b and c.  A disconnected graph is never maximal: Z is the
+product of Z over the components, so Z(r) = 0 makes it vanish on some
+component W, and the corner that keeps only W is a zero other than r.
+
+Deciding.  `indpoly.z_prefix_chain` gives Z(r) and the first prefix of
+its vertex order on which Z is not positive, by one evaluation.
+Maximality: Z(r) != 0 refutes it with the witness r; a disconnected
+graph is refuted by the component rule; a connected one is maximal by
+(b) exactly when that first prefix is V itself, and otherwise the
+prefix W_i, i < n, is the witness: the corner that is r on W_i and 0 off
+it, where Z = Z_{W_i}(r) <= 0.  The losing rule holds by (a) exactly
+when no prefix is non-positive, on any graph.  Both certificates record
+the order, so a checker can recompute the prefix values.
 
 The region contains the counting bound sum_v r_v < 1.  For p >= 0 with
 sum_V p < 1, every W has 1 - sum_W p <= Z_W(p) <= 1, by induction on |W|
@@ -94,15 +116,14 @@ from typing import ClassVar, Optional
 from . import algebra
 from .games import HatGame, fraction_vector
 from .graphs import Graph, components, is_chordal
-from .indpoly import eval_Z, univariate_U, z_ray
+from .indpoly import eval_Z, univariate_U, z_prefix_chain
 from .poly import UnivariatePoly
-from .roots import IsolatingInterval, smallest_positive_root, unit_interval_root
+from .roots import IsolatingInterval, smallest_positive_root
 
 JUSTIFICATIONS = {
-    "ray": "G is connected and Z(t r) has no root for 0 < t < 1, so by the "
-    "ray lemma (Shearer; Scott & Sokal) Z > 0 at every box corner except r; "
-    "Z is multilinear, so with Z(r) = 0 it is strictly positive on the box "
-    "minus {r}.",
+    "chain": "G is connected, Z(r) = 0, and Z > 0 on every proper prefix "
+    "of the recorded vertex order, so by the chain lemma (Shearer; Scott & "
+    "Sokal) Z is strictly positive on the box minus {r}.",
     "compositional": "precise clique leaves are maximal; the sum "
     "constructor preserves maximality",
 }
@@ -116,8 +137,9 @@ class CertifyError(ValueError):
 class MaximalityCertificate:
     game: HatGame
     z_at_r: Fraction
-    method: str  # "ray" | "compositional"
+    method: str  # "chain" | "compositional"
     corner_count: int = 0
+    chain: Optional[list[str]] = None  # the vertex order, for "chain"
 
     @property
     def justification(self) -> str:
@@ -135,9 +157,10 @@ class Refutation:
 class LosingCertificate:
     game: HatGame
     z_at_r: Fraction
+    chain: list[str]  # the vertex order whose prefixes all have Z > 0
     rule: ClassVar[str] = (
-        "r in Shearer's region (Z(t r) > 0 for 0 <= t <= 1 on every "
-        "component) implies losing"
+        "r in Shearer's region (Z_W(r) > 0 on every prefix W of a vertex "
+        "order, by the chain lemma) implies losing"
     )
 
 
@@ -146,67 +169,40 @@ class Inconclusive:
     reason: str
 
 
+def _first_prefix(chain) -> str:
+    return (f"Z = {chain.value} on the first {chain.first} of "
+            f"{len(chain.order)} vertices of the chain")
+
+
 def check_maximal_direct(game: HatGame):
     """Decide maximality from the definition: Z(r) = 0 exactly and Z > 0
-    on the box below r minus r, by the ray lemma of the module docstring.
-    A maximal game certifies the 2^n - 1 corners other than r.  The ray
-    is built only when the values at r leave the question open: for a
-    connected graph with Z(r) = 0."""
-    r, parts, z_at_r = _component_values(game)
-    if z_at_r != 0:
-        return Refutation("Z(r) != 0", witness_point=r, witness_value=z_at_r)
+    on the box below r minus r, by the chain lemma of the module
+    docstring.  A maximal game certifies the 2^n - 1 corners other than
+    r."""
+    r = fraction_vector(game)
+    chain = z_prefix_chain(game.graph, r)
+    if chain.z != 0:
+        return Refutation("Z(r) != 0", witness_point=r, witness_value=chain.z)
+    parts = components(game.graph)
     if len(parts) > 1:
-        for sub, at_r in parts:
-            if at_r == 0:
-                point = {v: (r[v] if v in sub.index else Fraction(0)) for v in r}
+        for comp in parts:
+            if eval_Z(game.graph.induced(comp), r) == 0:
+                point = {v: (r[v] if v in comp else Fraction(0)) for v in r}
                 return Refutation(
                     "disconnected: Z vanishes on one component",
                     witness_point=point,
                     witness_value=Fraction(0),
                 )
-    ((sub, _),) = parts  # connected: sub is game.graph
-    t0 = unit_interval_root(z_ray(sub, r))
-    if t0 is None:
-        return MaximalityCertificate(
-            game, z_at_r, method="ray", corner_count=2 ** len(r) - 1
-        )
-    point, value = _descend(game.graph, r, t0)
+    if chain.first == len(r):
+        return MaximalityCertificate(game, chain.z, method="chain",
+                                     corner_count=2 ** len(r) - 1,
+                                     chain=chain.order)
+    keep = set(chain.order[: chain.first])
     return Refutation(
-        f"Z(t r) <= 0 at t = {t0} < 1; nonpositive corner value",
-        witness_point=point,
-        witness_value=value,
+        f"{_first_prefix(chain)}, a corner other than r with Z <= 0",
+        witness_point={v: (r[v] if v in keep else Fraction(0)) for v in r},
+        witness_value=chain.value,
     )
-
-
-def _component_values(game: HatGame):
-    """r; the (graph, Z_W(r)) pairs of the components W, whose graphs
-    keep the elimination order that their rays reuse; and Z(r), the
-    product of the Z_W(r), since Z factors over the components."""
-    r = fraction_vector(game)
-    parts = []
-    z = Fraction(1)
-    for comp in components(game.graph):
-        sub = game.graph.induced(comp)
-        at_r = eval_Z(sub, r)
-        z *= at_r
-        parts.append((sub, at_r))
-    return r, parts, z
-
-
-def _descend(graph: Graph, r: dict, t0: Fraction):
-    """A corner other than r with Z <= 0, by affine descent from t0 r,
-    where Z <= 0 and every coordinate lies strictly inside its interval;
-    returns the corner and its Z value."""
-    p = {v: t0 * rv for v, rv in r.items()}
-    value = eval_Z(graph, p)
-    for v in graph.vertices:
-        # Z = a - p_v * b, with b = Z of G - N[v] at p
-        gone = graph.neighbors(v) | {v}
-        b = eval_Z(graph.induced(u for u in graph.vertices if u not in gone), p)
-        a = value + p[v] * b
-        p[v] = r[v] if b > 0 else Fraction(0)
-        value = a - p[v] * b
-    return p, value
 
 
 def check_maximal_compositional(e: "algebra.GameExpr"):
@@ -231,20 +227,15 @@ def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertific
 
 
 def losing_by_Z_positive(game: HatGame):
-    """Losing certificate when r lies in Shearer's region, decided one
-    component at a time by the ray (module docstring); inconclusive
-    otherwise.  A component with Z_W(r) <= 0 settles it without rays.
-    Z(r) is the product of the components' Z_W(r)."""
-    r, parts, z = _component_values(game)
-    if all(at_r > 0 for _, at_r in parts) and all(
-        unit_interval_root(z_ray(sub, r)) is None for sub, _ in parts
-    ):
-        return LosingCertificate(game, z)
-    if z <= 0:
-        return Inconclusive(f"Z(r) = {z} is not positive; the rule is silent")
+    """Losing certificate when r lies in Shearer's region, decided by the
+    chain lemma (a) of the module docstring; inconclusive otherwise,
+    naming the first prefix of the chain on which Z is not positive."""
+    chain = z_prefix_chain(game.graph, fraction_vector(game))
+    if chain.first is None:
+        return LosingCertificate(game, chain.z, chain.order)
     return Inconclusive(
-        f"Z(r) = {z} > 0, but Z(t r) vanishes for some 0 < t <= 1 on a "
-        "component: r lies outside Shearer's region; the rule is silent"
+        f"{_first_prefix(chain)} (Z(r) = {chain.z}): r lies outside "
+        "Shearer's region; the rule is silent"
     )
 
 

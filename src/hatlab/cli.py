@@ -357,7 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("game")
     s.add_argument("--emit-strategy")
-    s.add_argument("--timeout-ms", type=_positive_int)
+    s.add_argument(
+        "--timeout-ms", type=_positive_int, metavar="N",
+        help="give up with verdict unknown after N >= 1 ms of search; the "
+        "budget covers only the CDCL search, not the encoding before it",
+    )
     s.set_defaults(fn=_cmd_solve)
 
     c = sub.add_parser("certify", help="produce an exact certificate")

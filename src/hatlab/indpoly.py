@@ -13,6 +13,9 @@ L^k.  At the all-ones point the ray is the univariate P (sign +1) and U
 Each public function picks its route from the graph, which keeps its
 perfect elimination order or None (`Graph.elimination_order`, found once
 per graph object), so callers pass graphs and points, never orders.
+`z_prefix_chain` runs a route once at -x and also reads Z along the
+prefixes of the route's own vertex order, for the chain lemma of
+`certify`.
 
 Chordal graphs: one sum-product over the perfect elimination order
 (PEO) that the graph keeps.  The later neighbours C(v) of v form a
@@ -74,6 +77,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, independent_sets
 from .poly import UnivariatePoly
@@ -165,7 +169,8 @@ class _Evaluator:
 
     def __init__(self, graph: Graph, x, sign: int = 1):
         self.scale, a = _scaled(graph, x, sign)
-        order = _elimination_order(graph.adj)
+        # order[pos]: the vertex index at bit position pos
+        self.order = order = _elimination_order(graph.adj)
         # bit[i]: the bit of vertex index i; adj and a are by bit position
         self.bit = [0] * len(graph)
         for pos, i in enumerate(order):
@@ -190,13 +195,14 @@ class _Evaluator:
             mask |= self.bit[i]
         return Fraction(self._eval(mask), self.scale ** mask.bit_count())
 
-    def _eval(self, root: int):
+    def _eval(self, root: int, gone=None):
+        """W(root); gone = 0 says that root is connected."""
         adj, memo, one = self.adj, self.memo, self.one
         vals = []
         emit = vals.append
         # (_EVAL, sub, gone): sub is a connected subset less the vertices
         # gone, or any subset when gone is None
-        stack = [(_EVAL, root, None)]
+        stack = [(_EVAL, root, gone)]
         pop, push = stack.pop, stack.append
         while stack:
             kind, sub, arg = pop()
@@ -311,6 +317,78 @@ def z_corner_evaluator(graph: Graph, r: dict[str, Fraction]) -> _Evaluator:
     return _Evaluator(graph, r, -1)
 
 
+class PrefixChain(NamedTuple):
+    """Z along the prefixes W_i = {v_1, ..., v_i} of a vertex order."""
+
+    order: list[str]  # v_1, ..., v_n
+    first: Optional[int]  # the least i with Z_{W_i}(x) <= 0, or None
+    value: Optional[Fraction]  # Z_{W_first}(x)
+    z: Fraction  # Z_V(x)
+
+
+def z_prefix_chain(graph: Graph, x: dict[str, Fraction]) -> PrefixChain:
+    """Z of the prefixes of a vertex order that the route picks, up to the
+    first that is not positive, and Z(x) itself, by one evaluation:
+
+    * chordal: the sum-product over the perfect elimination order.  After
+      step i the processed vertices are W_i, the union of the subtrees
+      T(u) of the processed u whose parent is not; no edge joins two of
+      them, so Z_{W_i} is the product of their Z_{T(u)} = f_u[none].  So
+      the first prefix that is not positive is the one at the first
+      f_v[none] <= 0.
+    * otherwise: the recurrence in one memo, on the prefixes of the
+      highest bits.  Z_{W_i} is the product over the components of W_i,
+      and only the one that the new vertex joins is new; it is evaluated
+      as connected, with the new vertex as its pivot, so its children lie
+      in the prefix before it.  Again the first prefix that is not
+      positive is the one at the first new component with Z <= 0."""
+    order = graph.elimination_order
+    if order is None:
+        return _recurrence_chain(graph, x)
+    scale, a = _scaled(graph, x, -1)
+    tops = []  # f_v[none] = W(T(v)), in the order
+
+    def node(out, inn, av):
+        tops.append(scale * out + av * inn)
+        return tops[-1]
+
+    w = _sum_product(graph.adj, order, a, prod, node, lambda w: scale * w)
+    names = [graph.vertices[v] for v in order]
+    z = Fraction(w, scale ** len(order))
+    i = next((i for i, f in enumerate(tops) if f <= 0), None)
+    if i is None:
+        return PrefixChain(names, None, None, z)
+    rank = dict(zip(order, range(len(order))))
+    # the processed u with no later neighbour among the processed
+    value = prod(f for j, (u, f) in enumerate(zip(order[: i + 1], tops))
+                 if not any(j < rank[c] <= i for c in graph.adj[u]))
+    return PrefixChain(names, i + 1, Fraction(value, scale ** (i + 1)), z)
+
+
+def _recurrence_chain(graph: Graph, x) -> PrefixChain:
+    ev = _Evaluator(graph, x, -1)
+    n = len(ev.a)
+    names = [graph.vertices[i] for i in reversed(ev.order)]
+    # the components of the prefix and their W values: the new vertex
+    # joins the components it touches into one, evaluated as connected
+    comps: list[tuple[int, int]] = []
+    for k in range(1, n + 1):
+        pos = n - k
+        touched, kept = 1 << pos, []
+        for c in comps:
+            if c[0] & ev.adj[pos]:
+                touched |= c[0]
+            else:
+                kept.append(c)
+        w = ev._eval(touched, 0)
+        comps = kept + [(touched, w)]
+        if w <= 0:
+            value = Fraction(prod(w for _, w in comps), ev.scale**k)
+            return PrefixChain(names, k, value, ev.full())
+    return PrefixChain(names, None, None,
+                       Fraction(prod(w for _, w in comps), ev.scale**n))
+
+
 def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fraction:
     """Independent-set enumeration oracle for eval_P."""
     total = Fraction(0)
@@ -393,5 +471,6 @@ def univariate_U(graph: Graph) -> UnivariatePoly:
 
 def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
     """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
-    independence number of G, exactly over the integers."""
+    independence number of G, exactly over the integers.  No library code
+    calls it: the tests check `certify`'s prefix chain against it."""
     return _ray(graph, r, -1)

@@ -1,15 +1,14 @@
 """Exact real-root isolation on primitive integer coefficients, and the
 recurrence polynomial families of the minimal-root theorems.
 
-Each entry point (unit_interval_root, smallest_positive_root,
-verify_root_interval) clears p once to coprime integers by
-`UnivariatePoly.integer_cleared`; from there isolation runs on Python
-integers only.  The square-free part comes from a primitive
-pseudo-remainder sequence and an exact division over Z, a subinterval is
-reached by integer scaling and Taylor shifts, and every sign test is a
-homogeneous Horner sum.  One Descartes bisection routine,
-_first_root, serves the Shearer ray (unit_interval_root), the smallest
-positive root and the family root intervals.
+Each entry point (smallest_positive_root, verify_root_interval) clears
+p once to coprime integers by `UnivariatePoly.integer_cleared`; from
+there isolation runs on Python integers only.  The square-free part
+comes from a primitive pseudo-remainder sequence and an exact division
+over Z, a subinterval is reached by integer scaling and Taylor shifts,
+and every sign test is a homogeneous Horner sum.  One Descartes
+bisection routine, _first_root, serves the smallest positive root and
+the family root intervals.
 
 Sturm sequences (sturm_sequence, sturm_roots, count_real_roots) are an
 independent reference the tests check it by.  They run on poly's
@@ -164,15 +163,6 @@ def _first_root(c: list[int], a: Fraction, b: Fraction):
             stack.append((2 * i + 1, k + 1, None))
         stack.append((2 * i, k + 1, left))
     return None
-
-
-def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
-    """The first root of p in (0, 1), or None when there is none: the
-    root itself when a bisection midpoint hits it, else the upper end t
-    of an interval (a, t) that holds exactly one root, simple, and no
-    root in (0, a].  The search ends when that first root is simple."""
-    found = _first_root(p.integer_cleared(), Fraction(0), Fraction(1))
-    return found[1] if isinstance(found, tuple) else found
 
 
 @dataclass(frozen=True)

@@ -669,7 +669,8 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
       in Shearer's region (the proof is in `certify`); "region" when no
       leaf peeled.  Nothing is enumerated, so it runs beyond the guards
       too, and a game it leaves open there raises GuardExceeded.
-    * "sat": the verdict of `search_game`.
+    * "sat": the verdict of `search_game`, whose timeout_ms bounds the
+      CDCL search alone, not `encode` nor the other routes.
 
     The order changes no verdict: a heavy clique makes the game winning,
     and the losing check is sound, so on such a game it could only have
@@ -819,7 +820,12 @@ def _clique_strategy(game: HatGame, clique: list[str]) -> dict:
 
 def search_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """Winning with an extracted (verified) strategy, or Losing after
-    exhaustive refutation; Unknown only on timeout, never a guess."""
+    exhaustive refutation; Unknown only on timeout, never a guess.
+
+    timeout_ms (None: no limit) bounds the CDCL search alone.  Its clock
+    starts when the search does, so `encode` before it, and strategy
+    extraction and verification after it, are not counted; on a large
+    formula the encoding alone can outlast the budget."""
     seconds: dict[str, float] = {}
     start = time.perf_counter()
     cnf = encode(game)

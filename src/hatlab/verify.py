@@ -162,13 +162,19 @@ def _check_delta6():
         return False, f"max degree {st.max_degree} != 6"
     if set(game.h.values()) != {8}:
         return False, f"hatness values {sorted(set(game.h.values()))} != {{8}}"
+    direct = check_maximal_direct(game)
+    if not isinstance(direct, MaximalityCertificate):
+        return False, f"direct maximality failed: {direct}"
     hg = conclude_hg(e)
     if hg.value != 8:
         return False, f"conclude_hg {hg.value} != 8 ({hg.reason})"
     mh = mu_hat_chordal(game.graph, candidate=Fraction(1, 8))
     if mh.value != 8:
         return False, f"mu-hat {mh.value} != 8"
-    return True, "31 vertices, Delta=6, h=8, Z(r)=0, maximal, HG=8, mu-hat=8"
+    return True, (
+        "31 vertices, Delta=6, h=8, Z(r)=0, maximal (composition + chain), "
+        "HG=8, mu-hat=8"
+    )
 
 
 # -- 3. the 4/3 theorem ------------------------------------------------
@@ -187,9 +193,12 @@ def _check_four_thirds():
         ratio = Fraction(int(hg.value), st.max_degree)
         if ratio != Fraction(4, 3):
             return False, f"n={n}: ratio {frac_str(ratio)} != 4/3"
+        direct = check_maximal_direct(game)
+        if not isinstance(direct, MaximalityCertificate):
+            return False, f"n={n}: direct maximality failed: {direct}"
         details.append(f"n={n}: {len(game.vertices)} vertices, HG={2 ** n}, "
                        f"Delta={st.max_degree}")
-    return True, "; ".join(details) + "; ratio 4/3 exact"
+    return True, "; ".join(details) + "; ratio 4/3 exact; maximal by the chain"
 
 
 # -- 4. Delta + k ------------------------------------------------------
@@ -206,12 +215,15 @@ def _check_delta_plus_k():
         )
     if hg.value != 16:
         return False, f"m=2: conclude_hg {hg.value} != 16"
+    direct = check_maximal_direct(game)
+    if not isinstance(direct, MaximalityCertificate):
+        return False, f"m=2: direct maximality failed: {direct}"
     r100 = delta_plus_k_ratio(100)
     gap = abs(r100 - Fraction(8, 7))
     if r100 != Fraction(800, 699) or gap >= Fraction(1, 500):
         return False, f"ratio at m=100 is {frac_str(r100)}, gap {frac_str(gap)}"
     return True, (
-        f"m=2: 62 vertices, Delta=13, HG=16=Delta+3; "
+        f"m=2: 62 vertices, Delta=13, HG=16=Delta+3, maximal by the chain; "
         f"ratio(100)={frac_str(r100)}, |ratio-8/7|={frac_str(gap)} < 1/500"
     )
 
@@ -296,7 +308,7 @@ def _check_stegosaur():
         if not isinstance(cert, LosingCertificate):
             return False, f"{variant} variant: region rule inconclusive"
     return True, (
-        "H2^4 maximal winning (ray + composition + solver); P4 losing "
+        "H2^4 maximal winning (chain + composition + solver); P4 losing "
         "by solver; all 7 edge deletions and both variants losing by region"
     )
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hatlab import gallery, graphs
+from hatlab import gallery, graphs, indpoly
 from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose, conclude_hg, eval_expr
 from hatlab.certify import (
     CertifyError,
@@ -21,6 +21,7 @@ from hatlab.certify import (
 from hatlab.games import WINNING, fraction_vector, make_game, uniform_game
 from hatlab.graphs import (
     complete_graph,
+    components,
     diameter,
     make_graph,
     path_graph,
@@ -32,8 +33,10 @@ from hatlab.indpoly import (
     univariate_P,
     univariate_U,
     z_corner_evaluator,
+    z_prefix_chain,
     z_ray,
 )
+from hatlab.roots import sturm_roots
 from hatlab.solver import search_game, verify_strategy
 
 
@@ -42,8 +45,9 @@ def test_precise_clique_is_maximal_direct():
     cert = check_maximal_direct(game)
     assert isinstance(cert, MaximalityCertificate)
     assert cert.z_at_r == 0
-    assert cert.method == "ray"
+    assert cert.method == "chain"
     assert cert.corner_count == 7
+    assert sorted(cert.chain) == ["a", "b", "c"]
 
 
 def test_losing_clique_refuted():
@@ -82,7 +86,7 @@ def test_direct_check_has_no_size_cutoff():
 def test_gallery_games_are_maximal_direct(expr):
     cert = check_maximal_direct(eval_expr(expr()).game)
     assert isinstance(cert, MaximalityCertificate)
-    assert cert.method == "ray"
+    assert cert.method == "chain"
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 50])
@@ -95,7 +99,7 @@ def test_chain_diameter_grows_at_degree_three(n):
     assert conclude_hg(chain.expr).value == 4
     direct = check_maximal_direct(uniform_game(chain.graph, 4))
     assert isinstance(direct, MaximalityCertificate)
-    assert direct.method == "ray"
+    assert direct.method == "chain"
     comp = check_maximal_compositional(chain.expr)
     assert isinstance(comp, MaximalityCertificate)
 
@@ -142,9 +146,30 @@ def _boundary_game(rng, graph, hmin, hmax):
     return make_game(graph, h, {v: rv.numerator})
 
 
+def _ray_is_maximal(game) -> bool:
+    """The ray lemma, the reference the chain replaced: a connected game
+    with Z(r) = 0 is maximal exactly when Z(t r) has no root in (0, 1),
+    counted here by the Sturm reference."""
+    r = fraction_vector(game)
+    if not stats(game.graph).connected or eval_Z(game.graph, r) != 0:
+        return False
+    q = z_ray(game.graph, r)
+    return sturm_roots(q, Fraction(0), Fraction(1)) == 1  # the root at t = 1
+
+
+def _ray_in_region(game) -> bool:
+    """Shearer's region by the ray: Z_W(t r) > 0 for 0 <= t <= 1 on every
+    component W."""
+    r = fraction_vector(game)
+    return all(
+        sturm_roots(z_ray(game.graph.induced(comp), r), Fraction(0), Fraction(1)) == 0
+        for comp in components(game.graph)
+    )
+
+
 def test_ray_agrees_with_corner_sweep():
     rng = random.Random(7)
-    seen = {"maximal": 0, "Z(r) != 0": 0, "ray": 0, "disconnected": 0}
+    seen = {"maximal": 0, "Z(r) != 0": 0, "chain": 0, "disconnected": 0}
     for _ in range(500):
         n = rng.randint(1, 10)
         graph = _random_graph(rng, [f"v{i}" for i in range(n)], rng.choice((0.2, 0.4)))
@@ -152,6 +177,7 @@ def test_ray_agrees_with_corner_sweep():
         out = check_maximal_direct(game)
         r = fraction_vector(game)
         assert isinstance(out, MaximalityCertificate) == _sweep_is_maximal(game)
+        assert isinstance(out, MaximalityCertificate) == _ray_is_maximal(game)
         if isinstance(out, MaximalityCertificate):
             assert out.corner_count == 2**n - 1
             seen["maximal"] += 1
@@ -168,9 +194,83 @@ def test_ray_agrees_with_corner_sweep():
         value = z_corner_evaluator(game.graph, r).value(frozenset(keep))
         assert value == out.witness_value <= 0
         connected = stats(game.graph).connected
-        seen["ray" if connected else "disconnected"] += 1
+        if connected:
+            assert out.reason.startswith(
+                f"Z = {value} on the first {len(keep)} of {n} vertices of the chain"
+            )
+        seen["chain" if connected else "disconnected"] += 1
     # every branch is exercised
     assert min(seen.values()) >= 10, seen
+
+
+def _subset_values(game) -> dict:
+    """Z_W(r) of every vertex set W, keyed by the frozenset of names."""
+    r = fraction_vector(game)
+    names = game.vertices
+    ev = z_corner_evaluator(game.graph, r)
+    return {
+        frozenset(names[i] for i in sub): ev.value(frozenset(sub))
+        for k in range(len(names) + 1)
+        for sub in itertools.combinations(range(len(names)), k)
+    }
+
+
+def test_chain_lemma_against_every_subset():
+    # both halves of the chain lemma, on the values of all 2^n subsets:
+    # (a) every prefix positive iff every subset positive, on any graph;
+    # (b) on a connected graph, every proper prefix positive and Z(r) = 0
+    # iff maximal; and the chain reports the first non-positive prefix
+    rng = random.Random(26)
+    seen = dict.fromkeys(
+        ["chordal", "not chordal", "disconnected", "inside", "outside",
+         "maximal", "boundary, not maximal"], 0)
+    for _ in range(1200):
+        n = rng.randint(1, 8)
+        graph = _random_graph(rng, [f"v{i}" for i in range(n)], rng.choice((0.2, 0.4, 0.6)))
+        if rng.random() < 0.5:
+            game = _boundary_game(rng, graph, *rng.choice(((2, 3), (2, 5), (4, 9))))
+        else:
+            h = {v: rng.randint(2, 9) for v in graph.vertices}
+            game = make_game(graph, h, {v: rng.randint(1, 2) for v in graph.vertices if h[v] > 2})
+        values = _subset_values(game)
+        full = frozenset(game.vertices)
+        chain = z_prefix_chain(game.graph, fraction_vector(game))
+        assert sorted(chain.order) == sorted(game.vertices)
+        prefixes = [values[frozenset(chain.order[:i])] for i in range(1, n + 1)]
+        first = next((i + 1 for i, z in enumerate(prefixes) if z <= 0), None)
+        assert chain.first == first
+        assert chain.value == (None if first is None else prefixes[first - 1])
+        assert chain.z == values[full]
+        inside = all(z > 0 for z in values.values())
+        assert (first is None) == inside  # (a)
+        assert isinstance(losing_by_Z_positive(game), LosingCertificate) == inside
+        maximal = values[full] == 0 and all(z > 0 for w, z in values.items() if w != full)
+        connected = stats(game.graph).connected
+        if connected:
+            assert (chain.z == 0 and first == n) == maximal  # (b)
+        assert isinstance(check_maximal_direct(game), MaximalityCertificate) == maximal
+        seen["chordal" if graphs.is_chordal(game.graph) else "not chordal"] += 1
+        seen["disconnected"] += not connected
+        seen["inside" if inside else "outside"] += 1
+        if values[full] == 0:
+            seen["maximal" if maximal else "boundary, not maximal"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_chain_on_a_disconnected_boundary_is_not_maximality():
+    # K1 + K2 at r = (1/3, 1/2, 1/2): along a, b, c the proper prefixes
+    # give 2/3 and 1/3 and Z(r) = 0, but Z vanishes on the corner that
+    # keeps b and c, so half (b) of the chain lemma needs connectivity
+    graph = make_graph(list("abc"), {("b", "c")})
+    game = make_game(graph, {"a": 3, "b": 2, "c": 2})
+    values = _subset_values(game)
+    assert [values[frozenset(w)] for w in ("a", "ab", "abc")] == [
+        Fraction(2, 3), Fraction(1, 3), 0]
+    out = check_maximal_direct(game)
+    assert isinstance(out, Refutation)
+    assert out.reason.startswith("disconnected")
+    assert out.witness_point == {"a": 0, "b": Fraction(1, 2), "c": Fraction(1, 2)}
+    assert out.witness_value == 0
 
 
 def test_deep_certificates_repr_and_compare():
@@ -241,6 +341,7 @@ def test_losing_rule_outside_region_on_seeded_games():
         game = make_game(make_graph(names, edges), h, g)
         if eval_Z(game.graph, fraction_vector(game)) > 0:
             out = losing_by_Z_positive(game)
+            assert isinstance(out, LosingCertificate) == _ray_in_region(game)
             if isinstance(out, Inconclusive):
                 outside.append(game)
     assert len(outside) == 39
@@ -267,29 +368,40 @@ def test_losing_rule_silent_at_zero():
 
 
 def test_values_at_r_settle_without_a_ray(monkeypatch):
-    # C4 at h = 3: Z(r) = 1 - 4/3 + 2/9 = -1/9, which refutes maximality
-    # and silences the region rule, so neither check builds a ray
-    import hatlab.certify
+    # neither check builds the ray Z(t r): the chain's prefix values
+    # settle every case, including a connected game with Z(r) = 0
+    def refuse(*args):
+        raise AssertionError("ray built")
 
-    calls = []
-    ray = hatlab.certify.z_ray
-    monkeypatch.setattr(hatlab.certify, "z_ray", lambda *a: calls.append(a) or ray(*a))
+    monkeypatch.setattr(indpoly, "_ray", refuse)
+    # C4 at h = 3: Z(r) = 1 - 4/3 + 2/9 = -1/9, which refutes maximality
+    # and silences the region rule
     c4 = make_graph(list("abcd"), {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
     game = uniform_game(c4, 3)
     out = check_maximal_direct(game)
     assert (out.reason, out.witness_value) == ("Z(r) != 0", Fraction(-1, 9))
     assert out.witness_point == fraction_vector(game)
     out = losing_by_Z_positive(game)
-    assert out.reason == "Z(r) = -1/9 is not positive; the rule is silent"
-    # nor does a component that vanishes at r beside one that does not
+    # every proper prefix of C4 at 1/3 is positive: 2/3, 1/3 and 2/9 or 1/9
+    assert out.reason == (
+        "Z = -1/9 on the first 4 of 4 vertices of the chain (Z(r) = -1/9): "
+        "r lies outside Shearer's region; the rule is silent"
+    )
+    # a component that vanishes at r beside one that does not
     two = make_graph(list("abcd"), {("a", "b"), ("c", "d")})
     out = check_maximal_direct(make_game(two, {"a": 2, "b": 2, "c": 2, "d": 3}))
     assert out.reason == "disconnected: Z vanishes on one component"
-    assert calls == []
-    # a connected game with Z(r) = 0 needs its one ray
+    # K3 at h = 3 is maximal; P4 at h = 1 has Z(r) = 1 - 4 + 3 = 0, and
+    # its first prefix, one vertex, already has Z = 0
     k3 = uniform_game(complete_graph("abc"), 3)
-    assert isinstance(check_maximal_direct(k3), MaximalityCertificate)
-    assert len(calls) == 1
+    cert = check_maximal_direct(k3)
+    assert isinstance(cert, MaximalityCertificate) and len(cert.chain) == 3
+    out = check_maximal_direct(uniform_game(path_graph("abcd"), 1))
+    assert out.reason == (
+        "Z = 0 on the first 1 of 4 vertices of the chain, a corner other "
+        "than r with Z <= 0"
+    )
+    assert sorted(out.witness_point.values()) == [0, 0, 0, 1]
 
 
 def test_one_elimination_order_per_graph(monkeypatch):
@@ -306,7 +418,7 @@ def test_one_elimination_order_per_graph(monkeypatch):
     monkeypatch.setattr(graphs, "perfect_elimination_order", counted)
     c4 = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
     cases = [
-        # P4 at h = 4: Z(r) = 3/16, so the losing rule builds a ray too
+        # P4 at h = 4: Z(r) = 3/16, and r lies in Shearer's region
         (lambda: path_graph("abcd"), 4, 3, Refutation, LosingCertificate),
         (lambda: complete_graph("abc"), 3, 3, MaximalityCertificate, Inconclusive),
         # C4 is not chordal: the recurrence everywhere, and no mu-hat

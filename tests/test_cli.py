@@ -188,14 +188,14 @@ def test_certify_maximal_direct(tmp_path, capsys):
     obj = _run_json(capsys, "certify", "maximal", str(gp))
     assert obj["verdict"] == "maximal"
     assert obj["z_at_r"] == "0"
-    assert obj["method"] == "ray"
+    assert obj["method"] == "chain"
 
 
 def test_certify_maximal_direct_reports_no_corners(tmp_path, capsys):
     gp = tmp_path / "delta6.json"
     assert main(["build", "delta6", "-o", str(gp)]) == 0
     obj = _run_json(capsys, "certify", "maximal", str(gp))
-    assert (obj["verdict"], obj["method"]) == ("maximal", "ray")
+    assert (obj["verdict"], obj["method"]) == ("maximal", "chain")
     assert "corners_checked" not in obj
 
 
@@ -386,16 +386,16 @@ def test_certify_maximal_compositional_payload(tmp_path, capsys):
 
 
 def test_certify_maximal_refuted_payload(tmp_path, capsys):
-    # P4 at h = 1: Z(t r) = 1 - 4t + 3t^2 has roots 1/3 and 1.  Bisection
-    # stops at t = 1/2, and the descent from there ends at the corner that
-    # keeps the edge bc, where Z = 1 - 1 - 1 = -1
+    # P4 at h = 1: Z(r) = 1 - 4 + 3 = 0, and the chain's first prefix, one
+    # vertex at r = 1, already has Z = 0: the witness keeps that vertex
     gp = tmp_path / "p4.json"
     save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 1), str(gp))
     assert _run_json(capsys, "certify", "maximal", str(gp)) == {
         "verdict": "not-maximal",
-        "reason": "Z(t r) <= 0 at t = 1/2 < 1; nonpositive corner value",
-        "witness_point": {"a": "0", "b": "1", "c": "1", "d": "0"},
-        "witness_value": "-1",
+        "reason": "Z = 0 on the first 1 of 4 vertices of the chain, a corner "
+        "other than r with Z <= 0",
+        "witness_point": {"a": "0", "b": "0", "c": "0", "d": "1"},
+        "witness_value": "0",
     }
 
 

@@ -22,6 +22,7 @@ from hatlab.indpoly import (
     univariate_P,
     univariate_U,
     z_corner_evaluator,
+    z_prefix_chain,
     z_ray,
 )
 from hatlab.poly import UnivariatePoly
@@ -347,7 +348,7 @@ def test_route_follows_the_elimination_order(monkeypatch):
         for g in others:
             x = {v: Fraction(1, 2 + i % 3) for i, v in enumerate(g.vertices)}
             assert eval_P(g, x) == eval_P_brute(g, x)
-            assert eval_Z(g, x) == z_ray(g, x)(1)
+            assert eval_Z(g, x) == z_ray(g, x)(1) == z_prefix_chain(g, x).z
             assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
     chordal = [path_graph("abcde"), complete_graph("abcd"), make_graph("ab", ())]
     with monkeypatch.context() as m:
@@ -356,7 +357,7 @@ def test_route_follows_the_elimination_order(monkeypatch):
         for g in chordal:
             x = dict.fromkeys(g.vertices, Fraction(1, 3))
             assert eval_P(g, x) == eval_P_brute(g, x)
-            assert eval_Z(g, x) == z_ray(g, x)(1)
+            assert eval_Z(g, x) == z_ray(g, x)(1) == z_prefix_chain(g, x).z
             assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
 
 
@@ -368,3 +369,24 @@ def test_u_is_p_at_minus_x():
         flipped = UnivariatePoly.of(*((-1) ** k * c for k, c in enumerate(p.coeffs)))
         assert univariate_U(g) == flipped, g.vertices
     assert len(graphs) == 98
+
+
+def test_prefix_chain_matches_corner_values():
+    # both routes, on graphs past brute force: the first prefix with
+    # Z <= 0 and its value, against the corner evaluator on every prefix
+    graphs = _non_chordal() + [path_graph([f"p{i}" for i in range(40)]),
+                               complete_graph("abcde"), make_graph("abc", ())]
+    firsts = set()
+    for g in graphs:
+        for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), Fraction(1, 11)):
+            x = dict.fromkeys(g.vertices, q)
+            chain = z_prefix_chain(g, x)
+            ev = z_corner_evaluator(g, x)
+            values = [ev.value(frozenset(g.index[v] for v in chain.order[:k]))
+                      for k in range(1, len(g) + 1)]
+            first = next((k + 1 for k, z in enumerate(values) if z <= 0), None)
+            assert chain.first == first, (g.vertices, q)
+            assert chain.value == (None if first is None else values[first - 1])
+            assert chain.z == values[-1] == eval_Z(g, x)
+            firsts.add(first is None)
+    assert firsts == {True, False}

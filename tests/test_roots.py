@@ -18,11 +18,19 @@ from hatlab.roots import (
     smallest_positive_root,
     sturm_roots,
     sturm_sequence,
-    unit_interval_root,
     verify_root_interval,
 )
 
 X = UnivariatePoly.x()
+
+
+def unit_interval_root(p: UnivariatePoly) -> Fraction | None:
+    """The first root of p in (0, 1) by the library's Descartes
+    bisection: the root itself when a midpoint hits it, else the upper end
+    t of an interval (a, t) that holds exactly one root, simple, and no
+    root in (0, a]; None when (0, 1) holds no root."""
+    found = roots._first_root(p.integer_cleared(), Fraction(0), Fraction(1))
+    return found[1] if isinstance(found, tuple) else found
 
 
 def test_sturm_sequence_ends_nonzero():
