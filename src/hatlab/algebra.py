@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .games import (
     LOSING,
@@ -45,8 +45,10 @@ from .games import (
     HatGame,
     checked_counts,
     criterion_of_counts,
+    fraction_vector,
 )
 from .graphs import Graph, GraphError
+from .indpoly import eval_Z
 
 
 class ExprError(ValueError):
@@ -98,7 +100,9 @@ class PendantLose:
     A: str  # name of the new pendant vertex
 
 
-GameExpr = Union[CliqueLeaf, Sum, Product, Substitute, SumLose, PendantLose]
+# a union type, not typing.Union, whose cache would keep these classes,
+# and with them this module's namespace, alive after a fresh re-import
+GameExpr = CliqueLeaf | Sum | Product | Substitute | SumLose | PendantLose
 
 LOSING_RULES = "expression uses constructors other than sum/product/substitute"
 
@@ -364,6 +368,18 @@ def eval_expr(e: GameExpr) -> Certificate:
     return table.certificate(done.pop())
 
 
+def composite_z_at_r(cert: Certificate) -> Fraction:
+    """Z(r) of a composition of precise cliques, which the constructor
+    theorems make 0; exact evaluation re-verifies it as a consistency
+    check."""
+    z_at_r = eval_Z(cert.game.graph, fraction_vector(cert.game))
+    if z_at_r != 0:
+        raise ExprError(
+            f"inconsistency: compositional maximality but Z(r) = {z_at_r}"
+        )
+    return z_at_r
+
+
 @dataclass(frozen=True)
 class Conclusion:
     value: Optional[Fraction]
@@ -387,9 +403,7 @@ def conclude_hg(e: GameExpr) -> Conclusion:
             None, f"resulting hatness is not constant: {sorted(values)}", cert.game
         )
     # maximality backs the upper bound HG <= mu-hat = h
-    from .certify import maximality_from_composition
-
-    maximality_from_composition(cert)
+    composite_z_at_r(cert)
     return Conclusion(Fraction(values.pop()), game=cert.game)
 
 

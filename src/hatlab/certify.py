@@ -113,7 +113,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-from . import algebra
+from .algebra import GameExpr, composite_z_at_r, eval_expr
 from .games import HatGame, fraction_vector
 from .graphs import Graph, components, is_chordal
 from .indpoly import eval_Z, univariate_U, z_prefix_chain
@@ -205,25 +205,15 @@ def check_maximal_direct(game: HatGame):
     )
 
 
-def check_maximal_compositional(e: "algebra.GameExpr"):
+def check_maximal_compositional(e: GameExpr):
     """Maximality by induction: precise cliques are maximal and the sum
-    constructor preserves maximality."""
-    cert = algebra.eval_expr(e)
+    constructor preserves maximality; the composite's Z(r) = 0 is
+    re-verified by exact evaluation."""
+    cert = eval_expr(e)
     if cert.obstacle:
         return Inconclusive(cert.obstacle)
-    return maximality_from_composition(cert)
-
-
-def maximality_from_composition(cert: algebra.Certificate) -> MaximalityCertificate:
-    """Certificate of an evaluated composition of precise cliques; the
-    composite Z(r) = 0 is re-verified by exact evaluation as a
-    consistency check."""
-    z_at_r = eval_Z(cert.game.graph, fraction_vector(cert.game))
-    if z_at_r != 0:
-        raise CertifyError(
-            f"inconsistency: compositional maximality but Z(r) = {z_at_r}"
-        )
-    return MaximalityCertificate(cert.game, z_at_r, method="compositional")
+    return MaximalityCertificate(cert.game, composite_z_at_r(cert),
+                                 method="compositional")
 
 
 def losing_by_Z_positive(game: HatGame):

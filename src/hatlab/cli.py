@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import io as hio
@@ -36,7 +37,7 @@ from .graphs import diameter, is_chordal, stats
 from .indpoly import eval_P, eval_Z, univariate_P, univariate_U
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
-from .solver import decide_game
+from .solver import GameVerdict, decide_game
 from .verify import run_all
 
 
@@ -143,15 +144,9 @@ def _cmd_solve(args) -> int:
     game = hio.load_game(args.game)
     verdict = decide_game(game, timeout_ms=args.timeout_ms)
     payload = {
-        "status": verdict.status,
-        "route": verdict.route,
-        "num_vars": verdict.num_vars,
-        "num_clauses": verdict.num_clauses,
-        "decisions": verdict.decisions,
-        "conflicts": verdict.conflicts,
-        "restarts": verdict.restarts,
-        "propagations": verdict.propagations,
-        "learned": verdict.learned,
+        f.name: getattr(verdict, f.name)
+        for f in fields(GameVerdict)
+        if f.name not in ("strategy", "seconds", "reason")
     }
     if verdict.reason:
         payload["reason"] = verdict.reason

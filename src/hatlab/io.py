@@ -27,10 +27,7 @@ class SchemaError(ValueError):
 
 def frac_str(x) -> str:
     """Exact rational as 'p/q' in lowest terms; integers without '/1'."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def canonical_dumps(obj) -> str:

