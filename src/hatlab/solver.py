@@ -373,9 +373,26 @@ class _Timeout(Exception):
 
 def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     """Deterministic CDCL: unit propagation over two watched literals,
-    first-UIP clause learning with non-chronological backjumping,
-    integer conflict-activity branching (ties to the lowest variable
-    index, false first with phase saving) and geometric restarts.
+    first-UIP clause learning with local minimisation and
+    non-chronological backjumping, integer conflict-activity branching
+    (ties to the lowest variable index, false first with phase saving)
+    and geometric restarts.
+
+    Local minimisation (MiniSat's basic mode; Sorensson & Biere, SAT 2009)
+    drops a literal q below the conflict level from the first-UIP clause C
+    when every other literal of q's reason is in C or false at level 0;
+    decisions have no reason and stay.  The shorter clause C' is sound:
+    every removed literal is implied by the other literals of its reason,
+    which were all assigned before it.  So resolving the removed literals
+    out of C in reverse trail order, each with its reason, and then the
+    level-0 literals this brings in with the reasons that fixed them,
+    derives C' from the clause database.  C' keeps the UIP literal, and
+    its other literals are all below the conflict level, so it still
+    asserts at the same UIP.  It is also RUP: falsifying C' and
+    propagating falsifies the level-0 literals, then the removed literals
+    in trail order through their reasons, hence all of C, which is RUP as
+    a first-UIP clause.  A DRUP log of the learned clauses therefore
+    checks by unit propagation alone.
 
     Decisions come from a binary heap with lazy deletion (the order heap
     of MiniSat, Een & Sorensson, SAT 2003).  Variable v's entry is the int
@@ -399,7 +416,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     propagations (assignments other than decisions) and learned (clauses
     added).  Any timeout_ms other than None sets a deadline, checked
     after each conflict and before each decision.  Each restart logs the
-    counts so far and the seconds since the search began to the
+    counts so far, the literals of the learned clauses and those that
+    minimisation removed, and the seconds since the search began to the
     "hatlab.solver" logger at DEBUG level."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
@@ -450,6 +468,8 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
     conflicts = 0
     restarts = 0
     undone = 0  # trail entries popped by backjumps
+    # literals of the learned clauses, and those minimisation removed
+    literals_kept = literals_removed = 0
     start = time.monotonic()
     deadline = None if timeout_ms is None else start + timeout_ms / 1000.0
 
@@ -517,7 +537,9 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
         cl: list[int], seen=seen, neg=neg, level=level, reason=reason,
         activity=activity, trail=trail, trail_lim=trail_lim,
     ):
-        """First-UIP learned clause and the backjump level."""
+        """First-UIP learned clause, locally minimised, and the backjump
+        level."""
+        nonlocal literals_kept, literals_removed
         lower = []  # the clause's literals below the current level
         counter = 0  # literals of the current level still to resolve
         lit = 0
@@ -554,19 +576,35 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             if cl[0] != lit:
                 cl[cl.index(lit)] = cl[0]
                 cl[0] = lit
-        # every mark of the current level was cleared as it resolved
+        # every mark of the current level was cleared as it resolved, so
+        # the marks left are lower's.  Local minimisation: drop q when
+        # each literal of its reason is marked (q's own variable among
+        # them) or at level 0; decisions have no reason and stay
+        kept = []
+        for q in lower:
+            why = reason[q if q > 0 else -q]
+            if why is not None:
+                for p in why:
+                    u = p if p > 0 else -p
+                    if not seen[u] and level[u]:
+                        break
+                else:
+                    continue
+            kept.append(q)
         for q in lower:
             seen[q if q > 0 else -q] = False
         # the asserting (UIP) literal first.  No learned clause is ever
         # deleted, so they are most of a long search's memory: a list of
         # shared ints takes 8 bytes a literal, but propagate reads it
         # without making an int per visit
-        learned = [neg[lit], *lower]
+        learned = [neg[lit], *kept]
+        literals_kept += len(learned)
+        literals_removed += len(lower) - len(kept)
         # backjump to the second-highest level in the clause, and watch
         # its first literal of that level in slot 1
         bj = 0
         slot = 1
-        for k, q in enumerate(lower, 1):
+        for k, q in enumerate(kept, 1):
             lv = level[q if q > 0 else -q]
             if lv > bj:
                 bj, slot = lv, k
@@ -635,9 +673,10 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
             restarts += 1
             restart_limit = restart_limit * 3 // 2
             logger.debug(
-                "restart %d: %d conflicts, %d decisions, %d learned, %.3f s",
+                "restart %d: %d conflicts, %d decisions, %d learned, "
+                "%d literals kept, %d removed, %.3f s",
                 restarts, conflicts, decisions, len(clauses) - given,
-                time.monotonic() - start,
+                literals_kept, literals_removed, time.monotonic() - start,
             )
             if trail_lim:
                 backjump(0)

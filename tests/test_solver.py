@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+import re
 from array import array
 from heapq import heapify, heappop, heappush
 
@@ -161,15 +162,15 @@ _C4_EDGES = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
 _PINNED = {
     "K3 (4,4,4)": (
         lambda: uniform_game(complete_graph(list("abc")), 4),
-        (LOSING, 1826, 1511, 5),
+        (LOSING, 1449, 1198, 4),
     ),
     "K3 (3,3,4)": (
         lambda: make_game(complete_graph(list("abc")), {"a": 3, "b": 3, "c": 4}),
-        (LOSING, 402, 282, 2),
+        (LOSING, 470, 332, 2),
     ),
     "K4 h=4": (
         lambda: uniform_game(complete_graph(list("abcd")), 4),
-        (WINNING, 6220, 1400, 5),
+        (WINNING, 8994, 1688, 5),
     ),
     "C4 h=3": (
         lambda: uniform_game(make_graph(list("abcd"), _C4_EDGES), 3),
@@ -181,11 +182,11 @@ _PINNED = {
     ),
     "H2^4 h=4": (
         lambda: uniform_game(build_chain(2, 4).graph, 4),
-        (WINNING, 3135, 543, 3),
+        (WINNING, 2702, 287, 2),
     ),
     "K3 (3,4,4)": (
         lambda: make_game(complete_graph(list("abc")), {"a": 3, "b": 4, "c": 4}),
-        (LOSING, 346, 239, 1),
+        (LOSING, 371, 266, 2),
     ),
 }
 
@@ -207,13 +208,13 @@ def test_search_counts_are_pinned(name):
 # a change that keeps decisions and conflicts but moves the propagation
 # order still shows.
 _PINNED_PROPAGATIONS = {
-    "K3 (4,4,4)": 65975,
-    "K3 (3,3,4)": 10555,
-    "K4 h=4": 65274,
+    "K3 (4,4,4)": 50932,
+    "K3 (3,3,4)": 12344,
+    "K4 h=4": 96642,
     "C4 h=3": 783,
     "P5 h=3": 870,
-    "H2^4 h=4": 35652,
-    "K3 (3,4,4)": 10312,
+    "H2^4 h=4": 21365,
+    "K3 (3,4,4)": 11688,
 }
 
 
@@ -228,12 +229,19 @@ def test_restarts_log_progress_at_debug_only(caplog):
     assert not caplog.records  # the default level logs nothing
     with caplog.at_level(logging.DEBUG, logger="hatlab.solver"):
         verdict = search_game(game)
-    assert verdict.restarts == 5
+    assert verdict.restarts == 4
+    assert verdict == search_game(game)  # logging changes no count
     records = [r for r in caplog.records if r.name == "hatlab.solver"]
-    assert len(records) == len(caplog.records) == 5
+    assert len(records) == len(caplog.records) == 4
     assert all(r.levelno == logging.DEBUG for r in records)
     assert records[0].getMessage().startswith("restart 1: 100 conflicts, ")
-    assert records[-1].getMessage().startswith("restart 5: ")
+    assert records[-1].getMessage().startswith("restart 4: ")
+    # the learned literals kept and removed so far, both growing
+    pattern = re.compile(r" (\d+) literals kept, (\d+) removed, ")
+    kept, removed = zip(
+        *(map(int, pattern.search(r.getMessage()).groups()) for r in records)
+    )
+    assert 0 < kept[0] < kept[-1] and 0 < removed[0] < removed[-1]
 
 
 def test_hg_search_k3():
@@ -979,15 +987,18 @@ def test_timeout_of_zero_or_less_stops_at_once(timeout_ms):
 # -- reference: the search with array-backed learned clauses -------------
 #
 # `_dpll` stores learned clauses as lists and reads its state as locals.
-# Neither may change the search.  This is the search it replaced; the tests
-# below require the same model, the same counts and, clause by clause, the
-# same final clause list, which holds every learned clause and every watch
-# move as the literal order each clause was left in.
+# Neither may change the search.  This is the search it replaced, with the
+# same local minimisation of each learned clause written as a plain
+# filter; the tests below require the same model, the same counts and,
+# clause by clause, the same final clause list, which holds every learned
+# clause and every watch move as the literal order each clause was left in.
 
 
-def _reference_dpll(num_vars: int, clauses: list[list[int]]):
+def _reference_dpll(num_vars: int, clauses: list[list[int]], removed=None):
     """`solver._dpll` as it was with learned clauses as int arrays and
-    its state read from closure cells, without the deadline."""
+    its state read from closure cells, without the deadline.  When
+    `removed` is a list, each conflict appends the number of literals that
+    minimisation removed from its learned clause."""
     # val[lit] is 1 when lit is true, -1 when false, 0 when unassigned;
     # negative literals index from the end, so val[-v] == -val[v]
     val = [0] * (2 * num_vars + 1)
@@ -1121,6 +1132,17 @@ def _reference_dpll(num_vars: int, clauses: list[list[int]]):
             if cl[0] != lit:
                 cl[cl.index(lit)] = cl[0]
                 cl[0] = lit
+        # seen now marks exactly the literals of lower.  Keep a decision,
+        # and a literal whose reason has an unmarked literal above level 0
+        kept = [
+            q
+            for q in lower
+            if reason[abs(q)] is None
+            or any(not seen[abs(p)] and level[abs(p)] > 0 for p in reason[abs(q)])
+        ]
+        if removed is not None:
+            removed.append(len(lower) - len(kept))
+        lower = kept
         # the asserting (UIP) literal first.  No learned clause is ever
         # deleted, so they are most of a long search's memory; an array
         # takes 4 bytes a literal where a list takes 8 and a larger header
@@ -1208,12 +1230,13 @@ def _reference_dpll(num_vars: int, clauses: list[list[int]]):
         enqueue(best * phase[best], None)  # saved phase; false on first use
 
 
-def _assert_same_search(num_vars, clauses):
-    """`_dpll`'s (model, counts), asserting the reference's path."""
+def _assert_same_search(num_vars, clauses, removed=None):
+    """`_dpll`'s (model, counts), asserting the reference's path; `removed`
+    as for `_reference_dpll`."""
     got_clauses = [list(c) for c in clauses]
     want_clauses = [list(c) for c in clauses]
     got = _dpll(num_vars, got_clauses)
-    assert got == _reference_dpll(num_vars, want_clauses)
+    assert got == _reference_dpll(num_vars, want_clauses, removed)
     assert list(map(list, got_clauses)) == list(map(list, want_clauses))
     return got
 
@@ -1242,4 +1265,109 @@ def test_search_matches_reference_on_random_games():
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_search_matches_reference_on_pinned_games(name):
     cnf = encode(_PINNED[name][0]())
-    _assert_same_search(cnf.num_vars, cnf.clauses)
+    removed = []
+    _assert_same_search(cnf.num_vars, cnf.clauses, removed)
+    # minimisation shortens learned clauses here, so the comparison covers it
+    assert sum(removed) > 0
+
+
+# -- soundness: every learned clause follows by unit propagation ----------
+#
+# A clause C is RUP (reverse unit propagation; Goldberg & Novikov, DATE
+# 2003) over a clause set when setting every literal of C false and
+# propagating units reaches a conflict.  The checker below shares no code
+# with `_dpll`: no watched literals, no trail, no levels.  Each learned
+# clause must be RUP over the given clauses and the clauses learned before
+# it, which is what a DRUP proof log of the search needs; a refutation
+# must then end in a conflict by unit propagation alone.
+
+
+class _UnitChecker:
+    """Clauses as tuples of distinct literals, with, for each literal, the
+    clauses that hold it."""
+
+    def __init__(self, clauses):
+        self.clauses = []
+        self.holding = collections.defaultdict(list)
+        for clause in clauses:
+            self.add(clause)
+
+    def add(self, clause):
+        clause = tuple(dict.fromkeys(clause))
+        for lit in clause:
+            self.holding[lit].append(len(self.clauses))
+        self.clauses.append(clause)
+
+    def implies(self, clause) -> bool:
+        """True when `clause` is RUP over the clauses added so far."""
+        true = {-lit for lit in clause}
+        if any(-lit in true for lit in true):
+            return True  # a tautology
+        # every clause that may be unit: those of one literal, and those
+        # holding a literal made false
+        pending = [i for i, c in enumerate(self.clauses) if len(c) == 1]
+        for lit in clause:
+            pending.extend(self.holding[lit])
+        while pending:
+            free = [lit for lit in self.clauses[pending.pop()] if -lit not in true]
+            if any(lit in true for lit in free):
+                continue
+            if not free:
+                return True  # every literal false: a conflict
+            if len(free) == 1:
+                true.add(free[0])
+                pending.extend(self.holding[-free[0]])
+        return False
+
+
+def _assert_learned_clauses_are_rup(num_vars, clauses):
+    """Runs `_dpll` on a copy of `clauses` and checks every learned
+    clause, in the order learned; returns (model, learned clauses)."""
+    work = [list(c) for c in clauses]
+    model, _ = _dpll(num_vars, work)
+    learned = work[len(clauses):]
+    checker = _UnitChecker(clauses)
+    for clause in learned:
+        assert checker.implies(clause), clause
+        checker.add(clause)
+    if model is None:
+        assert checker.implies([])
+    else:
+        assert not checker.implies([])
+        assert all(any(model[abs(x)] == (x > 0) for x in c) for c in checker.clauses)
+    return model, learned
+
+
+@pytest.mark.parametrize("name", ["C4 h=3", "P5 h=3", "K3 (3,3,4)"])
+def test_learned_clauses_are_rup_on_pinned_games(name):
+    cnf = encode(_PINNED[name][0]())
+    _, learned = _assert_learned_clauses_are_rup(cnf.num_vars, cnf.clauses)
+    assert len(learned) == _PINNED[name][1][2] - (_PINNED[name][1][0] == LOSING)
+
+
+def test_learned_clauses_are_rup_on_random_games():
+    rng = random.Random(20261024)
+    learned = 0
+    for _ in range(200):
+        cnf = encode(_small_game(rng))
+        learned += len(_assert_learned_clauses_are_rup(cnf.num_vars, cnf.clauses)[1])
+    assert learned > 500
+
+
+def test_unit_checker_rejects_clauses_that_are_not_implied():
+    # a model of the formula satisfies every clause the formula implies,
+    # so a clause the model falsifies is not implied.  Dropping the
+    # model's true literals from a learned clause gives one; on most
+    # learned clauses of C4 at h = 3 that drops a single literal, the
+    # kind of clause an unsound minimisation would learn
+    cnf = encode(_PINNED["C4 h=3"][0]())
+    model, learned = _assert_learned_clauses_are_rup(cnf.num_vars, cnf.clauses)
+    checker = _UnitChecker(cnf.clauses + learned)
+    single = 0
+    for clause in learned:
+        assert checker.implies(clause)
+        false = [x for x in set(clause) if model[abs(x)] != (x > 0)]
+        assert len(false) < len(set(clause))
+        assert not checker.implies(false), (clause, false)
+        single += len(false) == len(set(clause)) - 1
+    assert single > len(learned) // 2
