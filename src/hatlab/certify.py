@@ -91,7 +91,8 @@ product of Z over the components, so Z(r) = 0 makes it vanish on some
 component W, and the corner that keeps only W is a zero other than r.
 
 Deciding.  `indpoly.z_prefix_chain` gives Z(r) and the first prefix of
-its vertex order on which Z is not positive, by one evaluation.
+its vertex order on which Z is not positive: by one sum-product on a
+chordal graph, and otherwise by (1) from each prefix to the next.
 Maximality: Z(r) != 0 refutes it with the witness r; a disconnected
 graph is refuted by the component rule; a connected one is maximal by
 (b) exactly when that first prefix is V itself, and otherwise the

@@ -4,18 +4,15 @@ P_G(x) sums the products of variables over independent sets.  A point is
 evaluated over the integers: with L the least common denominator of the
 point and x_v = a_v / L, both routes below compute W(S) = L^|S| * P_S(x)
 for vertex sets S and divide by L^n once, at the end; no Fraction enters
-the loop.  The ray q(t) = P(sign * t * x) runs the same routes over the
-integer coefficients of polynomials in s = t / L, where
-sign * x_v * t = a_v * s, and coefficient k in t is that of s^k over
-L^k.  At the all-ones point the ray is the univariate P (sign +1) and U
-(sign -1); at r with sign -1 it is the Shearer ray Z(t * r).
+the loop.  The univariate P and U, P(t, ..., t) and P(-t, ..., -t) as
+polynomials in t, run the same routes over integer coefficient lists,
+at L = 1.
 
 Each public function picks its route from the graph, which keeps its
 perfect elimination order or None (`Graph.elimination_order`, found once
 per graph object), so callers pass graphs and points, never orders.
-`z_prefix_chain` runs a route once at -x and also reads Z along the
-prefixes of the route's own vertex order, for the chain lemma of
-`certify`.
+`z_prefix_chain` reads Z at -x along the prefixes of the route's own
+vertex order, for the chain lemma of `certify`.
 
 Chordal graphs: one sum-product over the perfect elimination order
 (PEO) that the graph keeps.  The later neighbours C(v) of v form a
@@ -48,9 +45,10 @@ graphs without a PEO because the PEO route would need a chordal
 completion, whose fill-in cliques make it exponential where the
 recurrence is not: K_{14,14} takes about 1 ms by the recurrence and took
 0.3 s by a fill-in sum-product.  It also serves every induced subgraph
-of one graph from one memo (`z_corner_evaluator`).  Subsets are int
-bitmasks, and each step does Python-level work in proportion to the
-vertices it removes, not to the size of the subset:
+of one graph from one memo (`z_corner_evaluator`, and the prefix
+chain).  Subsets are int bitmasks, and each step does Python-level work
+in proportion to the vertices it removes, not to the size of the
+subset:
 
 * Pivot.  The vertices are relabelled once per evaluator by an
   elimination order: repeatedly remove a vertex of minimum (degree,
@@ -195,14 +193,14 @@ class _Evaluator:
             mask |= self.bit[i]
         return Fraction(self._eval(mask), self.scale ** mask.bit_count())
 
-    def _eval(self, root: int, gone=None):
-        """W(root); gone = 0 says that root is connected."""
+    def _eval(self, root: int):
+        """W(root), for any subset root."""
         adj, memo, one = self.adj, self.memo, self.one
         vals = []
         emit = vals.append
         # (_EVAL, sub, gone): sub is a connected subset less the vertices
         # gone, or any subset when gone is None
-        stack = [(_EVAL, root, gone)]
+        stack = [(_EVAL, root, None)]
         pop, push = stack.pop, stack.append
         while stack:
             kind, sub, arg = pop()
@@ -328,20 +326,24 @@ class PrefixChain(NamedTuple):
 
 def z_prefix_chain(graph: Graph, x: dict[str, Fraction]) -> PrefixChain:
     """Z of the prefixes of a vertex order that the route picks, up to the
-    first that is not positive, and Z(x) itself, by one evaluation:
+    first that is not positive, and Z(x) itself:
 
-    * chordal: the sum-product over the perfect elimination order.  After
-      step i the processed vertices are W_i, the union of the subtrees
-      T(u) of the processed u whose parent is not; no edge joins two of
-      them, so Z_{W_i} is the product of their Z_{T(u)} = f_u[none].  So
-      the first prefix that is not positive is the one at the first
-      f_v[none] <= 0.
-    * otherwise: the recurrence in one memo, on the prefixes of the
-      highest bits.  Z_{W_i} is the product over the components of W_i,
-      and only the one that the new vertex joins is new; it is evaluated
-      as connected, with the new vertex as its pivot, so its children lie
-      in the prefix before it.  Again the first prefix that is not
-      positive is the one at the first new component with Z <= 0."""
+    * chordal: the sum-product over the perfect elimination order, in one
+      pass.  After step i the processed vertices are W_i, the union of
+      the subtrees T(u) of the processed u whose parent is not; no edge
+      joins two of them, so Z_{W_i} is the product of their
+      Z_{T(u)} = f_u[none].  So the first prefix that is not positive is
+      the one at the first f_v[none] <= 0.
+    * otherwise: identity (1) of `certify` along the prefixes of the
+      highest bits, Z_{W_k} = Z_{W_(k-1)} - x_v * Z_{W_(k-1) - N(v)} for
+      the new vertex v, in the recurrence's integers
+
+          W(W_k) = L * W(W_(k-1))
+                   + a_v * L^|N(v) & W_(k-1)| * W(W_(k-1) - N(v)),
+
+      the last factor from the evaluator's memo, which also keeps each
+      W(W_k).  Z(x) is W(W_n), or one full evaluation in the same memo
+      after a prefix fails."""
     order = graph.elimination_order
     if order is None:
         return _recurrence_chain(graph, x)
@@ -369,30 +371,23 @@ def _recurrence_chain(graph: Graph, x) -> PrefixChain:
     ev = _Evaluator(graph, x, -1)
     n = len(ev.a)
     names = [graph.vertices[i] for i in reversed(ev.order)]
-    # the components of the prefix and their W values: the new vertex
-    # joins the components it touches into one, evaluated as connected
-    comps: list[tuple[int, int]] = []
+    prefix, w = 0, 1
     for k in range(1, n + 1):
         pos = n - k
-        touched, kept = 1 << pos, []
-        for c in comps:
-            if c[0] & ev.adj[pos]:
-                touched |= c[0]
-            else:
-                kept.append(c)
-        w = ev._eval(touched, 0)
-        comps = kept + [(touched, w)]
+        nb = ev.adj[pos] & prefix
+        w = (ev.scale * w
+             + ev.a[pos] * ev.powers[nb.bit_count()] * ev._eval(prefix & ~nb))
+        prefix |= 1 << pos
+        ev.memo[prefix] = w  # later steps' recursions reach earlier prefixes
         if w <= 0:
-            value = Fraction(prod(w for _, w in comps), ev.scale**k)
-            return PrefixChain(names, k, value, ev.full())
-    return PrefixChain(names, None, None,
-                       Fraction(prod(w for _, w in comps), ev.scale**n))
+            return PrefixChain(names, k, Fraction(w, ev.scale**k), ev.full())
+    return PrefixChain(names, None, None, Fraction(w, ev.scale**n))
 
 
-def eval_P_brute(graph: Graph, x: dict[str, Fraction], max_n: int = 20) -> Fraction:
+def eval_P_brute(graph: Graph, x: dict[str, Fraction]) -> Fraction:
     """Independent-set enumeration oracle for eval_P."""
     total = Fraction(0)
-    for s in independent_sets(graph, max_n=max_n):
+    for s in independent_sets(graph):
         term = Fraction(1)
         for v in s:
             term *= x[v]
@@ -416,27 +411,22 @@ def _poly_product(factors):
 
 
 def _shift_add(out, inn, a):
-    """out + a * s * inn over integer coefficient lists in s."""
+    """out + a * t * inn over integer coefficient lists in t."""
     n = len(inn) + 1
     out = out + [0] * (n - len(out))
     out[1:n] = [o + a * c for o, c in zip(out[1:n], inn)]
     return out
 
 
-def _in_t(coeffs, scale) -> UnivariatePoly:
-    """The polynomial in t = L * s with the given coefficients in s."""
-    return UnivariatePoly.of(*(Fraction(c, scale**k) for k, c in enumerate(coeffs)))
-
-
 class _RayEvaluator(_Evaluator):
-    """The clique recurrence at sign * t * x, as a polynomial in t over
-    the integer coefficients of polynomials in s (module docstring)."""
+    """The clique recurrence at the all-ones point times sign * t, as a
+    polynomial in t over integer coefficient lists."""
 
     one = [1]  # shared, never mutated: every combination builds a new list
     _product = staticmethod(_poly_product)
 
     def full(self) -> UnivariatePoly:
-        return _in_t(self._eval((1 << len(self.a)) - 1), self.scale)
+        return UnivariatePoly.of(*self._eval((1 << len(self.a)) - 1))
 
     def _clique(self, rest, clique, values, sub):
         for u, v in zip(clique, values):
@@ -444,33 +434,24 @@ class _RayEvaluator(_Evaluator):
         return rest
 
 
-def _ray(graph: Graph, x, sign: int) -> UnivariatePoly:
-    """P_G(sign * t * x) as a polynomial in t, by the route the graph
-    allows (module docstring)."""
+def _ray(graph: Graph, sign: int) -> UnivariatePoly:
+    """P_G(sign * t, ..., sign * t) as a polynomial in t, by the route the
+    graph allows (module docstring)."""
     order = graph.elimination_order
     if order is None:
-        return _RayEvaluator(graph, x, sign).full()
-    scale, a = _scaled(graph, x, sign)
-    coeffs = _sum_product(graph.adj, order, a, _poly_product, _shift_add,
-                          lambda q: q)
-    return _in_t(coeffs, scale)
+        return _RayEvaluator(graph, dict.fromkeys(graph.vertices, 1), sign).full()
+    coeffs = _sum_product(graph.adj, order, [sign] * len(order),
+                          _poly_product, _shift_add, lambda q: q)
+    return UnivariatePoly.of(*coeffs)
 
 
 def univariate_P(graph: Graph) -> UnivariatePoly:
     """P_G with all variables identified: coefficient k counts the
     independent k-sets."""
-    return _ray(graph, dict.fromkeys(graph.vertices, 1), 1)
+    return _ray(graph, 1)
 
 
 def univariate_U(graph: Graph) -> UnivariatePoly:
-    """Monovariate signed independence polynomial U_G(x) = P_G(-x), the
-    ray at sign -1: coefficient k is (-1)^k times the number of
-    independent k-sets."""
-    return _ray(graph, dict.fromkeys(graph.vertices, 1), -1)
-
-
-def z_ray(graph: Graph, r: dict[str, Fraction]) -> UnivariatePoly:
-    """q(t) = Z_G(t * r) as a polynomial in t, of degree at most the
-    independence number of G, exactly over the integers.  No library code
-    calls it: the tests check `certify`'s prefix chain against it."""
-    return _ray(graph, r, -1)
+    """Monovariate signed independence polynomial U_G(x) = P_G(-x):
+    coefficient k is (-1)^k times the number of independent k-sets."""
+    return _ray(graph, -1)

@@ -34,10 +34,10 @@ from hatlab.indpoly import (
     univariate_U,
     z_corner_evaluator,
     z_prefix_chain,
-    z_ray,
 )
 from hatlab.roots import sturm_roots
 from hatlab.solver import search_game, verify_strategy
+from ray_reference import fraction_ray
 
 
 def test_precise_clique_is_maximal_direct():
@@ -153,7 +153,7 @@ def _ray_is_maximal(game) -> bool:
     r = fraction_vector(game)
     if not stats(game.graph).connected or eval_Z(game.graph, r) != 0:
         return False
-    q = z_ray(game.graph, r)
+    q = fraction_ray(game.graph, r)
     return sturm_roots(q, Fraction(0), Fraction(1)) == 1  # the root at t = 1
 
 
@@ -162,7 +162,7 @@ def _ray_in_region(game) -> bool:
     component W."""
     r = fraction_vector(game)
     return all(
-        sturm_roots(z_ray(game.graph.induced(comp), r), Fraction(0), Fraction(1)) == 0
+        sturm_roots(fraction_ray(game.graph.induced(comp), r), Fraction(0), Fraction(1)) == 0
         for comp in components(game.graph)
     )
 
@@ -439,7 +439,6 @@ def test_one_elimination_order_per_graph(monkeypatch):
         for _ in range(2):
             eval_P(graph, x)
             eval_Z(graph, x)
-            z_ray(graph, x)
             univariate_P(graph)
             univariate_U(graph)
             graphs.is_chordal(graph)

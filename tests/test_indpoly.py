@@ -23,9 +23,9 @@ from hatlab.indpoly import (
     univariate_U,
     z_corner_evaluator,
     z_prefix_chain,
-    z_ray,
 )
 from hatlab.poly import UnivariatePoly
+from ray_reference import fraction_ray
 
 HALF = Fraction(1, 2)
 
@@ -184,32 +184,6 @@ def test_univariate_p_of_cycles_counts_independent_sets():
         assert univariate_P(g) == UnivariatePoly.of(*counts)
 
 
-def _fraction_ray(graph, r):
-    """q(t) = Z_G(t r) by the vertex recurrence
-    Z_S = Z_{S - v} - t r_v Z_{S - N[v]}, v of least degree in S, over
-    polynomials with Fraction coefficients: multiplied over components
-    and memoized on S, and sharing no code with the integer ray."""
-    t = UnivariatePoly.x()
-    memo = {}
-
-    def poly(sub):
-        if not sub:
-            return UnivariatePoly.of(1)
-        if sub in memo:
-            return memo[sub]
-        first, *rest = components(graph.induced(sub))
-        if rest:
-            out = poly(frozenset(first)) * poly(sub - first)
-        else:
-            v = min(sub, key=lambda u: len(graph.neighbors(u) & sub))
-            closed = (graph.neighbors(v) & sub) | {v}
-            out = poly(sub - {v}) - r[v] * t * poly(sub - closed)
-        memo[sub] = out
-        return out
-
-    return poly(frozenset(graph.vertices))
-
-
 def _ray_cases():
     from hatlab import gallery
     from hatlab.algebra import eval_expr
@@ -238,9 +212,9 @@ def _ray_cases():
 def test_integer_ray_matches_fraction_build():
     cases = 0
     for name, g, r in _ray_cases():
-        q = z_ray(g, r)
-        assert q == _fraction_ray(g, r), name
-        assert q(1) == eval_Z(g, r), name
+        assert univariate_P(g) == fraction_ray(g, dict.fromkeys(g.vertices, -1)), name
+        assert univariate_U(g) == fraction_ray(g, dict.fromkeys(g.vertices, 1)), name
+        assert fraction_ray(g, r)(1) == eval_Z(g, r), name
         cases += 1
     assert cases == 30
 
@@ -299,13 +273,16 @@ def _chordal_ray_cases():
 
 
 def test_ray_by_sum_product_matches_fraction_build_and_recurrence():
+    # P and U by the route the graph picks and by the recurrence, against
+    # the Fraction build at -1 and at 1
     chordal = 0
     for name, g, r in itertools.chain(_ray_cases(), _chordal_ray_cases()):
-        q = z_ray(g, r)
-        assert q == _fraction_ray(g, r), name
-        assert q == _RayEvaluator(g, r, -1).full(), name
         ones = dict.fromkeys(g.vertices, 1)
-        assert univariate_P(g) == _RayEvaluator(g, ones).full(), name
+        for sign, ray in ((1, univariate_P), (-1, univariate_U)):
+            want = fraction_ray(g, dict.fromkeys(g.vertices, -sign))
+            assert ray(g) == want, name
+            assert _RayEvaluator(g, ones, sign).full() == want, name
+        assert fraction_ray(g, r)(1) == eval_Z(g, r), name
         chordal += perfect_elimination_order(g) is not None
     # every gallery graph and every path is chordal
     assert chordal >= 70
@@ -348,8 +325,10 @@ def test_route_follows_the_elimination_order(monkeypatch):
         for g in others:
             x = {v: Fraction(1, 2 + i % 3) for i, v in enumerate(g.vertices)}
             assert eval_P(g, x) == eval_P_brute(g, x)
-            assert eval_Z(g, x) == z_ray(g, x)(1) == z_prefix_chain(g, x).z
+            assert eval_Z(g, x) == z_prefix_chain(g, x).z
+            assert eval_Z(g, x) == eval_P_brute(g, {v: -q for v, q in x.items()})
             assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
+            assert univariate_U(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, -HALF))
     chordal = [path_graph("abcde"), complete_graph("abcd"), make_graph("ab", ())]
     with monkeypatch.context() as m:
         m.setattr(indpoly, "_Evaluator", refuse)
@@ -357,8 +336,10 @@ def test_route_follows_the_elimination_order(monkeypatch):
         for g in chordal:
             x = dict.fromkeys(g.vertices, Fraction(1, 3))
             assert eval_P(g, x) == eval_P_brute(g, x)
-            assert eval_Z(g, x) == z_ray(g, x)(1) == z_prefix_chain(g, x).z
+            assert eval_Z(g, x) == z_prefix_chain(g, x).z
+            assert eval_Z(g, x) == eval_P_brute(g, {v: -q for v, q in x.items()})
             assert univariate_P(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, HALF))
+            assert univariate_U(g)(HALF) == eval_P_brute(g, dict.fromkeys(g.vertices, -HALF))
 
 
 def test_u_is_p_at_minus_x():
@@ -371,22 +352,47 @@ def test_u_is_p_at_minus_x():
     assert len(graphs) == 98
 
 
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    return make_graph(names, {(u, w) for i, u in enumerate(names)
+                              for w in names[i + 1:] if rng.random() < p})
+
+
 def test_prefix_chain_matches_corner_values():
     # both routes, on graphs past brute force: the first prefix with
-    # Z <= 0 and its value, against the corner evaluator on every prefix
-    graphs = _non_chordal() + [path_graph([f"p{i}" for i in range(40)]),
-                               complete_graph("abcde"), make_graph("abc", ())]
+    # Z <= 0 and its value, against the corner evaluator on every prefix.
+    # The sparse random graphs and C4 + C5 (disconnected) have no perfect
+    # elimination order; x_v = 1/(3(deg v + 1)) lies inside Shearer's
+    # region, so their chain runs to n, and x = 1/6 lies outside it on
+    # the random ones, where it returns early
+    cycles = {(f"a{i}", f"a{(i + 1) % 4}") for i in range(4)}
+    cycles |= {(f"b{i}", f"b{(i + 1) % 5}") for i in range(5)}
+    c4_c5 = make_graph(sorted({v for e in cycles for v in e}), cycles)
+    sparse = [_gnp(30, 0.1, seed) for seed in range(3)]
+    sparse += [_gnp(40, 0.07, seed) for seed in range(3)]
+    graphs = _non_chordal() + sparse + [c4_c5] + [
+        path_graph([f"p{i}" for i in range(40)]), complete_graph("abcde"),
+        make_graph("abc", ())]
     firsts = set()
+    sparse_firsts = set()
     for g in graphs:
-        for q in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), Fraction(1, 11)):
-            x = dict.fromkeys(g.vertices, q)
+        inside = {v: Fraction(1, 3 * (len(g.neighbors(v)) + 1)) for v in g.vertices}
+        points = [dict.fromkeys(g.vertices, q) for q in (
+            Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), Fraction(1, 6),
+            Fraction(1, 11))] + [inside]
+        for x in points:
             chain = z_prefix_chain(g, x)
             ev = z_corner_evaluator(g, x)
             values = [ev.value(frozenset(g.index[v] for v in chain.order[:k]))
                       for k in range(1, len(g) + 1)]
             first = next((k + 1 for k, z in enumerate(values) if z <= 0), None)
-            assert chain.first == first, (g.vertices, q)
+            assert chain.first == first, (g.vertices, x)
             assert chain.value == (None if first is None else values[first - 1])
             assert chain.z == values[-1] == eval_Z(g, x)
             firsts.add(first is None)
+            if any(g is h for h in sparse):
+                sparse_firsts.add((x is inside, first is None))
     assert firsts == {True, False}
+    assert {(True, True), (False, False)} <= sparse_firsts
+    assert perfect_elimination_order(c4_c5) is None and len(components(c4_c5)) == 2
