@@ -11,10 +11,16 @@ coefficient f_n, the number of independent sets with one vertex in every
 clique, which is P's coefficient of x_1 ... x_n.  Sizes may be numbers or
 polynomials: the recurrences have degree 1 in each size.
 
+f_n always runs at the sizes a_i - y, over coefficient lists in y
+(`poly.coeff_sum`, `coeff_product`): integer lists for integer sizes,
+so no `Fraction` enters the loop.  The list's constant term is f_n, and
+U(x) = (-x)^n f_n(a_1 - 1/x, ..., a_n - 1/x) is the list reversed, made
+a `UnivariatePoly` once, at the end.
+
 When the ordering is not path-like, both fall back to exact evaluation
-on the built graph, which needs integer sizes: P by `eval_P`, f_n as
-the coefficient of x^n in the univariate P (no independent set holds two
-vertices of one clique), and U by `univariate_U`.
+on the built graph, which needs integer sizes: P by `eval_P`, and the
+list in y from U by `univariate_U` (no independent set holds two
+vertices of one clique, so f_n is the count of independent n-sets).
 
 Formal sizes.  The recurrences take any size, also one that no graph
 has.  In the first kind, size 1 is the identity extension: the base
@@ -32,8 +38,8 @@ from functools import reduce
 from operator import mul
 
 from .graphs import Graph, bridged_cliques
-from .indpoly import eval_P, univariate_P, univariate_U
-from .poly import UnivariatePoly
+from .indpoly import eval_P, univariate_U
+from .poly import UnivariatePoly, coeff_product, coeff_sum
 
 
 class ExtensionError(ValueError):
@@ -116,58 +122,69 @@ def _first_kind(ds, sizes, x):
         P_m = t_m P_{m-1} + x_m t_{m-1} ... t_{m-d} P_{m-1-d},
 
     with t_i = x_i (a_i - 1) + 1 ("skip clique i or take an unmarked
-    vertex of it"), and t_i = a_i - 1 with no x_m for f_n."""
+    vertex of it"), and t_i = a_i - 1 with no x_m for f_n, which runs at
+    the sizes a_i - y, over coefficient lists in y."""
     if x is None:
-        t = [a - 1 for a in sizes]
-        P = [1]
+        t = [[a - 1, -1] for a in sizes]
+        P = [[1]]
     else:
         t = [xi * (a - 1) + 1 for xi, a in zip(x, sizes)]
         P = [Fraction(1)]
     for m, d in enumerate(ds):
         # take marked v_m: cliques m-d..m-1 then offer unmarked vertices
         # only; the small factors go first and the large P[m-d] last
-        take = t[m - d:m] if x is None else [x[m], *t[m - d:m]]
-        P.append(t[m] * P[m] + reduce(mul, take + [P[m - d]]))
+        if x is None:
+            P.append(coeff_sum([coeff_product([t[m], P[m]]),
+                                coeff_product([*t[m - d:m], P[m - d]])]))
+        else:
+            P.append(t[m] * P[m] + reduce(mul, [x[m], *t[m - d:m], P[m - d]]))
     return P[-1]
 
 
 def _second_kind(ds, sizes, x, memo):
-    """Reduced P of the second-kind extension at x, or f_n when x is None.
-    The last clique is skipped or gives one of its a_m - d unbridged
-    vertices; or it gives the end of its bridge to clique m - j, which
-    removes the bridge's other end and so shrinks clique m - j by one."""
+    """Reduced P of the second-kind extension at x, or f_n when x is None,
+    at the sizes a_i - y over coefficient lists in y.  The last clique is
+    skipped or gives one of its a_m - d unbridged vertices; or it gives
+    the end of its bridge to clique m - j, which removes the bridge's
+    other end and so shrinks clique m - j by one.  The memo keys the
+    sizes by value."""
     key = tuple(sizes)
     got = memo.get(key)
     if got is not None:
         return got
     m = len(sizes)
     if m == 0:
-        return 1 if x is None else Fraction(1)
+        return [1] if x is None else Fraction(1)
     d = ds[m - 1]
     rest = _second_kind(ds, sizes[:-1], x, memo)
-    if x is None:
-        val = (sizes[m - 1] - d) * rest
-    else:
-        val = (x[m - 1] * (sizes[m - 1] - d) + 1) * rest
+    bridged = []
     for j in range(1, d + 1):
         reduced = list(sizes[:-1])
         reduced[m - 1 - j] = reduced[m - 1 - j] - 1
-        bridged = _second_kind(ds, reduced, x, memo)
-        val = val + (bridged if x is None else x[m - 1] * bridged)
+        bridged.append(_second_kind(ds, reduced, x, memo))
+    if x is None:
+        val = coeff_sum([coeff_product([[sizes[m - 1] - d, -1], rest]), *bridged])
+    else:
+        val = (x[m - 1] * (sizes[m - 1] - d) + 1) * rest
+        for b in bridged:
+            val = val + x[m - 1] * b
     memo[key] = val
     return val
 
 
 def _extension(kind: int, base: Graph, sizes, x=None):
-    """Reduced P of the kind's extension at x, or f_n when x is None: by
-    the recurrence on a path-like ordering, else exactly on the built
-    graph."""
+    """Reduced P of the kind's extension at x; or, when x is None, the
+    coefficient list in y of f_n(a_1 - y, ..., a_n - y), of length n + 1,
+    whose constant term is f_n.  By the recurrence on a path-like
+    ordering, else exactly on the built graph, where the list is U's
+    (`U_from_f`)."""
     sizes = list(sizes)
-    if len(sizes) != len(base.vertices):
+    n = len(sizes)
+    if n != len(base.vertices):
         raise ExtensionError("one clique size per base vertex is required")
     if x is not None:
         x = [Fraction(v) for v in x]
-        if len(x) != len(sizes):
+        if len(x) != n:
             raise ExtensionError("one variable per clique is required")
     try:
         ds = _suffix_neighbor_counts(base)
@@ -178,12 +195,19 @@ def _extension(kind: int, base: Graph, sizes, x=None):
             ) from None
         built = (build_first_kind if kind == 1 else build_second_kind)(base, sizes)
         if x is None:
-            return int(univariate_P(built).coeff(len(sizes)))
+            return _reflect([int(c) for c in univariate_U(built).coeffs], n)
         cl = clique_of_vertex(base, sizes)
         return eval_P(built, {v: x[cl[v]] for v in built.vertices})
     if kind == 1:
         return _first_kind(ds, sizes, x)
     return _second_kind(ds, sizes, x, {})
+
+
+def _reflect(coeffs, n: int) -> list:
+    """(-1)^n c_{n-k} for k = 0..n: turns the coefficient list of
+    f_n(a - y) into U's, and back, by U(x) = (-x)^n f_n(a - 1/x)."""
+    coeffs = coeffs + [0] * (n + 1 - len(coeffs))
+    return [(-1) ** n * c for c in reversed(coeffs)]
 
 
 def reduced_P_first(base: Graph, sizes, x) -> Fraction:
@@ -200,39 +224,29 @@ def reduced_P_second(base: Graph, sizes, x) -> Fraction:
 def leading_f(base: Graph, sizes):
     """Leading coefficient f_n of the first-kind reduced polynomial: the
     number of n-vertex independent sets of the extension."""
-    return _extension(1, base, sizes)
+    return _extension(1, base, sizes)[0]
 
 
 def leading_f_second(base: Graph, sizes):
     """Leading coefficient f_n for a second-kind extension.  On a
     path-like ordering, sizes below a vertex's degree give the formal
     value of the recurrence (module docstring)."""
-    return _extension(2, base, sizes)
+    return _extension(2, base, sizes)[0]
 
 
 def U_from_f(base: Graph, sizes, kind: int = 1) -> UnivariatePoly:
     """U of the extension via U(x) = (-x)^n f_n(a_1 - 1/x, ..., a_n - 1/x).
 
-    The recurrence is run over polynomials in y = 1/x; multiplying by
-    (-x)^n then clears denominators.  In the first kind, sizes a_i = 1
-    give the identity extension, whose U is the base graph's.  In the
-    second kind, sizes below a vertex's degree give the formal
-    polynomial of the recurrence, which belongs to no graph (module
-    docstring).  On an ordering that is not path-like, integer sizes give
-    U of the built graph, and such second-kind sizes raise there."""
+    The recurrence runs at the sizes a_i - y, over coefficient lists in
+    y = 1/x that hold whatever numbers the sizes are (integers for
+    integer sizes); multiplying by (-x)^n then clears denominators, which
+    reverses the list.  In the first kind, sizes a_i = 1 give the
+    identity extension, whose U is the base graph's.  In the second kind,
+    sizes below a vertex's degree give the formal polynomial of the
+    recurrence, which belongs to no graph (module docstring).  On an
+    ordering that is not path-like, integer sizes give U of the built
+    graph, and such second-kind sizes raise there."""
     if kind not in (1, 2):
         raise ExtensionError("kind must be 1 or 2")
-    sizes = list(sizes)
-    if all(isinstance(a, int) for a in sizes):
-        try:
-            _suffix_neighbor_counts(base)
-        except ExtensionError:
-            build = build_first_kind if kind == 1 else build_second_kind
-            return univariate_U(build(base, sizes))
-    y = UnivariatePoly.x()
-    c = _extension(kind, base, [UnivariatePoly.of(a) - y for a in sizes])
-    if not isinstance(c, UnivariatePoly):
-        c = UnivariatePoly.of(c)
-    n = len(base.vertices)
-    sign = 1 if n % 2 == 0 else -1
-    return UnivariatePoly.of(*[sign * c.coeff(n - m) for m in range(n + 1)])
+    c = _extension(kind, base, sizes)
+    return UnivariatePoly.of(*_reflect(c, len(c) - 1))

@@ -5,8 +5,8 @@ evaluated over the integers: with L the least common denominator of the
 point and x_v = a_v / L, both routes below compute W(S) = L^|S| * P_S(x)
 for vertex sets S and divide by L^n once, at the end; no Fraction enters
 the loop.  The univariate P and U, P(t, ..., t) and P(-t, ..., -t) as
-polynomials in t, run the same routes over integer coefficient lists,
-at L = 1.
+polynomials in t, run the same routes over integer coefficient lists
+(`poly.coeff_product`), at L = 1.
 
 Each public function picks its route from the graph, which keeps its
 perfect elimination order or None (`Graph.elimination_order`, found once
@@ -78,7 +78,7 @@ from math import lcm, prod
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, independent_sets
-from .poly import UnivariatePoly
+from .poly import UnivariatePoly, coeff_product
 
 # stack tasks: evaluate a subset, or combine the values of its children
 _EVAL, _PRODUCT, _CLIQUE = range(3)
@@ -385,29 +385,20 @@ def _recurrence_chain(graph: Graph, x) -> PrefixChain:
 
 
 def eval_P_brute(graph: Graph, x: dict[str, Fraction]) -> Fraction:
-    """Independent-set enumeration oracle for eval_P."""
-    total = Fraction(0)
-    for s in independent_sets(graph):
-        term = Fraction(1)
-        for v in s:
-            term *= x[v]
-        total += term
-    return total
-
-
-def _poly_product(factors):
-    """Product of integer coefficient lists (low degree first)."""
-    if not factors:
-        return [1]
-    out = factors[0]
-    for f in factors[1:]:
-        acc = [0] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(f, i):
-                    acc[j] += a * b
-        out = acc
-    return out
+    """Independent-set enumeration oracle for eval_P.  With L the least
+    common denominator of the point and a_v = x_v * L, it sums
+    prod_{v in S} a_v * L^(n - |S|) over the independent sets S of
+    `graphs.independent_sets`, in integers, and divides by L^n once.  It
+    shares no code with the evaluators above, so a check of one against
+    the other compares two routines."""
+    names = graph.vertices
+    n = len(names)
+    scale = lcm(*(x[v].denominator for v in names))
+    a = {v: x[v].numerator * (scale // x[v].denominator) for v in names}
+    powers = [scale**k for k in range(n + 1)]
+    total = sum(prod(a[v] for v in s) * powers[n - len(s)]
+                for s in independent_sets(graph))
+    return Fraction(total, powers[n])
 
 
 def _shift_add(out, inn, a):
@@ -423,7 +414,7 @@ class _RayEvaluator(_Evaluator):
     polynomial in t over integer coefficient lists."""
 
     one = [1]  # shared, never mutated: every combination builds a new list
-    _product = staticmethod(_poly_product)
+    _product = staticmethod(coeff_product)
 
     def full(self) -> UnivariatePoly:
         return UnivariatePoly.of(*self._eval((1 << len(self.a)) - 1))
@@ -441,7 +432,7 @@ def _ray(graph: Graph, sign: int) -> UnivariatePoly:
     if order is None:
         return _RayEvaluator(graph, dict.fromkeys(graph.vertices, 1), sign).full()
     coeffs = _sum_product(graph.adj, order, [sign] * len(order),
-                          _poly_product, _shift_add, lambda q: q)
+                          coeff_product, _shift_add, lambda q: q)
     return UnivariatePoly.of(*coeffs)
 
 

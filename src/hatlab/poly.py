@@ -5,6 +5,11 @@ integer coefficients of a positive multiple, computed on integers.  Root
 isolation and the CLI's payloads start from it.  The Fraction routines
 (divmod, gcd, normalized, square_free) serve the Sturm reference in
 `roots`, which stays off the integer route.
+
+Recurrences that build a polynomial run over plain coefficient lists
+(low degree first) with `coeff_sum` and `coeff_product`, which only add
+and multiply the entries: integers stay integers, and no `Fraction` is
+made.  A result becomes a `UnivariatePoly` once, at the end.
 """
 
 from __future__ import annotations
@@ -12,6 +17,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def coeff_sum(terms):
+    """Sum of coefficient lists (low degree first)."""
+    out = [0] * max(map(len, terms))
+    for t in terms:
+        for i, c in enumerate(t):
+            out[i] += c
+    return out
+
+
+def coeff_product(factors):
+    """Product of coefficient lists (low degree first); [1] for none."""
+    if not factors:
+        return [1]
+    out = factors[0]
+    for f in factors[1:]:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(f, i):
+                    acc[j] += a * b
+        out = acc
+    return out
 
 
 def _norm(coeffs) -> tuple[Fraction, ...]:

@@ -395,9 +395,9 @@ def _check_oracles():
             )
             if fn != count:
                 return False, f"f_n mismatch, sizes {sizes}: {fn} != {count}"
+            # both kinds name the clique vertices alike
             built2 = build_second_kind(base, sizes)
-            cl2 = clique_of_vertex(base, sizes)
-            direct2 = eval_P(built2, {v: x[cl2[v]] for v in built2.vertices})
+            direct2 = eval_P(built2, {v: x[cl[v]] for v in built2.vertices})
             if reduced_P_second(base, sizes, x) != direct2:
                 return False, f"second-kind reduced P mismatch, sizes {sizes}"
             ext_cases += 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hatlab.extensions import (
     reduced_P_first,
     reduced_P_second,
 )
+from hatlab.gallery import build_extension_example
 from hatlab.graphs import independent_sets, make_graph, path_graph
 from hatlab.indpoly import eval_P, univariate_U
 from hatlab.poly import UnivariatePoly
@@ -326,3 +328,90 @@ def test_U_from_f_on_a_listing_that_is_not_path_like(kind, sizes):
     assert u == U_from_f(path, list(sizes), kind=kind)
     assert u == univariate_U(build(path, list(sizes)))
     assert u == univariate_U(build(listed, listed_sizes))
+
+
+# -- U against the Fraction-coefficient route ----------------------------
+
+
+def _reference_U(ds, sizes, kind):
+    """U by f_n at the sizes a - y over Fraction-coefficient polynomials
+    in y (the reference recurrences above, sharing no code with
+    `hatlab.extensions`), then U(x) = (-x)^n f_n(a - 1/x)."""
+    y = UnivariatePoly.x()
+    shifted = [UnivariatePoly.of(a) - y for a in sizes]
+    if kind == 1:
+        f = _reference_leading_f(ds, shifted)
+    else:
+        f = _reference_second_kind_f(ds, shifted, {})
+    n = len(sizes)
+    return UnivariatePoly.of(*[(-1) ** n * f.coeff(n - m) for m in range(n + 1)])
+
+
+def _path_ds(n):
+    return [min(m, 1) for m in range(n)]
+
+
+def test_U_from_f_matches_fraction_route_on_the_minimal_root_grid():
+    built = formal = 0
+    for which in (1, 2, 3):
+        for n in range(2, 9):
+            for k in range(4):
+                ex = build_extension_example(which, n, k)
+                u = U_from_f(_path(n), ex.sizes, kind=ex.kind)
+                assert u.coeffs == _reference_U(_path_ds(n), ex.sizes, ex.kind).coeffs
+                assert u == ex.u_poly
+                if ex.graph is None:
+                    formal += 1
+                else:
+                    assert u == univariate_U(ex.graph)
+                    built += 1
+    # ex3 has inner cliques below their degree at k = 0 and 1, n >= 3
+    assert formal == 2 * 6 and built == 84 - formal
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_U_from_f_matches_fraction_route_on_formal_ex3_sizes(k):
+    for n in range(3, 9):
+        sizes = (k + 1,) + (k,) * (n - 2) + (k + 1,)
+        with pytest.raises(ExtensionError):  # size 0, or below the degree 2
+            build_second_kind(_path(n), sizes)
+        u = U_from_f(_path(n), sizes, kind=2)
+        assert u.coeffs == _reference_U(_path_ds(n), sizes, 2).coeffs
+
+
+def test_U_from_f_matches_fraction_route_on_fraction_sizes():
+    rng = random.Random(30)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        base, ds = _suffix_ordered_base(rng, n)
+        sizes = [rng.choice((rng.randint(0, 5),
+                             Fraction(rng.randint(-7, 9), rng.randint(1, 4))))
+                 for _ in range(n)]
+        for kind in (1, 2):
+            u = U_from_f(base, sizes, kind=kind)
+            assert u.coeffs == _reference_U(ds, sizes, kind).coeffs, (ds, sizes, kind)
+
+
+def test_U_from_f_equals_U_of_the_built_graph():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        base, ds = _suffix_ordered_base(rng, n)
+        sizes = [rng.randint(max(d, 1), 3) + 1 for d in ds]
+        for kind, build in ((1, build_first_kind), (2, build_second_kind)):
+            try:
+                graph = build(base, sizes)
+            except ExtensionError:
+                continue  # a second-kind clique below its degree
+            assert U_from_f(base, sizes, kind=kind) == univariate_U(graph)
+
+
+def test_U_from_f_second_kind_on_a_long_path_is_quick():
+    # the memo keys sizes by value; keyed otherwise, the bridges' two
+    # branches per vertex would make the recurrence exponential in n
+    n = 40
+    sizes = [3] * n
+    start = time.perf_counter()
+    u = U_from_f(_path(n), sizes, kind=2)
+    assert time.perf_counter() - start < 0.5
+    assert u.coeffs == _reference_U(_path_ds(n), sizes, 2).coeffs

@@ -9,6 +9,7 @@ from hatlab import indpoly
 from hatlab.graphs import (
     complete_graph,
     components,
+    independent_sets,
     make_graph,
     path_graph,
     perfect_elimination_order,
@@ -25,6 +26,7 @@ from hatlab.indpoly import (
     z_prefix_chain,
 )
 from hatlab.poly import UnivariatePoly
+from hatlab.verify import _corpus_graphs
 from ray_reference import fraction_ray
 
 HALF = Fraction(1, 2)
@@ -151,6 +153,44 @@ def test_point_values_match_brute_force():
         negatives += any(q < 0 for q in x.values())
         big += lcm(*(q.denominator for q in x.values())) == 2520
     assert min(disconnected, zeros, negatives, big) >= 5
+
+
+def _fraction_brute(graph, x):
+    """The enumeration oracle as a Fraction product per independent set,
+    the tests' reference for eval_P_brute's integer sums."""
+    total = Fraction(0)
+    for s in independent_sets(graph):
+        term = Fraction(1)
+        for v in s:
+            term *= x[v]
+        total += term
+    return total
+
+
+def test_brute_oracle_matches_fraction_enumeration():
+    rng = random.Random(10)
+    graphs = [make_graph([], set())] + [
+        g for g in _corpus_graphs() if len(g.vertices) <= 15
+    ]
+    kinds = set()
+    for g in graphs:
+        for _ in range(12):
+            x = {}
+            for v in g.vertices:
+                kind = rng.choice(("zero", "int", "integral", "fraction"))
+                kinds.add(kind)
+                if kind == "zero":
+                    x[v] = rng.choice((0, Fraction(0)))
+                elif kind == "int":
+                    x[v] = rng.randint(-3, 3)
+                elif kind == "integral":
+                    x[v] = Fraction(rng.randint(-3, 3))
+                else:
+                    x[v] = Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4, 5, 7, 9)))
+            got = eval_P_brute(g, x)
+            assert got == _fraction_brute(g, x), (g, x)
+            assert isinstance(got, Fraction)
+    assert kinds == {"zero", "int", "integral", "fraction"}
 
 
 def test_corner_values_divide_by_the_subset_size():
