@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError
+from .graphs import Graph
 
 
 WINNING = "winning"
@@ -84,8 +84,12 @@ def uniform_game(graph: Graph, h: int) -> HatGame:
 
 
 def fraction_vector(game: HatGame) -> dict[str, Fraction]:
-    """The vector r with r(v) = g(v)/h(v), exact."""
-    return {v: Fraction(game.g[v], game.h[v]) for v in game.vertices}
+    """The vector r with r(v) = g(v)/h(v), exact, in vertex order.  One
+    Fraction serves every vertex with the same (g, h): games repeat few
+    ratios, and each Fraction reduces its pair by a gcd."""
+    pairs = [(game.g[v], game.h[v]) for v in game.vertices]
+    ratio = {p: Fraction(*p) for p in set(pairs)}
+    return dict(zip(game.vertices, map(ratio.__getitem__, pairs)))
 
 
 def glue_hatness(x1: dict, S, x2: dict, v):

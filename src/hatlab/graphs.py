@@ -7,13 +7,18 @@ in order, one `index` from name to position, and one integer adjacency:
 Both are built once.  The algorithms here, the solver's tables, the
 independence-polynomial evaluator and the extension recurrences read
 positions; `edges` and `neighbors` translate back to names on demand.
-A graph also keeps its perfect elimination order, or None when it is
-not chordal: `elimination_order` runs the maximum cardinality search on
-first use, and `is_chordal` and the evaluators of `indpoly` read the
-kept result, so each graph object is searched at most once.
+A graph also keeps its elimination tree, or None when it is not
+chordal: `elimination_tree` runs the maximum cardinality search on first
+use and keeps what the search finds on the way, the perfect elimination
+order, each vertex's later neighbours C(v) and its parent.
+`elimination_order` reads the order off the kept tree, `is_chordal`
+reads the order, and the sum-product of `indpoly` reads the whole tree,
+so each graph object is searched at most once.
 == and hash compare the vertex order and the edge set.
 
 `make_graph` is the one validator of input from outside the program.
+Its errors name the input element at fault (`GraphError.where`), which
+`io` turns into a JSON pointer.
 Code that builds from data it already holds calls the trusted
 constructor `Graph(names, adj)`, which checks nothing: the joins below,
 `Graph.induced`, `algebra.eval_expr`, and `bridged_cliques`, which
@@ -35,10 +40,17 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Optional
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or operation input."""
+    """Invalid graph construction or operation input.  `where` names the
+    input element at fault, as (argument, index) of `make_graph`, or is
+    empty."""
+
+    def __init__(self, message: str, where: tuple = ()):
+        super().__init__(message)
+        self.where = where
 
 
 def _canon_edge(u: str, v: str) -> tuple[str, str]:
@@ -65,10 +77,17 @@ class Graph:
         return len(self.vertices)
 
     @cached_property
+    def elimination_tree(self):
+        """`elimination_tree(self)`, found on first use and kept: a derived
+        attribute, like `index`."""
+        return elimination_tree(self)
+
+    @property
     def elimination_order(self):
-        """`perfect_elimination_order(self)`, found on first use and kept:
-        a derived attribute, like `index`."""
-        return perfect_elimination_order(self)
+        """The perfect elimination order of the kept tree, as positions,
+        or None if the graph is not chordal."""
+        tree = self.elimination_tree
+        return None if tree is None else tree.order
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -112,17 +131,17 @@ def make_graph(vertices, edges) -> Graph:
     and edges with undeclared endpoints."""
     verts = tuple(vertices)
     index = {}
-    for v in verts:
+    for i, v in enumerate(verts):
         if v in index:
-            raise GraphError(f"duplicate vertex {v!r}")
-        index[v] = len(index)
+            raise GraphError(f"duplicate vertex {v!r}", ("vertices", i))
+        index[v] = i
     adj = [set() for _ in verts]
-    for u, v in edges:
+    for i, (u, v) in enumerate(edges):
         if u == v:
-            raise GraphError(f"self-loop {u!r}")
+            raise GraphError(f"self-loop {u!r}", ("edges", i))
         for w in (u, v):
             if w not in index:
-                raise GraphError(f"unknown endpoint {w!r}")
+                raise GraphError(f"unknown endpoint {w!r}", ("edges", i))
         adj[index[u]].add(index[v])
         adj[index[v]].add(index[u])
     return Graph(verts, adj)
@@ -253,9 +272,22 @@ def diameter(g: Graph) -> int:
 # -- chordality --------------------------------------------------------
 
 
-def perfect_elimination_order(g: Graph):
-    """Vertex positions in a perfect elimination ordering (eliminate the
-    first element first), or None if g is not chordal.
+class EliminationTree(NamedTuple):
+    """A perfect elimination order and its elimination tree, by vertex
+    position: later[v] is C(v), the neighbours of v after it in the
+    order, and parent[v] the first of them in the order, or None when
+    C(v) is empty (v is a root).  A graph shares its kept tree with every
+    reader, so no reader changes it."""
+
+    order: list[int]
+    later: list[list[int]]
+    parent: list[Optional[int]]
+
+
+def elimination_tree(g: Graph) -> Optional[EliminationTree]:
+    """The positions in a perfect elimination ordering (eliminate the
+    first element first) with each vertex's later neighbours and parent,
+    or None if g is not chordal.
 
     The order is the reverse of a maximum cardinality search, which finds
     one exactly when g is chordal (Tarjan & Yannakakis, SIAM J. Comput.
@@ -267,11 +299,14 @@ def perfect_elimination_order(g: Graph):
     other than p is a later neighbour of p, and those form a clique
     already.)  That is one adjacency test per edge, where testing every
     pair of later neighbours costs their number squared, and a graph that
-    is not chordal is rejected at the first vertex that breaks the rule."""
+    is not chordal is rejected at the first vertex that breaks the rule.
+    The search finds C(v) and the parent on the way, so they are kept."""
     adj = g.adj
     n = len(adj)
     weight = [0] * n
     when = [-1] * n  # visit number, -1 while unvisited
+    later_of = [None] * n
+    parent = [None] * n
     # max (weight, -position) first, so ties go by declaration order: the
     # key -weight * n + position orders as that pair and compares as one
     # int.  The heap holds the vertices of positive weight.  A vertex's
@@ -303,10 +338,14 @@ def perfect_elimination_order(g: Graph):
             near = adj[p]
             if not all(u in near for u in later if u != p):
                 return None
+            parent[best] = p
+        elif later:
+            parent[best] = later[0]
+        later_of[best] = later
         when[best] = len(order)
         order.append(best)
     order.reverse()
-    return order
+    return EliminationTree(order, later_of, parent)
 
 
 def is_chordal(g: Graph):

@@ -8,20 +8,23 @@ the loop.  The univariate P and U, P(t, ..., t) and P(-t, ..., -t) as
 polynomials in t, run the same routes over integer coefficient lists
 (`poly.coeff_product`), at L = 1.
 
-Each public function picks its route from the graph, which keeps its
-perfect elimination order or None (`Graph.elimination_order`, found once
-per graph object), so callers pass graphs and points, never orders.
-`z_prefix_chain` reads Z at -x along the prefixes of the route's own
-vertex order, for the chain lemma of `certify`.
+Each public function picks its route from the graph, which keeps the
+elimination tree of its perfect elimination order or None
+(`Graph.elimination_tree`, found once per graph object), so callers
+pass graphs and points, never orders.  `z_prefix_chain` reads Z at -x
+along the prefixes of the route's own vertex order, for the chain lemma
+of `certify`.
 
-Chordal graphs: one sum-product over the perfect elimination order
-(PEO) that the graph keeps.  The later neighbours C(v) of v form a
-clique, and the earliest of them is v's parent; the parents make
-the elimination tree, in which every later neighbour of v is an
-ancestor.  So a vertex of the subtree T(v) has no neighbour outside T(v)
-but in C(v), and an independent set meets the clique C(v) at most once:
-the state of T(v) is "no vertex of C(v) is in the set" or "exactly c
-is", |C(v)| + 1 states.  With the children's tables f_k,
+Chordal graphs: one sum-product over the elimination tree that the
+graph keeps, read as the maximum cardinality search left it: the
+perfect elimination order (PEO), each vertex's later neighbours C(v) and
+its parent.  C(v) is a clique, and the earliest of its vertices is v's
+parent; the parents make the elimination tree, in which every later
+neighbour of v is an ancestor.  So a vertex of the subtree T(v) has no
+neighbour outside T(v) but in C(v), and an independent set meets the
+clique C(v) at most once: the state of T(v) is "no vertex of C(v) is in
+the set" or "exactly c is", |C(v)| + 1 states.  With the children's
+tables f_k,
 
     f_v[none] = L * prod_k f_k[none] + a_v * prod_k f_k[v]
     f_v[c]    = L * prod_k f_k[c or none, as c is in C(k) or not]
@@ -117,23 +120,20 @@ def _scaled(graph: Graph, x, sign: int):
     return scale, [sign * q.numerator * (scale // q.denominator) for q in xs]
 
 
-def _sum_product(adj, order, a, product, node, lift):
-    """The sum-product over the elimination tree of the perfect
-    elimination order `order` (module docstring).  The value domain comes
-    as three functions: `product` of a list of values (the one, for an
-    empty list); `node(out, inn, a_v)`, f_v[none] from the children's
-    products with v out of the set and with v in it; and `lift`, which
-    puts v out of the set into f_v[c]."""
-    rank = [0] * len(order)
-    for i, v in enumerate(order):
-        rank[v] = i
+def _sum_product(tree, a, product, node, lift):
+    """The sum-product over the elimination tree `tree` that the graph
+    keeps (module docstring).  The value domain comes as three functions:
+    `product` of a list of values (the one, for an empty list);
+    `node(out, inn, a_v)`, f_v[none] from the children's products with v
+    out of the set and with v in it; and `lift`, which puts v out of the
+    set into f_v[c]."""
+    order, later_of, parent = tree
     # kids[v]: the (f[none], {c: f[c]}) tables of v's children, filled in
     # before v's turn and dropped at it
     kids = [[] for _ in order]
     roots = []
     for v in order:
-        rv = rank[v]
-        later = [u for u in adj[v] if rank[u] > rv]
+        later = later_of[v]
         tables = kids[v]
         kids[v] = None
         if len(tables) == 1:
@@ -146,7 +146,7 @@ def _sum_product(adj, order, a, product, node, lift):
             table = {c: lift(product([f.get(c, none) for none, f in tables]))
                      for c in later}
         if later:
-            kids[min(later, key=rank.__getitem__)].append((out, table))
+            kids[parent[v]].append((out, table))
         else:
             roots.append(out)
     return product(roots)
@@ -289,11 +289,11 @@ class _Evaluator:
 
 def _point(graph: Graph, x, sign: int) -> Fraction:
     """P_G(sign * x), by the route the graph allows (module docstring)."""
-    order = graph.elimination_order
-    if order is None:
+    tree = graph.elimination_tree
+    if tree is None:
         return _Evaluator(graph, x, sign).full()
     scale, a = _scaled(graph, x, sign)
-    w = _sum_product(graph.adj, order, a, prod,
+    w = _sum_product(tree, a, prod,
                      lambda out, inn, av: scale * out + av * inn,
                      lambda w: scale * w)
     return Fraction(w, scale ** len(a))
@@ -344,9 +344,10 @@ def z_prefix_chain(graph: Graph, x: dict[str, Fraction]) -> PrefixChain:
       the last factor from the evaluator's memo, which also keeps each
       W(W_k).  Z(x) is W(W_n), or one full evaluation in the same memo
       after a prefix fails."""
-    order = graph.elimination_order
-    if order is None:
+    tree = graph.elimination_tree
+    if tree is None:
         return _recurrence_chain(graph, x)
+    order = tree.order
     scale, a = _scaled(graph, x, -1)
     tops = []  # f_v[none] = W(T(v)), in the order
 
@@ -354,16 +355,17 @@ def z_prefix_chain(graph: Graph, x: dict[str, Fraction]) -> PrefixChain:
         tops.append(scale * out + av * inn)
         return tops[-1]
 
-    w = _sum_product(graph.adj, order, a, prod, node, lambda w: scale * w)
+    w = _sum_product(tree, a, prod, node, lambda w: scale * w)
     names = [graph.vertices[v] for v in order]
     z = Fraction(w, scale ** len(order))
     i = next((i for i, f in enumerate(tops) if f <= 0), None)
     if i is None:
         return PrefixChain(names, None, None, z)
-    rank = dict(zip(order, range(len(order))))
-    # the processed u with no later neighbour among the processed
-    value = prod(f for j, (u, f) in enumerate(zip(order[: i + 1], tops))
-                 if not any(j < rank[c] <= i for c in graph.adj[u]))
+    done = set(order[: i + 1])
+    # the processed u with no processed later neighbour: their parent,
+    # the first later neighbour in the order, is not processed
+    value = prod(f for u, f in zip(order, tops[: i + 1])
+                 if tree.parent[u] not in done)
     return PrefixChain(names, i + 1, Fraction(value, scale ** (i + 1)), z)
 
 
@@ -428,11 +430,11 @@ class _RayEvaluator(_Evaluator):
 def _ray(graph: Graph, sign: int) -> UnivariatePoly:
     """P_G(sign * t, ..., sign * t) as a polynomial in t, by the route the
     graph allows (module docstring)."""
-    order = graph.elimination_order
-    if order is None:
+    tree = graph.elimination_tree
+    if tree is None:
         return _RayEvaluator(graph, dict.fromkeys(graph.vertices, 1), sign).full()
-    coeffs = _sum_product(graph.adj, order, [sign] * len(order),
-                          coeff_product, _shift_add, lambda q: q)
+    coeffs = _sum_product(tree, [sign] * len(graph), coeff_product, _shift_add,
+                          lambda q: q)
     return UnivariatePoly.of(*coeffs)
 
 

@@ -3,6 +3,16 @@
 All JSON output is canonical: sorted keys, LF line endings, trailing
 newline — so saved artifacts are diffable and save(load(f)) is
 byte-identical.  Schema errors carry JSON-pointer paths ("/hatness/x").
+
+Each check of input has one owner.  This module checks the shape of the
+JSON (objects, lists, names, integers), and a game's hatness and
+guesses: each count and each vertex name once, in one pass over the
+graph's vertices, which also builds the vectors as `make_game` would, so
+the game is built without checking them again.  `make_graph` checks the
+graph (duplicate vertices, self-loops, unknown endpoints) and names the
+element at fault, which becomes the pointer ("/edges/1").  An
+expression's leaves and joins are checked by `algebra` as it evaluates
+them.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import algebra
-from .games import HatGame, make_game
-from .graphs import Graph, make_graph
+from .games import HatGame
+from .graphs import Graph, GraphError, make_graph
 
 
 class SchemaError(ValueError):
@@ -132,6 +142,35 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _counts_on(graph: Graph, obj, pointer: str, cap=None) -> dict:
+    """The hatness (cap None) or the guesses (cap the hatness) of a game
+    on `graph`: an object of positive integers on its vertices, each
+    count and name checked once, read in vertex order.  Every vertex
+    needs a hatness; a guess count defaults to 1 and is clamped to the
+    hatness, as `make_game` does."""
+    if not isinstance(obj, dict):
+        raise SchemaError(pointer, "expected an object")
+    out, absent = {}, []
+    for v in graph.vertices:
+        n = obj.get(v, _ABSENT)
+        if n is _ABSENT:
+            absent.append(v)
+            n = 1
+        elif not _is_int(n) or n < 1:
+            raise SchemaError(f"{pointer}/{v}", "expected a positive integer")
+        out[v] = n if cap is None else min(n, cap[v])
+    # the keys that name a vertex number len(out) - len(absent)
+    if len(obj) + len(absent) > len(out):
+        v = next(v for v in obj if v not in graph.index)
+        raise SchemaError(f"{pointer}/{v}", "unknown vertex")
+    if absent and cap is None:
+        raise SchemaError(pointer, f"missing hatness for vertex {absent[0]!r}")
+    return out
+
+
+_ABSENT = object()
+
+
 # -- graphs ------------------------------------------------------------
 
 
@@ -162,8 +201,10 @@ def graph_from_json(obj, pointer: str = "") -> Graph:
         edges.append(tuple(e))
     try:
         return make_graph(verts, edges)
-    except ValueError as err:
-        raise SchemaError(pointer or "/", str(err)) from err
+    except GraphError as err:
+        # err.where is (field, index) of the element at fault, or empty
+        at = "/".join((pointer, *map(str, err.where)))
+        raise SchemaError(at or "/", str(err)) from err
 
 
 # -- games -------------------------------------------------------------
@@ -178,21 +219,19 @@ def game_to_json(game: HatGame) -> dict:
 
 
 def game_from_json(obj) -> HatGame:
+    """`make_graph` checks the graph; the counts are checked here, once
+    each, and the game is built from them without `make_game` checking
+    them again."""
     graph = graph_from_json(obj)
     if "hatness" not in obj:
         raise SchemaError("/hatness", "missing")
-    h = _counts_from_json(obj["hatness"], "/hatness")
+    h = _counts_on(graph, obj["hatness"], "/hatness")
     g = obj.get("guesses")
-    if g is not None:
-        g = _counts_from_json(g, "/guesses")
-    for key, vec in (("hatness", h), ("guesses", g or {})):
-        for v in vec:
-            if v not in graph.index:
-                raise SchemaError(f"/{key}/{v}", "unknown vertex")
-    try:
-        return make_game(graph, h, g)
-    except ValueError as err:
-        raise SchemaError("/", str(err)) from err
+    if g is None:
+        g = dict.fromkeys(graph.vertices, 1)
+    else:
+        g = _counts_on(graph, g, "/guesses", cap=h)
+    return HatGame(graph, h, g)
 
 
 def load_game(path: str) -> HatGame:

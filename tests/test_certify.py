@@ -417,13 +417,13 @@ def test_one_elimination_order_per_graph(monkeypatch):
     # the certificates on one graph object share one maximum cardinality
     # search, and an equal but fresh graph object gets its own
     calls = []
-    search = graphs.perfect_elimination_order
+    search = graphs.elimination_tree
 
     def counted(graph):
         calls.append(graph)
         return search(graph)
 
-    monkeypatch.setattr(graphs, "perfect_elimination_order", counted)
+    monkeypatch.setattr(graphs, "elimination_tree", counted)
     c4 = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
     cases = [
         # P4 at h = 4: Z(r) = 3/16, and r lies in Shearer's region

@@ -207,6 +207,22 @@ def test_certify_losing(tmp_path, capsys):
     assert obj["z_at_r"] == "1/6"
 
 
+@pytest.mark.parametrize(
+    "game, pointer",
+    [
+        ({"vertices": ["a", "b"], "edges": [["a", "b"]],
+          "hatness": {"a": True, "b": 2}}, "/hatness/a"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "z"]],
+          "hatness": {"a": 2, "b": 2}}, "/edges/1"),
+    ],
+)
+def test_certify_losing_names_the_fault_of_a_malformed_game(tmp_path, capsys, game, pointer):
+    gp = tmp_path / "bad.json"
+    gp.write_text(json.dumps(game))
+    assert main(["certify", "losing", str(gp)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
 def test_indpoly_univariate(tmp_path, capsys):
     gp = tmp_path / "p4.json"
     save_game(uniform_game(path_graph(["a", "b", "c", "d"]), 2), str(gp))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,20 @@ def test_fraction_vector():
         complete_graph(["a", "b"]), {"a": 2, "b": 4}, {"a": 1, "b": 3}
     )
     assert fraction_vector(game) == {"a": Fraction(1, 2), "b": Fraction(3, 4)}
+
+
+def test_fraction_vector_on_random_games():
+    # g above 1 and above h (clamped to h), values in vertex order
+    rng = random.Random(7)
+    for _ in range(100):
+        names = [f"v{i}" for i in rng.sample(range(40), rng.randint(1, 30))]
+        h = {v: rng.randint(1, 6) for v in names}
+        g = {v: rng.randint(1, 8) for v in names if rng.random() < 0.6}
+        game = make_game(path_graph(names), h, g)
+        r = fraction_vector(game)
+        want = {v: Fraction(min(g.get(v, 1), h[v]), h[v]) for v in names}
+        assert r == want and list(r) == names
+        assert all(type(q) is Fraction for q in r.values())
 
 
 def test_clique_criterion_k3_uniform_3_precise():

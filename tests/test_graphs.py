@@ -12,12 +12,12 @@ from hatlab.graphs import (
     complete_graph,
     components,
     diameter,
+    elimination_tree,
     independent_sets,
     is_chordal,
     make_graph,
     maximal_cliques,
     path_graph,
-    perfect_elimination_order,
     stats,
     substitute,
     vertex_glue,
@@ -218,11 +218,38 @@ def test_chordal_heap_matches_scan():
             g = make_graph(g.vertices, edges)
         expected = _chordal_by_scan(g)
         assert is_chordal(g) == expected
-        order = perfect_elimination_order(g)
-        assert expected == (None if order is None else [g.vertices[v] for v in order])
+        tree = elimination_tree(g)
+        assert expected == (None if tree is None else [g.vertices[v] for v in tree.order])
         verdicts[kind, expected is None] += 1
     assert min(verdicts[kind, False] for kind in range(5)) >= 15
     assert min(verdicts[kind, True] for kind in (0, 3, 4)) >= 15
+
+
+def test_kept_elimination_tree_matches_its_definition():
+    # C(v) is the neighbours of v after it in the order, and the parent
+    # the first of them; the graph keeps the tree the search found
+    from hatlab import gallery
+    from hatlab.algebra import eval_expr
+
+    rng = random.Random(31)
+    graphs = [_random_chordal(rng, rng.randint(0, 25)) for _ in range(40)]
+    graphs += [_random_connected_chordal(rng, rng.randint(1, 25)) for _ in range(40)]
+    graphs += [gallery.build_chain_graph(n, l) for n, l in ((2, 4), (3, 5), (4, 6))]
+    graphs.append(eval_expr(gallery.build_scary(3)).game.graph)
+    for g in graphs:
+        tree = g.elimination_tree
+        assert tree is not None and tree is g.elimination_tree
+        assert tree == elimination_tree(g) and g.elimination_order is tree.order
+        assert sorted(tree.order) == list(range(len(g)))
+        rank = {v: i for i, v in enumerate(tree.order)}
+        for v in tree.order:
+            later = {u for u in g.adj[v] if rank[u] > rank[v]}
+            assert set(tree.later[v]) == later and len(tree.later[v]) == len(later)
+            want = min(later, key=rank.__getitem__) if later else None
+            assert tree.parent[v] == want
+    c4 = make_graph("abcd", {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")})
+    assert c4.elimination_tree is None and c4.elimination_order is None
+    assert is_chordal(c4) is None
 
 
 def test_independent_sets_p4():

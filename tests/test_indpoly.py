@@ -9,10 +9,10 @@ from hatlab import indpoly
 from hatlab.graphs import (
     complete_graph,
     components,
+    elimination_tree,
     independent_sets,
     make_graph,
     path_graph,
-    perfect_elimination_order,
 )
 from hatlab.indpoly import (
     _Evaluator,
@@ -292,7 +292,7 @@ def _chordal_point_cases():
 def test_sum_product_matches_recurrence_and_brute_force():
     disconnected = zeros = negatives = big = 0
     for g, x in _chordal_point_cases():
-        assert perfect_elimination_order(g) is not None
+        assert elimination_tree(g) is not None
         for sign in (1, -1):
             want = eval_P_brute(g, {v: sign * q for v, q in x.items()})
             assert _Evaluator(g, x, sign).full() == want, (g, x)
@@ -323,7 +323,7 @@ def test_ray_by_sum_product_matches_fraction_build_and_recurrence():
             assert ray(g) == want, name
             assert _RayEvaluator(g, ones, sign).full() == want, name
         assert fraction_ray(g, r)(1) == eval_Z(g, r), name
-        chordal += perfect_elimination_order(g) is not None
+        chordal += elimination_tree(g) is not None
     # every gallery graph and every path is chordal
     assert chordal >= 70
 
@@ -359,7 +359,7 @@ def test_route_follows_the_elimination_order(monkeypatch):
 
     others = _non_chordal()
     for g in others:
-        assert perfect_elimination_order(g) is None
+        assert elimination_tree(g) is None
     with monkeypatch.context() as m:
         m.setattr(indpoly, "_sum_product", refuse)
         for g in others:
@@ -435,4 +435,4 @@ def test_prefix_chain_matches_corner_values():
                 sparse_firsts.add((x is inside, first is None))
     assert firsts == {True, False}
     assert {(True, True), (False, False)} <= sparse_firsts
-    assert perfect_elimination_order(c4_c5) is None and len(components(c4_c5)) == 2
+    assert elimination_tree(c4_c5) is None and len(components(c4_c5)) == 2

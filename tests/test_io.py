@@ -96,6 +96,49 @@ def test_game_schema_error_on_unknown_vertex():
         game_from_json(obj)
 
 
+_GAME = {"vertices": ["a", "b"], "edges": [["a", "b"]],
+         "hatness": {"a": 2, "b": 3}, "guesses": {"a": 2}}
+
+
+def _one_fault(key, value):
+    """_GAME with `key` set to `value`; a dict value is merged into the
+    vector it names, None deletes the key."""
+    obj = dict(_GAME)
+    if isinstance(value, dict):
+        obj[key] = {**obj[key], **value}
+        obj[key] = {v: n for v, n in obj[key].items() if n is not None}
+    elif value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    return obj
+
+
+# one fault each: (key, value for _one_fault, pointer, message)
+LOADER_ERRORS = [
+    (key, [2, 3], f"/{key}", "expected an object") for key in ("hatness", "guesses")
+] + [
+    (key, {"a": bad}, f"/{key}/a", "expected a positive integer")
+    for key in ("hatness", "guesses") for bad in (True, 0, -1, 1.5, "2")
+] + [
+    (key, {"z": 2}, f"/{key}/z", "unknown vertex") for key in ("hatness", "guesses")
+] + [
+    ("hatness", None, "/hatness", "missing"),
+    # these four pointed at "/" while make_game and make_graph checked them
+    ("hatness", {"b": None}, "/hatness", "missing hatness for vertex 'b'"),
+    ("edges", [["a", "b"], ["a", "z"]], "/edges/1", "unknown endpoint 'z'"),
+    ("edges", [["a", "b"], ["b", "b"]], "/edges/1", "self-loop 'b'"),
+    ("vertices", ["a", "a", "b"], "/vertices/1", "duplicate vertex 'a'"),
+]
+
+
+@pytest.mark.parametrize("key, value, pointer, message", LOADER_ERRORS)
+def test_game_loader_errors(key, value, pointer, message):
+    with pytest.raises(SchemaError) as info:
+        game_from_json(_one_fault(key, value))
+    assert (info.value.pointer, str(info.value)) == (pointer, f"{pointer}: {message}")
+
+
 def test_save_load_game_byte_identical(tmp_path):
     game = make_game(path_graph(["a", "b", "c"]), {"a": 2, "b": 4, "c": 2})
     p1 = tmp_path / "g1.json"
