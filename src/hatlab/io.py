@@ -142,6 +142,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_ABSENT = object()
+
+
 def _counts_on(graph: Graph, obj, pointer: str, cap=None) -> dict:
     """The hatness (cap None) or the guesses (cap the hatness) of a game
     on `graph`: an object of positive integers on its vertices, each
@@ -166,9 +169,6 @@ def _counts_on(graph: Graph, obj, pointer: str, cap=None) -> dict:
     if absent and cap is None:
         raise SchemaError(pointer, f"missing hatness for vertex {absent[0]!r}")
     return out
-
-
-_ABSENT = object()
 
 
 # -- graphs ------------------------------------------------------------
