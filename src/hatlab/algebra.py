@@ -47,7 +47,7 @@ from .games import (
     criterion_of_counts,
     fraction_vector,
 )
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, name_index
 from .indpoly import eval_Z
 
 
@@ -141,6 +141,13 @@ class _Node:
     classic: bool  # g == 1 on the whole composite
 
 
+def leaf_counts(leaf: CliqueLeaf) -> tuple[dict, dict]:
+    """h and g of a clique leaf, checked as complete_graph and make_game
+    check them: the names by `graphs.name_index`, the counts by
+    `games.checked_counts`.  `io` calls it on a leaf as it decodes it."""
+    return checked_counts(leaf.vertices, name_index(leaf.vertices), leaf.h, leaf.g)
+
+
 class _Table:
     """The vertex table one evaluation shares: adjacency, h, g and
     liveness, indexed by vertex id.  Every constructor updates it in
@@ -202,15 +209,9 @@ class _Table:
         return out
 
     def leaf(self, leaf: CliqueLeaf) -> _Node:
-        """A clique leaf, checked as complete_graph and make_game check
-        it."""
+        """A clique leaf, checked by `leaf_counts`."""
         verts = tuple(leaf.vertices)
-        known = set()
-        for v in verts:
-            if v in known:
-                raise GraphError(f"duplicate vertex {v!r}")
-            known.add(v)
-        h, g = checked_counts(verts, known, leaf.h, leaf.g)
+        h, g = leaf_counts(leaf)
         crit = criterion_of_counts(h, g)
         status = WINNING if crit.winning else LOSING
         obstacle = "" if crit.precise else f"non-precise clique leaf on {list(verts)}"

@@ -3,6 +3,11 @@
 Colors at vertex v are 0..h(v)-1.  The classic game is g == 1 everywhere;
 g is always stored so classic and generalized games share one type.
 All arithmetic on h/g ratios is exact rational; no floats anywhere.
+
+This module owns the rule for counts: `checked_counts` is its one
+check, which `make_game`, `io`'s game loader and every clique leaf of
+`algebra` call.  Its errors name the count at fault (`GameError.where`),
+which `io` turns into a JSON pointer.
 """
 
 from __future__ import annotations
@@ -20,7 +25,13 @@ UNKNOWN = "unknown"
 
 
 class GameError(ValueError):
-    """Invalid hat game construction or operation input."""
+    """Invalid hat game construction or operation input.  `where` names
+    the input element at fault, as ("h",) or ("g",) for a whole vector
+    and ("h", v) or ("g", v) for its entry at v, or is empty."""
+
+    def __init__(self, message: str, where: tuple = ()):
+        super().__init__(message)
+        self.where = where
 
 
 @dataclass(frozen=True, eq=True)
@@ -40,43 +51,54 @@ class HatGame:
 
 
 def make_game(graph: Graph, h, g=None) -> HatGame:
-    """Validate and build a game.  Missing g entries default to 1; g(v)
-    larger than h(v) is clamped (a sage never needs more guesses than
-    colors)."""
+    """Validate and build a game (`checked_counts`); g None gives every
+    vertex one guess."""
+    g = {} if g is None else g
     return HatGame(graph, *checked_counts(graph.vertices, graph.index, h, g))
 
 
-def _is_count(val) -> bool:
-    # bool is an int subclass; JSON true must not pass as a count of 1
-    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+def checked_counts(vertices, known, h, g) -> tuple[dict, dict]:
+    """The one check of a game's counts: h and g of the game on
+    `vertices`, whose vertex set is `known`, both in vertex order.  h and
+    g are objects (dicts) whose every value is a count, a positive int
+    (of type int, so not a bool), and whose every key is a vertex.  Every
+    vertex has a hatness; a guess count defaults to 1 and is clamped to
+    the hatness (a sage never needs more guesses than colors).  h is
+    checked before g; within each, the counts in vertex order, then the
+    keys in their own order."""
+    h = _counts(vertices, known, h, "h")
+    if len(h) < len(vertices):
+        v = next(v for v in vertices if v not in h)
+        raise GameError(f"missing hatness for vertex {v!r}", ("h",))
+    g = _counts(vertices, known, g, "g")
+    if not g:
+        return h, dict.fromkeys(vertices, 1)
+    return h, {v: min(g[v], n) if v in g else 1 for v, n in h.items()}
 
 
-def checked_counts(vertices, known, h, g=None) -> tuple[dict, dict]:
-    """make_game's checks on plain data: h and g of the game on
-    `vertices`, whose vertex set is `known`, with g defaulted and
-    clamped, both in vertex order."""
-    hv = {}
-    for v in vertices:
-        if v not in h:
-            raise GameError(f"missing hatness for vertex {v!r}")
-        val = h[v]
-        if not _is_count(val):
-            raise GameError(f"invalid hatness {val!r} at vertex {v!r}")
-        hv[v] = val
-    for v in h:
-        if v not in known:
-            raise GameError(f"hatness given for unknown vertex {v!r}")
-    gv = {}
-    g = g or {}
-    for v in g:
-        if v not in known:
-            raise GameError(f"guesses given for unknown vertex {v!r}")
-    for v in vertices:
-        val = g.get(v, 1)
-        if not _is_count(val):
-            raise GameError(f"invalid guess count {val!r} at vertex {v!r}")
-        gv[v] = min(val, hv[v])
-    return hv, gv
+def _counts(vertices, known, given, arg: str) -> dict:
+    """The counts of `given`, argument `arg`, on `vertices`, in vertex
+    order."""
+    if not isinstance(given, dict):
+        raise GameError(f"{_NOUNS[arg][0]} is not an object", (arg,))
+    out = {v: given[v] for v in vertices if v in given} if given else {}
+    for v, n in out.items():
+        # a bool is no count: JSON true must not pass as a count of 1
+        if type(n) is not int or n < 1:
+            message = f"invalid {_NOUNS[arg][1]} {n!r} at vertex {v!r}"
+            raise GameError(message, (arg, v))
+    if len(out) < len(given):
+        v = next(v for v in given if v not in known)
+        message = f"{_NOUNS[arg][2]} given for unknown vertex {v!r}"
+        raise GameError(message, (arg, v))
+    return out
+
+
+# per argument: the names of the vector, of one count and of the counts
+_NOUNS = {
+    "h": ("hatness vector", "hatness", "hatness"),
+    "g": ("guess vector", "guess count", "guesses"),
+}
 
 
 def uniform_game(graph: Graph, h: int) -> HatGame:

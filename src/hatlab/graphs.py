@@ -16,9 +16,13 @@ reads the order, and the sum-product of `indpoly` reads the whole tree,
 so each graph object is searched at most once.
 == and hash compare the vertex order and the edge set.
 
-`make_graph` is the one validator of input from outside the program.
-Its errors name the input element at fault (`GraphError.where`), which
-`io` turns into a JSON pointer.
+This module owns the rules for names and edges: `make_graph` is the one
+validator of a graph from outside the program (an edge is a pair of
+names, a tuple or list of two str or vertices; no self-loops, no
+unknown endpoints), and `name_index` the one check that names are distinct,
+which `make_graph`, `bridged_cliques` and every clique leaf of
+`algebra` run.  Their errors name the input element at fault
+(`GraphError.where`), which `io` turns into a JSON pointer.
 Code that builds from data it already holds calls the trusted
 constructor `Graph(names, adj)`, which checks nothing: the joins below,
 `Graph.induced`, `algebra.eval_expr`, and `bridged_cliques`, which
@@ -126,25 +130,56 @@ class Graph:
         )
 
 
+def name_index(vertices) -> dict:
+    """Position of each name in `vertices`.  Rejects a repeated name."""
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) < len(vertices):
+        seen = set()
+        for i, v in enumerate(vertices):
+            if v in seen:
+                raise GraphError(f"duplicate vertex {v!r}", ("vertices", i))
+            seen.add(v)
+    return index
+
+
 def make_graph(vertices, edges) -> Graph:
-    """Validate and build a graph. Rejects duplicate vertices, self-loops
-    and edges with undeclared endpoints."""
-    verts = tuple(vertices)
-    index = {}
-    for i, v in enumerate(verts):
-        if v in index:
-            raise GraphError(f"duplicate vertex {v!r}", ("vertices", i))
-        index[v] = i
+    """Validate and build a graph.  Of the faults it rejects, the first
+    one in this order is reported: an edge that is not a pair of names (a
+    tuple or list of two entries, each a str or a vertex), a repeated
+    vertex, and then, edge by edge, a self-loop or an endpoint that is
+    not a vertex."""
+    verts, edges = tuple(vertices), list(edges)
+    index = {v: i for i, v in enumerate(verts)}
     adj = [set() for _ in verts]
+    try:
+        for e in edges:
+            u, v = e if isinstance(e, (tuple, list)) else ()
+            a, b = index[u], index[v]
+            if a == b:
+                raise ValueError  # a self-loop
+            adj[a].add(b)
+            adj[b].add(a)
+    except (LookupError, TypeError, ValueError):
+        raise _first_fault(verts, edges) from None
+    if len(index) < len(verts):
+        raise _first_fault(verts, edges)
+    return Graph(verts, adj)
+
+
+def _first_fault(verts, edges) -> GraphError:
+    """The fault of `make_graph`'s input that it reports; the input has
+    one."""
+    for i, e in enumerate(edges):
+        if not (isinstance(e, (tuple, list)) and len(e) == 2
+                and all(isinstance(w, str) or w in verts for w in e)):
+            return GraphError(f"edge {e!r} is not a pair of names", ("edges", i))
+    index = name_index(verts)
     for i, (u, v) in enumerate(edges):
         if u == v:
-            raise GraphError(f"self-loop {u!r}", ("edges", i))
-        for w in (u, v):
-            if w not in index:
-                raise GraphError(f"unknown endpoint {w!r}", ("edges", i))
-        adj[index[u]].add(index[v])
-        adj[index[v]].add(index[u])
-    return Graph(verts, adj)
+            return GraphError(f"self-loop {u!r}", ("edges", i))
+        w = v if u in index else u
+        if w not in index:
+            return GraphError(f"unknown endpoint {w!r}", ("edges", i))
 
 
 def bridged_cliques(cliques, bridges) -> Graph:
@@ -158,7 +193,7 @@ def bridged_cliques(cliques, bridges) -> Graph:
         adj[off[j] + t].add(off[i] + s)
     graph = Graph(tuple(v for cl in cliques for v in cl), adj)
     if len(graph.index) < len(graph):
-        make_graph(graph.vertices, ())  # raises on the first repeated name
+        name_index(graph.vertices)  # raises on the first repeated name
     return graph
 
 

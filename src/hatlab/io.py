@@ -4,15 +4,16 @@ All JSON output is canonical: sorted keys, LF line endings, trailing
 newline — so saved artifacts are diffable and save(load(f)) is
 byte-identical.  Schema errors carry JSON-pointer paths ("/hatness/x").
 
-Each check of input has one owner.  This module checks the shape of the
-JSON (objects, lists, names, integers), and a game's hatness and
-guesses: each count and each vertex name once, in one pass over the
-graph's vertices, which also builds the vectors as `make_game` would, so
-the game is built without checking them again.  `make_graph` checks the
-graph (duplicate vertices, self-loops, unknown endpoints) and names the
-element at fault, which becomes the pointer ("/edges/1").  An
-expression's leaves and joins are checked by `algebra` as it evaluates
-them.
+Each check of input has one owner, and this module owns only the JSON:
+the shape of its containers (a game, a graph or an expression node is an
+object, vertices a list of names, edges a list) and the pointers.
+`graphs.make_graph` owns the names and the edges (duplicates, pairs,
+self-loops, endpoints), `games.checked_counts`, through `make_game`, the
+hatness and guesses.  Each error names the input element at fault
+(`where`), which becomes the pointer ("/edges/1", "/hatness/x").  A
+clique leaf is checked as it is decoded, by `algebra.leaf_counts`, which
+`algebra.eval_expr` calls again on every leaf; the joins are checked by
+`algebra` as it evaluates them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import algebra
-from .games import HatGame
+from .games import GameError, HatGame, make_game
 from .graphs import Graph, GraphError, make_graph
 
 
@@ -127,48 +128,13 @@ def _names_from_json(obj, pointer: str) -> tuple:
     return tuple(obj)
 
 
-def _counts_from_json(obj, pointer: str) -> dict:
-    """A hatness or guess vector: an object of positive integers."""
-    if not isinstance(obj, dict):
-        raise SchemaError(pointer, "expected an object")
-    for v, n in obj.items():
-        if not _is_int(n) or n < 1:
-            raise SchemaError(f"{pointer}/{v}", "expected a positive integer")
-    return dict(obj)
-
-
-def _is_int(x) -> bool:
-    # JSON true and false load as bool, an int subclass
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-_ABSENT = object()
-
-
-def _counts_on(graph: Graph, obj, pointer: str, cap=None) -> dict:
-    """The hatness (cap None) or the guesses (cap the hatness) of a game
-    on `graph`: an object of positive integers on its vertices, each
-    count and name checked once, read in vertex order.  Every vertex
-    needs a hatness; a guess count defaults to 1 and is clamped to the
-    hatness, as `make_game` does."""
-    if not isinstance(obj, dict):
-        raise SchemaError(pointer, "expected an object")
-    out, absent = {}, []
-    for v in graph.vertices:
-        n = obj.get(v, _ABSENT)
-        if n is _ABSENT:
-            absent.append(v)
-            n = 1
-        elif not _is_int(n) or n < 1:
-            raise SchemaError(f"{pointer}/{v}", "expected a positive integer")
-        out[v] = n if cap is None else min(n, cap[v])
-    # the keys that name a vertex number len(out) - len(absent)
-    if len(obj) + len(absent) > len(out):
-        v = next(v for v in obj if v not in graph.index)
-        raise SchemaError(f"{pointer}/{v}", "unknown vertex")
-    if absent and cap is None:
-        raise SchemaError(pointer, f"missing hatness for vertex {absent[0]!r}")
-    return out
+def _pointed(err, pointer: str = "", keys=None) -> SchemaError:
+    """The SchemaError for a GraphError or GameError: its `where`, the
+    argument and the element at fault, becomes a pointer under `pointer`,
+    the argument renamed to its JSON key by `keys` if given."""
+    arg, *rest = err.where
+    arg = keys[arg] if keys else arg
+    return SchemaError("/".join((pointer, arg, *map(str, rest))), str(err))
 
 
 # -- graphs ------------------------------------------------------------
@@ -184,27 +150,19 @@ def graph_to_json(graph: Graph) -> dict:
     return {"vertices": list(names), "edges": sorted(pairs)}
 
 
-def graph_from_json(obj, pointer: str = "") -> Graph:
+def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict):
-        raise SchemaError(pointer or "/", "expected an object")
+        raise SchemaError("/", "expected an object")
     for key in ("vertices", "edges"):
         if key not in obj:
-            raise SchemaError(f"{pointer}/{key}", "missing")
-    verts = _names_from_json(obj["vertices"], f"{pointer}/vertices")
+            raise SchemaError(f"/{key}", "missing")
+    verts = _names_from_json(obj["vertices"], "/vertices")
     if not isinstance(obj["edges"], list):
-        raise SchemaError(f"{pointer}/edges", "expected a list of name pairs")
-    edges = []
-    for i, e in enumerate(obj["edges"]):
-        if not (isinstance(e, list) and len(e) == 2
-                and isinstance(e[0], str) and isinstance(e[1], str)):
-            raise SchemaError(f"{pointer}/edges/{i}", "expected a name pair")
-        edges.append(tuple(e))
+        raise SchemaError("/edges", "expected a list of name pairs")
     try:
-        return make_graph(verts, edges)
+        return make_graph(verts, obj["edges"])
     except GraphError as err:
-        # err.where is (field, index) of the element at fault, or empty
-        at = "/".join((pointer, *map(str, err.where)))
-        raise SchemaError(at or "/", str(err)) from err
+        raise _pointed(err) from err
 
 
 # -- games -------------------------------------------------------------
@@ -218,20 +176,18 @@ def game_to_json(game: HatGame) -> dict:
     return obj
 
 
+# the JSON key of each `make_game` argument
+_GAME_KEYS = {"h": "hatness", "g": "guesses"}
+
+
 def game_from_json(obj) -> HatGame:
-    """`make_graph` checks the graph; the counts are checked here, once
-    each, and the game is built from them without `make_game` checking
-    them again."""
     graph = graph_from_json(obj)
     if "hatness" not in obj:
         raise SchemaError("/hatness", "missing")
-    h = _counts_on(graph, obj["hatness"], "/hatness")
-    g = obj.get("guesses")
-    if g is None:
-        g = dict.fromkeys(graph.vertices, 1)
-    else:
-        g = _counts_on(graph, g, "/guesses", cap=h)
-    return HatGame(graph, h, g)
+    try:
+        return make_game(graph, obj["hatness"], obj.get("guesses"))
+    except GameError as err:
+        raise _pointed(err, keys=_GAME_KEYS) from err
 
 
 def load_game(path: str) -> HatGame:
@@ -317,7 +273,13 @@ def _decode_node(obj, pointer):
             args[f.name] = sub
         else:
             args[f.name] = _CODECS[f.type][1](obj[f.name], where)
-    return cls(**args)
+    node = cls(**args)
+    if cls is algebra.CliqueLeaf:
+        try:
+            algebra.leaf_counts(node)
+        except (GraphError, GameError) as err:
+            raise _pointed(err, pointer) from err
+    return node
 
 
 def _name_from_json(obj, pointer: str) -> str:
@@ -332,7 +294,8 @@ def _name_from_json(obj, pointer: str) -> str:
 _EXPR_FIELDS = ("GameExpr", "CliqueLeaf")
 _CODECS = {
     "tuple[str, ...]": (list, _names_from_json),
-    "dict[str, int]": (dict, _counts_from_json),
+    # a leaf's counts, checked with the whole leaf by `algebra.leaf_counts`
+    "dict[str, int]": (dict, lambda counts, pointer: counts),
     "str": (lambda name: name, _name_from_json),
 }
 
@@ -370,7 +333,7 @@ def _config_from_json(key: str, pointer: str) -> tuple:
 
 def _colors_from_json(obj, pointer: str) -> tuple:
     if not isinstance(obj, list) or not all(
-        _is_int(c) and c >= 0 for c in obj
+        type(c) is int and c >= 0 for c in obj
     ):
         raise SchemaError(pointer, "expected a list of colors")
     return tuple(obj)

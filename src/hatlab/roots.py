@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import UnivariatePoly
+from .poly import UnivariatePoly, coeff_product, coeff_sum
 
 
 class RootError(ValueError):
@@ -284,20 +284,9 @@ def count_real_roots(p: UnivariatePoly) -> int:
 
 # -- the recurrence families ------------------------------------------
 #
-# Each family builds integer coefficient lists, low degree first, in k;
-# `family` makes the polynomial once at the end.
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    """a + b."""
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b + [0] * (len(a) - len(b)))]
-
-
-def _times_k_plus(c: int, a: list[int]) -> list[int]:
-    """(k + c) a."""
-    return _add([0, *a], [c * x for x in a])
+# Each family builds integer coefficient lists, low degree first, in k,
+# with `poly.coeff_sum` and `coeff_product` (k + c is [c, 1]); `family`
+# makes the polynomial once at the end.
 
 
 def _family_A(n: int) -> list[int]:
@@ -305,7 +294,7 @@ def _family_A(n: int) -> list[int]:
     if n == 0:
         return a
     for _ in range(n - 1):
-        a, b = b, [0, *_add(a, b)]  # A_m = k (A_{m-2} + A_{m-1})
+        a, b = b, [0, *coeff_sum([a, b])]  # A_m = k (A_{m-2} + A_{m-1})
     return b
 
 
@@ -316,7 +305,8 @@ def _family_B(n: int) -> list[int]:
         return [1]
     if n == 1:
         return [3, 1]
-    return _add(_times_k_plus(2, _family_A(n - 1)), [0, *_family_A(n - 2)])
+    return coeff_sum([coeff_product([[2, 1], _family_A(n - 1)]),
+                      [0, *_family_A(n - 2)]])
 
 
 def _family_L(n: int) -> list[int]:
@@ -324,7 +314,8 @@ def _family_L(n: int) -> list[int]:
         raise RootError("L_n is defined for n >= 2")
     if n == 2:
         return [8, 6, 1]  # (k+2)(k+4)
-    return _add(_times_k_plus(2, _family_B(n - 1)), [0, *_family_B(n - 2)])
+    return coeff_sum([coeff_product([[2, 1], _family_B(n - 1)]),
+                      [0, *_family_B(n - 2)]])
 
 
 def _family_Phi(n: int) -> list[int]:
@@ -332,7 +323,7 @@ def _family_Phi(n: int) -> list[int]:
     if n == 0:
         return a
     for _ in range(n - 1):  # Phi_m = k Phi_{m-1} - Phi_{m-2}
-        a, b = b, _add([0, *b], [-x for x in a])
+        a, b = b, coeff_sum([[0, *b], [-x for x in a]])
     return b
 
 
@@ -347,8 +338,8 @@ def _family_E(n: int) -> list[int]:
         raise RootError("E_n is defined for n >= 1")
     f, g = [1, 1], [0, 1]  # k + 1, k
     for m in range(2, n + 1):
-        g = _add(_times_k_plus(-1 if m == n else -2, f), g)
-        f = _add(f, g)
+        g = coeff_sum([coeff_product([[-1 if m == n else -2, 1], f]), g])
+        f = coeff_sum([f, g])
     return f
 
 

@@ -349,7 +349,7 @@ def test_edge_endpoint_that_is_not_a_name_is_error(tmp_path, capsys, command, ob
     code = main(command + [str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: /edges/0: expected a name pair\n"
+    assert err == f"error: /edges/0: edge {obj['edges'][0]!r} is not a pair of names\n"
 
 
 @pytest.mark.parametrize(

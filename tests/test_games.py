@@ -54,6 +54,26 @@ def test_make_game_rejects_nonpositive_hatness():
         make_game(complete_graph(["a"]), {"a": 0})
 
 
+@pytest.mark.parametrize(
+    "h, g, message, where",
+    [
+        ([2, 3], None, "hatness vector is not an object", ("h",)),
+        (None, None, "hatness vector is not an object", ("h",)),
+        ({"a": 2, "b": 2}, [1], "guess vector is not an object", ("g",)),
+        ({"a": 2, "b": 2}, (), "guess vector is not an object", ("g",)),
+        ({"a": None, "b": 2}, None, "invalid hatness None at vertex 'a'", ("h", "a")),
+        ({"a": 2, "b": 2}, {"b": None}, "invalid guess count None at vertex 'b'", ("g", "b")),
+        ({"a": 2}, None, "missing hatness for vertex 'b'", ("h",)),
+        ({"a": 2, "b": 2, "x": 2}, None, "hatness given for unknown vertex 'x'", ("h", "x")),
+        ({"a": 2, "b": 2}, {"x": 1}, "guesses given for unknown vertex 'x'", ("g", "x")),
+    ],
+)
+def test_make_game_names_the_count_at_fault(h, g, message, where):
+    with pytest.raises(GameError) as info:
+        make_game(complete_graph(["a", "b"]), h, g)
+    assert (str(info.value), info.value.where) == (message, where)
+
+
 def test_fraction_vector():
     game = make_game(
         complete_graph(["a", "b"]), {"a": 2, "b": 4}, {"a": 1, "b": 3}

@@ -52,6 +52,50 @@ def test_make_graph_rejects_unknown_endpoint():
         make_graph(["a"], {("a", "b")})
 
 
+# (edges, message): every fault is at edge 1, after a good edge 0
+MAKE_GRAPH_EDGE_FAULTS = [
+    ("ab", "edge 'ab' is not a pair of names"),
+    (("a",), "edge ('a',) is not a pair of names"),
+    (("a", "b", "c"), "edge ('a', 'b', 'c') is not a pair of names"),
+    (None, "edge None is not a pair of names"),
+    ({"a": 1, "b": 2}, "edge {'a': 1, 'b': 2} is not a pair of names"),
+    (("a", ["b"]), "edge ('a', ['b']) is not a pair of names"),
+    ((["a"], "b"), "edge (['a'], 'b') is not a pair of names"),
+    (("z", "z"), "self-loop 'z'"),
+    (("a", "a"), "self-loop 'a'"),
+    (("z", "b"), "unknown endpoint 'z'"),
+    (("a", "z"), "unknown endpoint 'z'"),
+    (("y", "z"), "unknown endpoint 'y'"),
+    (("a", 1), "edge ('a', 1) is not a pair of names"),
+]
+
+
+@pytest.mark.parametrize("edge, message", MAKE_GRAPH_EDGE_FAULTS)
+def test_make_graph_names_the_edge_at_fault(edge, message):
+    with pytest.raises(GraphError) as info:
+        make_graph(["a", "b", "c"], [("a", "b"), edge])
+    assert (str(info.value), info.value.where) == (message, ("edges", 1))
+
+
+def test_make_graph_reports_a_pair_fault_before_the_other_faults():
+    with pytest.raises(GraphError) as info:
+        make_graph(["a", "b", "a"], [("a", "z"), ("b", "b"), ["a"]])
+    assert (str(info.value), info.value.where) == ("edge ['a'] is not a pair of names", ("edges", 2))
+
+
+def test_make_graph_takes_vertices_of_any_type_as_names():
+    assert make_graph([1, 2], [(1, 2)]).has_edge(1, 2)
+    with pytest.raises(GraphError) as info:
+        make_graph([1, 2, 2], [(1, 2)])
+    assert (str(info.value), info.value.where) == ("duplicate vertex 2", ("vertices", 2))
+
+
+def test_make_graph_names_the_repeated_vertex():
+    with pytest.raises(GraphError) as info:
+        make_graph(["a", "b", "a"], [])
+    assert (str(info.value), info.value.where) == ("duplicate vertex 'a'", ("vertices", 2))
+
+
 def test_vertex_order_is_insertion_order():
     g = make_graph(["z", "m", "a"], set())
     assert g.vertices == ("z", "m", "a")

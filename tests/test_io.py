@@ -14,7 +14,7 @@ from hatlab.algebra import (
     SumLose,
     eval_expr,
 )
-from hatlab.games import make_game, uniform_game
+from hatlab.games import GameError, make_game, uniform_game
 from hatlab.graphs import complete_graph, path_graph
 from hatlab.io import (
     SchemaError,
@@ -84,6 +84,12 @@ def test_game_round_trip_with_guesses():
     assert game_from_json(obj).g == game.g
 
 
+def test_game_null_guesses_mean_one_guess_each():
+    obj = {"vertices": ["a", "b"], "edges": [], "hatness": {"a": 2, "b": 3},
+           "guesses": None}
+    assert game_from_json(obj).g == {"a": 1, "b": 1}
+
+
 def test_game_schema_error_pointer_on_bad_hatness():
     obj = {"vertices": ["a"], "edges": [], "hatness": {"a": 0}}
     with pytest.raises(SchemaError, match="/hatness/a"):
@@ -115,13 +121,17 @@ def _one_fault(key, value):
 
 
 # one fault each: (key, value for _one_fault, pointer, message)
+# the messages are `games.checked_counts`'s, as make_game gives them
+_NOUNS = {"hatness": ("hatness vector", "hatness"), "guesses": ("guess vector", "guess count")}
 LOADER_ERRORS = [
-    (key, [2, 3], f"/{key}", "expected an object") for key in ("hatness", "guesses")
+    (key, [2, 3], f"/{key}", f"{_NOUNS[key][0]} is not an object")
+    for key in ("hatness", "guesses")
 ] + [
-    (key, {"a": bad}, f"/{key}/a", "expected a positive integer")
+    (key, {"a": bad}, f"/{key}/a", f"invalid {_NOUNS[key][1]} {bad!r} at vertex 'a'")
     for key in ("hatness", "guesses") for bad in (True, 0, -1, 1.5, "2")
 ] + [
-    (key, {"z": 2}, f"/{key}/z", "unknown vertex") for key in ("hatness", "guesses")
+    (key, {"z": 2}, f"/{key}/z", f"{key} given for unknown vertex 'z'")
+    for key in ("hatness", "guesses")
 ] + [
     ("hatness", None, "/hatness", "missing"),
     # these four pointed at "/" while make_game and make_graph checked them
@@ -137,6 +147,42 @@ def test_game_loader_errors(key, value, pointer, message):
     with pytest.raises(SchemaError) as info:
         game_from_json(_one_fault(key, value))
     assert (info.value.pointer, str(info.value)) == (pointer, f"{pointer}: {message}")
+
+
+# one fault of the counts each, as (h, g) on the vertices a and b; g None
+# is no guess counts given
+COUNT_FAULTS = [
+    ([2, 3], None),
+    (None, None),
+    ({"a": 2, "b": 2}, [1]),
+    *(({"a": bad, "b": 2}, None) for bad in (True, 0, -1, 1.5, "2", None)),
+    *(({"a": 2, "b": 2}, {"b": bad}) for bad in (True, 0, -1, 1.5, "2", None)),
+    ({"a": 2, "b": 2, "z": 2}, None),
+    ({"a": 2, "b": 2}, {"z": 1}),
+    ({"a": 2}, None),
+]
+
+
+@pytest.mark.parametrize("h, g", COUNT_FAULTS)
+def test_count_fault_reads_alike_through_every_entry_point(h, g):
+    graph = complete_graph(["a", "b"])
+    with pytest.raises(GameError) as built:
+        make_game(graph, h, g)
+    arg, *rest = built.value.where
+    guesses = {} if g is None else {"guesses": g}
+    with pytest.raises(SchemaError) as loaded:
+        game_from_json({**graph_to_json(graph), "hatness": h, **guesses})
+    pointer = "/".join(("", {"h": "hatness", "g": "guesses"}[arg], *rest))
+    assert str(loaded.value) == f"{pointer}: {built.value}"
+    assert loaded.value.pointer == pointer
+
+    leaf = {"op": "clique", "vertices": ["a", "b"], "h": h, **({} if g is None else {"g": g})}
+    with pytest.raises(GameError) as evaluated:
+        eval_expr(CliqueLeaf(("a", "b"), h, {} if g is None else g))
+    with pytest.raises(SchemaError) as decoded:
+        expr_from_json(leaf)
+    pointer = "/".join(("", arg, *rest))
+    assert str(decoded.value) == f"{pointer}: {evaluated.value}" == f"{pointer}: {built.value}"
 
 
 def test_save_load_game_byte_identical(tmp_path):
