@@ -120,18 +120,15 @@ def _one_fault(key, value):
     return obj
 
 
-# one fault each: (key, value for _one_fault, pointer, message)
-# the messages are `games.checked_counts`'s, as make_game gives them
-_NOUNS = {"hatness": ("hatness vector", "hatness"), "guesses": ("guess vector", "guess count")}
+# one fault each: (key, value for _one_fault, pointer, fault); a count
+# fault is named by its kind, and `_message` gives its wording
 LOADER_ERRORS = [
-    (key, [2, 3], f"/{key}", f"{_NOUNS[key][0]} is not an object")
-    for key in ("hatness", "guesses")
+    (key, [2, 3], f"/{key}", "expected an object") for key in ("hatness", "guesses")
 ] + [
-    (key, {"a": bad}, f"/{key}/a", f"invalid {_NOUNS[key][1]} {bad!r} at vertex 'a'")
+    (key, {"a": bad}, f"/{key}/a", "expected a positive integer")
     for key in ("hatness", "guesses") for bad in (True, 0, -1, 1.5, "2")
 ] + [
-    (key, {"z": 2}, f"/{key}/z", f"{key} given for unknown vertex 'z'")
-    for key in ("hatness", "guesses")
+    (key, {"z": 2}, f"/{key}/z", "unknown vertex") for key in ("hatness", "guesses")
 ] + [
     ("hatness", None, "/hatness", "missing"),
     # these four pointed at "/" while make_game and make_graph checked them
@@ -142,8 +139,24 @@ LOADER_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("key, value, pointer, message", LOADER_ERRORS)
-def test_game_loader_errors(key, value, pointer, message):
+_NOUNS = {"hatness": ("hatness vector", "hatness"), "guesses": ("guess vector", "guess count")}
+
+
+def _message(key, value, fault):
+    """The message make_game gives for a count fault of kind `fault`, in
+    `games.checked_counts`'s words; any other fault is its own message."""
+    if fault == "expected an object":
+        return f"{_NOUNS[key][0]} is not an object"
+    if fault == "expected a positive integer":
+        return f"invalid {_NOUNS[key][1]} {value['a']!r} at vertex 'a'"
+    if fault == "unknown vertex":
+        return f"{key} given for unknown vertex 'z'"
+    return fault
+
+
+@pytest.mark.parametrize("key, value, pointer, fault", LOADER_ERRORS)
+def test_game_loader_errors(key, value, pointer, fault):
+    message = _message(key, value, fault)
     with pytest.raises(SchemaError) as info:
         game_from_json(_one_fault(key, value))
     assert (info.value.pointer, str(info.value)) == (pointer, f"{pointer}: {message}")
