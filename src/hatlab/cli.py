@@ -153,7 +153,7 @@ def _cmd_solve(args) -> int:
     _emit(payload)
     if args.emit_strategy:
         if verdict.strategy is None:
-            raise SystemExit("error: no strategy to emit (game not winning)")
+            raise ValueError("no strategy to emit (game not winning)")
         hio.write_text(
             args.emit_strategy,
             hio.canonical_dumps(hio.strategy_to_json(verdict.strategy)),

@@ -249,8 +249,8 @@ def _encode_node(e):
     return obj
 
 
-def expr_from_json(obj, pointer: str = "") -> algebra.GameExpr:
-    return _unrecursed(_decode_node, obj, pointer)
+def expr_from_json(obj) -> algebra.GameExpr:
+    return _unrecursed(_decode_node, obj, "")
 
 
 def _decode_node(obj, pointer):

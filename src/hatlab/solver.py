@@ -1,19 +1,25 @@
 """Exact decision of small hat games by propositional search.
 
-`decide_game` tries the routes in turn; its verdict names the route that
-settled the game.  Within the guards of `encode`, "clique" comes first: a
-game with a clique K of weight sum_K g/h >= 1 is winning (the criterion
-of Kokhas & Latyshev on complete games); the sages of K play the strategy
-below, the others guess 0, and nothing is encoded.  Then the losing
-check: it peels the leaves by the leaf lemma below and loses when the
-core left lies in Shearer's region (proof in the `certify` docstring):
-route "pendant" when some leaf peeled, "region" when none did.  By the
-preservation lemma below it misses no game of the region.  It encodes
-and enumerates nothing, so it also settles games beyond the guards,
-which then raise GuardExceeded when it cannot.  The order changes no
-verdict: a game with a heavy clique is winning, and the losing check is
-sound, so on such a game it could only have come back inconclusive.
-"sat": `search_game`, the search alone.
+`decide_game` tries three routes in this order and returns the verdict of
+the first that settles the game, which names its route:
+
+1. "clique" (`_clique_route`), only within the guards of `encode`: a game
+   with a clique K of weight sum_K g/h >= 1 is winning (the criterion of
+   Kokhas & Latyshev on complete games); the sages of K play the strategy
+   below, the others guess 0, and nothing is encoded.
+2. The losing check (`_losing_route`): it peels the leaves by the leaf
+   lemma below and loses when the core left lies in Shearer's region
+   (proof in the `certify` docstring): route "pendant" when some leaf
+   peeled, "region" when none did.  By the preservation lemma below it
+   misses no game of the region.  It encodes and enumerates nothing, so
+   it also settles games beyond the guards, which then raise
+   GuardExceeded when it cannot.
+3. "sat": `search_game`, the search alone; its timeout_ms bounds the
+   CDCL search, not `encode` nor the routes before it.
+
+The order changes no verdict: a game with a heavy clique is winning, and
+the losing check is sound, so on such a game it could only have come back
+inconclusive.
 
 The leaf lemma.  Let A be a leaf whose one neighbor is B, with
 g_A < h_A, and let G' be G - A with h_B replaced by
@@ -699,48 +705,27 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 
 
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
-    """The first route that settles the game:
-
-    * "clique": winning by the interval strategy on a clique with
-      sum g/h >= 1, verified on every coloring; only within the guards.
-    * "region" or "pendant", the losing check: losing when the core left
-      by peeling the leaves (the leaf lemma of the module docstring) lies
-      in Shearer's region (the proof is in `certify`); "region" when no
-      leaf peeled.  Nothing is enumerated, so it runs beyond the guards
-      too, and a game it leaves open there raises GuardExceeded.
-    * "sat": the verdict of `search_game`, whose timeout_ms bounds the
-      CDCL search alone, not `encode` nor the other routes.
-
-    The order changes no verdict: a heavy clique makes the game winning,
-    and the losing check is sound, so on such a game it could only have
-    been inconclusive."""
+    """The verdict of the first route that settles the game, in the order
+    of the module docstring.  Beyond the guards only the losing check
+    runs, and a game it leaves open raises GuardExceeded."""
     try:
         _guarded_configs(game)
-    except GuardExceeded as err:
-        beyond: Optional[GuardExceeded] = err
-    else:
-        beyond = None
-        found = _heavy_clique(game)
-        if found is not None:
-            return _clique_verdict(game, *found)
-    peels, core = _peel_leaves(game)
-    cert = losing_by_Z_positive(core)
-    if isinstance(cert, LosingCertificate):
-        reason = f"Shearer's region, Z(r) = {cert.z_at_r}"
-        if not peels:
-            return GameVerdict(LOSING, route="region", reason=f"r in {reason}")
-        steps = ", ".join(f"{a} into {b}" for a, b in peels)
-        leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
-        reason = f"peeled {leaves} ({steps}); the core is in {reason}"
-        return GameVerdict(LOSING, route="pendant", reason=reason)
-    if beyond is not None:
-        raise beyond
-    return search_game(game, timeout_ms)
+    except GuardExceeded:
+        verdict = _losing_route(game)
+        if verdict is None:
+            raise
+        return verdict
+    return _clique_route(game) or _losing_route(game) or search_game(game, timeout_ms)
 
 
-def _clique_verdict(game: HatGame, clique: list[str], total: Fraction) -> GameVerdict:
-    """The clique route's verdict: the strategy of `_clique_strategy`,
-    checked on every coloring."""
+def _clique_route(game: HatGame) -> Optional[GameVerdict]:
+    """Winning by the strategy of `_clique_strategy` on the clique that
+    `_heavy_clique` finds, checked on every coloring; None when no clique
+    weighs 1.  The check enumerates, so only within the guards."""
+    found = _heavy_clique(game)
+    if found is None:
+        return None
+    clique, total = found
     strategy = _clique_strategy(game, clique)
     start = time.perf_counter()
     bad = verify_strategy(game, strategy)
@@ -751,6 +736,23 @@ def _clique_verdict(game: HatGame, clique: list[str], total: Fraction) -> GameVe
     return GameVerdict(
         WINNING, strategy=strategy, route="clique", reason=reason, seconds=seconds
     )
+
+
+def _losing_route(game: HatGame) -> Optional[GameVerdict]:
+    """Losing when the core left by `_peel_leaves` lies in Shearer's
+    region: route "region" when no leaf peeled, else "pendant"; None when
+    the core is not shown to lie there."""
+    peels, core = _peel_leaves(game)
+    cert = losing_by_Z_positive(core)
+    if not isinstance(cert, LosingCertificate):
+        return None
+    reason = f"Shearer's region, Z(r) = {cert.z_at_r}"
+    if not peels:
+        return GameVerdict(LOSING, route="region", reason=f"r in {reason}")
+    steps = ", ".join(f"{a} into {b}" for a, b in peels)
+    leaves = "1 leaf" if len(peels) == 1 else f"{len(peels)} leaves"
+    reason = f"peeled {leaves} ({steps}); the core is in {reason}"
+    return GameVerdict(LOSING, route="pendant", reason=reason)
 
 
 def _peel_leaves(game: HatGame) -> tuple[list[tuple[str, str]], HatGame]:

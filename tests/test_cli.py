@@ -182,6 +182,31 @@ def test_solve_timeout_payload_leaves_out_phase_times(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "game, options, status",
+    [
+        (uniform_game(complete_graph(list("abc")), 4), [], "losing"),
+        (
+            uniform_game(make_graph(list("abcde"), set(zip("abcde", "bcdea"))), 3),
+            ["--timeout-ms", "1"],
+            "unknown",
+        ),
+    ],
+    ids=["k3-region", "c5-timeout"],
+)
+def test_solve_emit_strategy_without_a_win_exits_2(tmp_path, capsys, game, options, status):
+    # exit code 1 is left to verify-paper's failed criteria: no strategy
+    # to write is an input error like any other, and no file is written
+    gp, sp = tmp_path / "game.json", tmp_path / "none.json"
+    save_game(game, str(gp))
+    code = main(["solve", str(gp), *options, "--emit-strategy", str(sp)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["status"] == status
+    assert captured.err == "error: no strategy to emit (game not winning)\n"
+    assert not sp.exists()
+
+
 def test_certify_maximal_direct(tmp_path, capsys):
     gp = tmp_path / "k3.json"
     save_game(uniform_game(complete_graph(["a", "b", "c"]), 3), str(gp))
