@@ -1,141 +1,18 @@
 """Every route of `solver.decide_game` against one reference search per
-game.
+game, on seeded game sets; `route_checks` says what each route's check
+asserts.  The corpus sets are checked in `test_solver`, by
+`test_symmetry_clauses_keep_verdict_on_corpus` and
+`test_clique_route_agrees_with_search_on_corpus`."""
 
-One table of seeded game sets lists the routes checked on each set:
-
-* "clique": `_clique_route`.  Where it fires, the game is winning by a
-  strategy that wins on every coloring within g(v) guesses, with no
-  clause encoded, and the search wins too.  On a complete graph it fires
-  exactly when the clique criterion holds.
-* "losing": `_losing_route`.  Where it fires, the game is losing with no
-  clause encoded, and the search loses too.  It fires on every game whose
-  r lies in Shearer's region: peeling keeps the region (the preservation
-  lemma of `solver`).
-* "sat": `search_game` itself, which checks its strategy on every
-  coloring.  Every conflict but a refutation's last learns one clause,
-  and a winning strategy's value-precedence tables use each color only
-  after the one below.
-* "plain": the formula without its symmetry clauses has the search's
-  verdict.
-
-The reference search runs without a budget and at most once per distinct
-game in the session, whichever set and route asks for it first."""
-
-import collections
 import itertools
 import random
 
 import pytest
 
-from hatlab import certify
-from hatlab.games import clique_criterion, make_game, uniform_game
+from hatlab.games import make_game
 from hatlab.graphs import make_graph
-from hatlab.solver import (
-    LOSING,
-    WINNING,
-    _clique_route,
-    _dpll,
-    _losing_route,
-    _precedence_vertices,
-    encode,
-    search_game,
-    verify_strategy,
-)
-from hatlab.verify import _corpus_graphs
-from test_solver import _assert_learned_count, _criterion_01_games, _random_game
-
-
-@pytest.fixture(scope="session")
-def search():
-    """`search_game(game)`, run once per distinct game: the vertex order,
-    the edges, h and g fix the search, so they key its verdict."""
-    verdicts = {}
-
-    def searched(game):
-        names = game.vertices
-        counts = tuple(map(game.h.get, names)), tuple(map(game.g.get, names))
-        key = (names, game.graph.adj, *counts)
-        if key not in verdicts:
-            verdicts[key] = search_game(game)
-        return verdicts[key]
-
-    return searched
-
-
-def _assert_no_search(verdict):
-    assert verdict.num_clauses == verdict.decisions == verdict.conflicts == 0
-
-
-def _precedent_tables(game, strategy) -> int:
-    """Number of value-precedence tables in a strategy; fails on a table
-    that uses a color before the one below it."""
-    names = game.vertices
-    for i in _precedence_vertices(game):
-        seen = sorted(game.graph.adj[i])
-        used = 0  # colors 0..used-1 have appeared
-        for sigma in itertools.product(*(range(game.h[names[u]]) for u in seen)):
-            (c,) = strategy[names[i]][sigma]
-            assert c <= used, (names[i], sigma, strategy[names[i]])
-            used = max(used, c + 1)
-    return len(_precedence_vertices(game))
-
-
-def _wins_without_symmetry_clauses(game) -> bool:
-    cnf = encode(game)
-    plain = cnf.clauses[: len(cnf.clauses) - cnf.symmetry_clauses]
-    return _dpll(cnf.num_vars, [list(c) for c in plain])[0] is not None
-
-
-# Each check asserts what the module docstring says of its route and
-# counts what fired in `counts`.
-
-
-def _check_clique(game, search, counts):
-    verdict = _clique_route(game)
-    if game.graph.is_complete():
-        assert (verdict is not None) == clique_criterion(game).winning, game
-    if verdict is None:
-        return
-    assert (verdict.status, verdict.route) == (WINNING, "clique"), game
-    _assert_no_search(verdict)
-    assert verify_strategy(game, verdict.strategy) is None, game
-    for v, table in verdict.strategy.items():
-        assert all(1 <= len(guess) <= game.g[v] for guess in table.values())
-    assert search(game).status == WINNING, game
-    counts["clique"] += 1
-
-
-def _check_losing(game, search, counts):
-    verdict = _losing_route(game)
-    if verdict is None:
-        cert = certify.losing_by_Z_positive(game)
-        assert not isinstance(cert, certify.LosingCertificate), game
-        return
-    assert verdict.status == LOSING and verdict.route in ("region", "pendant"), game
-    _assert_no_search(verdict)
-    assert search(game).status == LOSING, game
-    counts[verdict.route] += 1
-
-
-def _check_sat(game, search, counts):
-    verdict = search(game)
-    _assert_learned_count(verdict)
-    if verdict.status == WINNING:
-        counts["wins"] += 1
-        counts["tables"] += _precedent_tables(game, verdict.strategy)
-
-
-def _check_plain(game, search, counts):
-    wins = search(game).status == WINNING
-    assert _wins_without_symmetry_clauses(game) == wins, game
-
-
-_CHECKS = {
-    "clique": _check_clique,
-    "losing": _check_losing,
-    "sat": _check_sat,
-    "plain": _check_plain,
-}
+from route_checks import check_routes
+from test_solver import _criterion_01_games, _random_game
 
 
 def _leafy_game(rng):
@@ -153,26 +30,6 @@ def _leafy_game(rng):
             return make_game(graph, h, g)
 
 
-# Left out, both losing: C5 at h = 3, which neither formula settles in
-# 20 s (the benchmark's known-hard item), and P6 at h = 3, which takes
-# ~10 s without the symmetry clauses (2-core machine, CPython 3.11).
-_TOO_SLOW = {
-    (tuple(f"c{i}" for i in range(5)), 3),
-    (tuple(f"p{i}" for i in range(6)), 3),
-}
-
-
-def _corpus_games():
-    games = [
-        uniform_game(graph, h)
-        for graph in _corpus_graphs()
-        for h in (1, 2, 3)
-        if (graph.vertices, h) not in _TOO_SLOW
-    ]
-    assert len(games) == 3 * len(_corpus_graphs()) - len(_TOO_SLOW)
-    return games
-
-
 def _seeded(make, seed: int, count: int):
     rng = random.Random(seed)
     return [make(rng) for _ in range(count)]
@@ -182,16 +39,10 @@ def _seeded(make, seed: int, count: int):
 # (low, high) on the counts, high None for no bound).  "sat" and "plain"
 # search every game, so they run only where no game is slow: uncapped,
 # the leafy games the search alone decides take up to ~20 s each.
-_EVERY = tuple(_CHECKS)
 _TABLE = {
-    "corpus": (
-        _corpus_games,
-        _EVERY,
-        {"clique": (2 * len(_corpus_graphs()), None), "tables": (30, None)},
-    ),
     "random": (
         lambda: _seeded(_random_game, 20261018, 300),
-        _EVERY,
+        ("clique", "losing", "sat", "plain"),
         {"wins": (0, 300), "tables": (150, None)},
     ),
     "region": (
@@ -211,9 +62,6 @@ _TABLE = {
 @pytest.mark.parametrize("name", list(_TABLE))
 def test_routes_agree_with_the_search(name, search):
     games, routes, bounds = _TABLE[name]
-    counts = collections.Counter()
-    for game in games():
-        for route in routes:
-            _CHECKS[route](game, search, counts)
+    counts = check_routes(games(), routes, search)
     for key, (low, high) in bounds.items():
         assert low < counts[key] and (high is None or counts[key] < high), counts

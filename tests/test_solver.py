@@ -37,6 +37,8 @@ from hatlab.solver import (
     search_game,
     verify_strategy,
 )
+from hatlab.verify import _corpus_graphs
+from route_checks import assert_learned_count, check_routes, corpus_games
 
 
 def _visible(game):
@@ -145,15 +147,6 @@ def test_timeout_keeps_search_counts():
     assert verdict.learned == verdict.conflicts
 
 
-def _assert_learned_count(verdict):
-    # every conflict learns one clause, except the last conflict of a
-    # refutation, which happens at level 0
-    if verdict.status == LOSING:
-        assert verdict.learned == verdict.conflicts - 1
-    else:
-        assert verdict.learned == verdict.conflicts
-
-
 # The search is deterministic; these pin its exact path.  A change to
 # the search (branching, learning, restarts, encoding) updates the pins,
 # with a note in CHANGES.md saying why the counts moved.
@@ -197,7 +190,7 @@ def test_search_counts_are_pinned(name):
     verdict = search_game(game)
     got = (verdict.status, verdict.decisions, verdict.conflicts, verdict.restarts)
     assert got == expected
-    _assert_learned_count(verdict)
+    assert_learned_count(verdict)
     assert verdict.propagations > 0
     if verdict.status == WINNING:
         assert verify_strategy(game, verdict.strategy) is None
@@ -324,6 +317,11 @@ def test_precedence_goes_to_the_largest_color_set():
         assert _precedence_vertices(game) == [hs.index(4)]
 
 
+def test_symmetry_clauses_keep_verdict_on_corpus(search):
+    counts = check_routes(corpus_games(), ("sat", "plain"), search)
+    assert counts["tables"] > 30
+
+
 # -- the clique route ----------------------------------------------------
 
 
@@ -351,6 +349,11 @@ def _criterion_01_games():
         yield make_game(
             complete_graph(["a", "b"]), {"a": h1, "b": h2}, {"a": g1, "b": g2}
         )
+
+
+def test_clique_route_agrees_with_search_on_corpus(search):
+    counts = check_routes(corpus_games(), ("clique", "losing"), search)
+    assert counts["clique"] > 2 * len(_corpus_graphs())
 
 
 # -- the clique strategy on edge cases ----------------------------------
