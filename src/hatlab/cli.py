@@ -115,12 +115,13 @@ def _cmd_build(args) -> int:
         expr = built.expr
         game = uniform_game(graph, l)
     elif name in ("ex1", "ex2", "ex3"):
-        built = build_extension_example(
-            int(name[2]), _given(args.n, 2), _given(args.k, 0)
-        )
-        graph = built.graph
+        n, k = _given(args.n, 2), _given(args.k, 0)
+        graph = build_extension_example(int(name[2]), n, k).graph
         if graph is None:
-            raise ValueError(f"{name} with sizes {built.sizes} builds no graph")
+            raise ValueError(
+                f"{name} with n = {n}, k = {k} builds no graph: "
+                "a clique is smaller than the bridges it carries"
+            )
     else:
         raise SystemExit(f"error: unknown construction {name!r}")
     if args.expr_output and expr is None:

@@ -200,7 +200,12 @@ def _extension(kind: int, base: Graph, sizes, x=None):
         return eval_P(built, {v: x[cl[v]] for v in built.vertices})
     if kind == 1:
         return _first_kind(ds, sizes, x)
-    return _second_kind(ds, sizes, x, {})
+    # the prefixes in increasing length first, so that no call nests
+    # deeper than one neighbour window whatever the number of cliques
+    memo = {}
+    for m in range(n + 1):
+        val = _second_kind(ds, sizes[:m], x, memo)
+    return val
 
 
 def _reflect(coeffs, n: int) -> list:

@@ -113,34 +113,35 @@ class CheckItem:
 # -- 1. clique criterion vs solver -------------------------------------
 
 
-def _check_clique_criterion():
-    count = 0
-    keys = set()
+def _clique_criterion_games():
+    """The 148 complete games of criterion 01, in its search order: K1, K2
+    and K3 at every h in 1..4, then K2 at every h in 1..4 and g in 1..2
+    (`make_game` clamps g to h)."""
     for n in (1, 2, 3):
-        g = complete_graph([f"v{i}" for i in range(n)])
+        names = [f"v{i}" for i in range(n)]
+        graph = complete_graph(names)
         for hs in itertools.product(range(1, 5), repeat=n):
-            game = make_game(g, {f"v{i}": hs[i] for i in range(n)})
-            status = search_status(game)
-            crit = clique_criterion(game)
-            if (status == WINNING) != crit.winning:
-                return False, f"disagreement on K{n} h={hs}: solver {status}"
-            count += 1
-            keys.add(_search_key(game))
-    g = complete_graph(["a", "b"])
+            yield make_game(graph, dict(zip(names, hs)))
+    graph = complete_graph(["a", "b"])
     for h1, h2, g1, g2 in itertools.product(
         range(1, 5), range(1, 5), (1, 2), (1, 2)
     ):
-        game = make_game(
-            g, {"a": h1, "b": h2}, {"a": min(g1, h1), "b": min(g2, h2)}
-        )
+        yield make_game(graph, {"a": h1, "b": h2}, {"a": g1, "b": g2})
+
+
+def _check_clique_criterion():
+    games = list(_clique_criterion_games())
+    for game in games:
         status = search_status(game)
-        crit = clique_criterion(game)
-        if (status == WINNING) != crit.winning:
-            return False, f"disagreement on K2 h=({h1},{h2}) g=({g1},{g2})"
-        count += 1
-        keys.add(_search_key(game))
+        if (status == WINNING) != clique_criterion(game).winning:
+            h, g = tuple(game.h.values()), tuple(game.g.values())
+            return False, (
+                f"disagreement on K{len(game.vertices)} h={h} g={g}: "
+                f"solver {status}"
+            )
+    keys = {_search_key(game) for game in games}
     return True, (
-        f"{count} complete games under {len(keys)} search keys, "
+        f"{len(games)} complete games under {len(keys)} search keys, "
         "solver == criterion on all"
     )
 

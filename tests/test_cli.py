@@ -53,7 +53,16 @@ def test_build_chain_writes_files(tmp_path, capsys):
         (("chain", "--l", "0"), "chains need l >= 3"),
         (("delta-plus-k", "--k", "0"), "build_delta_plus_k requires k >= 1"),
         (("ex1", "--n", "0"), "extension examples need n >= 2"),
-        (("ex3", "--n", "4", "--k", "1"), "ex3 with sizes (2, 1, 1, 2) builds no graph"),
+        # the id keeps the row's earlier message, which listed the sizes
+        pytest.param(
+            ("ex3", "--n", "4", "--k", "1"),
+            "ex3 with n = 4, k = 1 builds no graph: "
+            "a clique is smaller than the bridges it carries",
+            id="argv5-ex3 with sizes (2, 1, 1, 2) builds no graph",
+        ),
+        (("ex3", "--n", "900", "--k", "1"),
+         "ex3 with n = 900, k = 1 builds no graph: "
+         "a clique is smaller than the bridges it carries"),
     ],
 )
 def test_build_zero_option_is_not_the_default(capsys, argv, message):

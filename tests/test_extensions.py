@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -415,3 +416,20 @@ def test_U_from_f_second_kind_on_a_long_path_is_quick():
     u = U_from_f(_path(n), sizes, kind=2)
     assert time.perf_counter() - start < 0.5
     assert u.coeffs == _reference_U(_path_ds(n), sizes, 2).coeffs
+
+
+def test_U_from_f_second_kind_needs_no_deeper_stack_than_a_window():
+    # the prefixes are memoized first, so a long path recurses no deeper
+    # than one neighbour window
+    sizes = [3] + [2] * 398 + [3]
+    want = U_from_f(_path(400), sizes, kind=2)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = U_from_f(_path(400), sizes, kind=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want

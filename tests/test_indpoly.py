@@ -249,16 +249,6 @@ def _ray_cases():
         yield f"random{i}", make_graph(rng.sample(verts, n), edges), r
 
 
-def test_integer_ray_matches_fraction_build():
-    cases = 0
-    for name, g, r in _ray_cases():
-        assert univariate_P(g) == fraction_ray(g, dict.fromkeys(g.vertices, -1)), name
-        assert univariate_U(g) == fraction_ray(g, dict.fromkeys(g.vertices, 1)), name
-        assert fraction_ray(g, r)(1) == eval_Z(g, r), name
-        cases += 1
-    assert cases == 30
-
-
 def _random_chordal(rng, n):
     """A chordal graph built from a random perfect elimination order,
     last vertex first: each new vertex joins part of a clique of the
@@ -315,7 +305,7 @@ def _chordal_ray_cases():
 def test_ray_by_sum_product_matches_fraction_build_and_recurrence():
     # P and U by the route the graph picks and by the recurrence, against
     # the Fraction build at -1 and at 1
-    chordal = 0
+    cases = chordal = 0
     for name, g, r in itertools.chain(_ray_cases(), _chordal_ray_cases()):
         ones = dict.fromkeys(g.vertices, 1)
         for sign, ray in ((1, univariate_P), (-1, univariate_U)):
@@ -323,7 +313,9 @@ def test_ray_by_sum_product_matches_fraction_build_and_recurrence():
             assert ray(g) == want, name
             assert _RayEvaluator(g, ones, sign).full() == want, name
         assert fraction_ray(g, r)(1) == eval_Z(g, r), name
+        cases += 1
         chordal += elimination_tree(g) is not None
+    assert cases == 90
     # every gallery graph and every path is chordal
     assert chordal >= 70
 

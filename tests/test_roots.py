@@ -284,9 +284,10 @@ def _reference_family_Phi(n):
 )
 def test_family_matches_fraction_recurrence(tag, first, reference):
     for n in range(first, 31):
-        assert family(tag, n) == reference(n), (tag, n)
+        got, want = family(tag, n), reference(n)
+        assert got == want, (tag, n)
         for k in range(-5, 6):
-            assert family(tag, n)(k) == reference(n)(Fraction(k)), (tag, n, k)
+            assert got(k) == want(Fraction(k)), (tag, n, k)
 
 
 def test_family_unknown_tag():

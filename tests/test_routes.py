@@ -11,8 +11,9 @@ import pytest
 
 from hatlab.games import make_game
 from hatlab.graphs import make_graph
+from hatlab.verify import _clique_criterion_games
 from route_checks import check_routes
-from test_solver import _criterion_01_games, _random_game
+from test_solver import _random_game
 
 
 def _leafy_game(rng):
@@ -50,7 +51,7 @@ _TABLE = {
         ("clique", "losing"),
         {"region": (20, 200)},
     ),
-    "criterion-01": (_criterion_01_games, ("clique", "losing"), {"clique": (50, None)}),
+    "criterion-01": (_clique_criterion_games, ("clique", "losing"), {"clique": (50, None)}),
     "leafy": (
         lambda: _seeded(_leafy_game, 20261020, 400),
         ("clique", "losing"),

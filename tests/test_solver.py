@@ -37,7 +37,7 @@ from hatlab.solver import (
     search_game,
     verify_strategy,
 )
-from hatlab.verify import _corpus_graphs
+from hatlab.verify import _clique_criterion_games, _corpus_graphs
 from route_checks import assert_learned_count, check_routes, corpus_games
 
 
@@ -184,10 +184,10 @@ _PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
-def test_search_counts_are_pinned(name):
+def test_search_counts_are_pinned(name, search):
     make, expected = _PINNED[name]
     game = make()
-    verdict = search_game(game)
+    verdict = search(game)
     got = (verdict.status, verdict.decisions, verdict.conflicts, verdict.restarts)
     assert got == expected
     assert_learned_count(verdict)
@@ -211,18 +211,18 @@ _PINNED_PROPAGATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
-def test_search_propagations_are_pinned(name):
-    assert search_game(_PINNED[name][0]()).propagations == _PINNED_PROPAGATIONS[name]
+def test_search_propagations_are_pinned(name, search):
+    assert search(_PINNED[name][0]()).propagations == _PINNED_PROPAGATIONS[name]
 
 
 def test_restarts_log_progress_at_debug_only(caplog):
     game = _PINNED["K3 (4,4,4)"][0]()
-    search_game(game)
+    quiet = search_game(game)
     assert not caplog.records  # the default level logs nothing
     with caplog.at_level(logging.DEBUG, logger="hatlab.solver"):
         verdict = search_game(game)
     assert verdict.restarts == 4
-    assert verdict == search_game(game)  # logging changes no count
+    assert verdict == quiet  # logging changes no count
     records = [r for r in caplog.records if r.name == "hatlab.solver"]
     assert len(records) == len(caplog.records) == 4
     assert all(r.levelno == logging.DEBUG for r in records)
@@ -335,20 +335,6 @@ def _assert_clique_route(game):
     for v, table in verdict.strategy.items():
         assert all(1 <= len(guess) <= game.g[v] for guess in table.values())
     return verdict
-
-
-def _criterion_01_games():
-    """The complete games of reproduction criterion 01."""
-    for n in (1, 2, 3):
-        names = [f"v{i}" for i in range(n)]
-        for hs in itertools.product(range(1, 5), repeat=n):
-            yield make_game(complete_graph(names), dict(zip(names, hs)))
-    for h1, h2, g1, g2 in itertools.product(
-        range(1, 5), range(1, 5), (1, 2), (1, 2)
-    ):
-        yield make_game(
-            complete_graph(["a", "b"]), {"a": h1, "b": h2}, {"a": g1, "b": g2}
-        )
 
 
 def test_clique_route_agrees_with_search_on_corpus(search):
@@ -527,7 +513,7 @@ def test_clique_tables_match_the_row_by_row_reference():
                   {"a": 3, "b": 3, "c": 2, "d": 2}),
     ]
     assert all(map(_assert_tables_match_reference, edge_cases))
-    for game in _criterion_01_games():
+    for game in _clique_criterion_games():
         _assert_tables_match_reference(game)
 
 
