@@ -14,7 +14,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 from . import io as hio
-from .algebra import conclude_hg, conclude_muhat, eval_expr
+from .algebra import eval_expr
 from .certify import (
     Inconclusive,
     LosingCertificate,
@@ -348,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "solve",
-        help="decide a game: leaves peeled, then Shearer's region; a clique "
-        "with sum g/h >= 1; then exhaustive search",
+        help="decide a game: a clique with sum g/h >= 1; then leaves peeled, "
+        "then Shearer's region; then exhaustive search",
     )
     s.add_argument("game")
     s.add_argument("--emit-strategy")

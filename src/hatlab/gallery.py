@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -22,7 +23,6 @@ from .algebra import (
     PendantLose,
     Product,
     Substitute,
-    Sum,
     SumLose,
     eval_expr,
 )
@@ -303,36 +303,40 @@ def build_chain(n: int, l: int, variant: str = "standard") -> ChainBuild:
 
 @dataclass(frozen=True)
 class ExtensionExample:
-    graph: Graph | None
-    u_poly: UnivariatePoly
-    kind: int
+    base: Graph
     sizes: tuple[int, ...]
+    kind: int
+
+    @cached_property
+    def u_poly(self) -> UnivariatePoly:
+        return U_from_f(self.base, self.sizes, kind=self.kind)
+
+    @cached_property
+    def graph(self) -> Graph | None:
+        build = build_first_kind if self.kind == 1 else build_second_kind
+        try:
+            return build(self.base, self.sizes)
+        except ExtensionError:
+            return None
 
 
 def build_extension_example(which: int, n: int, k: int) -> ExtensionExample:
     """The three path-extension examples: G(k+1, ..., k+1) and
     G(k+3, k+1, ..., k+1, k+3) of the first kind, H(k+1, k, ..., k, k+1)
-    of the second kind.  Sizes below a vertex's degree give U of the
-    recurrence but no graph, and graph is None."""
+    of the second kind.  `u_poly` and `graph` are built when first read;
+    graph is None when a size is below its vertex's degree, where U of
+    the recurrence still exists."""
     if n < 2:
         raise GalleryError("extension examples need n >= 2")
     if k < 0:
         raise GalleryError("extension examples need k >= 0")
-    base = path_graph([f"v{i}" for i in range(n)])
     if which == 1:
         sizes = (k + 1,) * n
-        kind = 1
     elif which == 2:
         sizes = (k + 3,) + (k + 1,) * (n - 2) + (k + 3,)
-        kind = 1
     elif which == 3:
         sizes = (k + 1,) + (k,) * (n - 2) + (k + 1,)
-        kind = 2
     else:
         raise GalleryError("which must be 1, 2 or 3")
-    u = U_from_f(base, sizes, kind=kind)
-    try:
-        graph = (build_first_kind if kind == 1 else build_second_kind)(base, sizes)
-    except ExtensionError:
-        graph = None
-    return ExtensionExample(graph, u, kind, sizes)
+    base = path_graph([f"v{i}" for i in range(n)])
+    return ExtensionExample(base, sizes, 2 if which == 3 else 1)

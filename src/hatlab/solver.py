@@ -6,16 +6,18 @@ the first that settles the game, which names its route:
 1. "clique" (`_clique_route`), only within the guards of `encode`: a game
    with a clique K of weight sum_K g/h >= 1 is winning (the criterion of
    Kokhas & Latyshev on complete games); the sages of K play the strategy
-   below, the others guess 0, and nothing is encoded.
+   below, the others guess 0, and nothing is encoded.  It is the one
+   route that enumerates before the search, and beyond the guards it
+   returns None.
 2. The losing check (`_losing_route`): it peels the leaves by the leaf
    lemma below and loses when the core left lies in Shearer's region
    (proof in the `certify` docstring): route "pendant" when some leaf
    peeled, "region" when none did.  By the preservation lemma below it
    misses no game of the region.  It encodes and enumerates nothing, so
-   it also settles games beyond the guards, which then raise
-   GuardExceeded when it cannot.
+   it also settles games beyond the guards.
 3. "sat": `search_game`, the search alone; its timeout_ms bounds the
-   CDCL search, not `encode` nor the routes before it.
+   CDCL search, not `encode` nor the routes before it.  On a game beyond
+   the guards `encode` raises GuardExceeded.
 
 The order changes no verdict: a game with a heavy clique is winning, and
 the losing check is sound, so on such a game it could only have come back
@@ -159,7 +161,6 @@ from .games import (
     WINNING,
     HatGame,
     criterion_of_counts,
-    make_game,
     uniform_game,
 )
 from .graphs import Graph, maximal_cliques
@@ -707,21 +708,18 @@ def _dpll(num_vars: int, clauses: list[list[int]], timeout_ms=None):
 def decide_game(game: HatGame, timeout_ms: Optional[int] = None) -> GameVerdict:
     """The verdict of the first route that settles the game, in the order
     of the module docstring.  Beyond the guards only the losing check
-    runs, and a game it leaves open raises GuardExceeded."""
-    try:
-        _guarded_configs(game)
-    except GuardExceeded:
-        verdict = _losing_route(game)
-        if verdict is None:
-            raise
-        return verdict
+    decides, and a game it leaves open raises GuardExceeded."""
     return _clique_route(game) or _losing_route(game) or search_game(game, timeout_ms)
 
 
 def _clique_route(game: HatGame) -> Optional[GameVerdict]:
     """Winning by the strategy of `_clique_strategy` on the clique that
     `_heavy_clique` finds, checked on every coloring; None when no clique
-    weighs 1.  The check enumerates, so only within the guards."""
+    weighs 1.  The check enumerates, so beyond the guards None."""
+    try:
+        _guarded_configs(game)
+    except GuardExceeded:
+        return None
     found = _heavy_clique(game)
     if found is None:
         return None
@@ -799,8 +797,9 @@ def _peel_leaves(game: HatGame) -> tuple[list[tuple[str, str]], HatGame]:
                 heappush(heap, k)
     if not peels:
         return peels, game
+    # trusted: the counts come from a checked game, and peels keep g_B < h'_B
     core = game.graph.induced(names[i] for i in adj)
-    return peels, make_game(
+    return peels, HatGame(
         core, {names[i]: h[i] for i in adj}, {names[i]: g[i] for i in adj}
     )
 
@@ -913,7 +912,8 @@ def extract_strategy(game: HatGame, cnf: CNF, model: list[bool]) -> dict:
 
 def verify_strategy(game: HatGame, strategy: dict):
     """None if the strategy wins on all colorings, else the first coloring
-    on which every sage misses."""
+    on which every sage misses; GuardExceeded beyond the guards."""
+    _guarded_configs(game)
     names = game.vertices
     h = [game.h[v] for v in names]
     for v, nb in zip(names, game.graph.adj):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab import gallery
 from hatlab import io as hio
 from hatlab.certify import LosingCertificate
 from hatlab.cli import main
+from hatlab.extensions import build_first_kind, build_second_kind
 from hatlab.games import make_game, uniform_game
 from hatlab.graphs import complete_graph, make_graph, path_graph
 from hatlab.io import frac_str, save_game, strategy_from_json
@@ -71,6 +73,39 @@ def test_build_zero_option_is_not_the_default(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _refuse_U(*args, **kwargs):
+    raise AssertionError("build read U")
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("ex1", "--n", "3", "--k", "1"), (build_first_kind, [2, 2, 2])),
+        (("ex2", "--n", "4", "--k", "0"), (build_first_kind, [3, 1, 1, 3])),
+        (("ex3", "--n", "3", "--k", "2"), (build_second_kind, [3, 2, 3])),
+        (("ex3", "--n", "900", "--k", "1"), None),
+    ],
+)
+def test_build_extension_examples_compute_no_U(capsys, monkeypatch, argv, built):
+    # the payload is the graph alone, so building it needs no U
+    monkeypatch.setattr(gallery, "U_from_f", _refuse_U)
+    code = main(["build", *argv])
+    captured = capsys.readouterr()
+    if built is None:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ex3 with n = 900, k = 1 builds no graph: "
+            "a clique is smaller than the bridges it carries\n"
+        )
+        return
+    build, sizes = built
+    base = path_graph([f"v{i}" for i in range(len(sizes))])
+    assert code == 0
+    assert captured.out == hio.canonical_dumps(hio.graph_to_json(build(base, sizes)))
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,36 @@ def _import_graph() -> dict[str, set[str]]:
     }
 
 
+def unused_imports(source: str) -> list[str]:
+    """The names that `source` binds by a module-level import and never
+    reads; `from __future__` imports bind none."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_modules_read_every_name_they_import():
+    # the package's __init__ imports names to export them
+    unused = {path.stem: unused_imports(path.read_text())
+              for path in MODULES if path.stem != "__init__"}
+    assert {stem: names for stem, names in unused.items() if names} == {}
+    assert unused_imports("\n".join([
+        "from __future__ import annotations",
+        "import os.path",
+        "import json as j",
+        "from . import io as hio, roots",
+        "from .algebra import Sum, eval_expr",
+        "def f(p: Sum):",
+        "    return os.path.join(hio.x, eval_expr)",
+    ])) == ["j", "roots"]
+
+
 def test_modules_import_one_another_in_one_direction():
     assert import_cycle(_import_graph()) == []
 

@@ -448,6 +448,19 @@ def test_guard_message_is_short_on_a_huge_cycle():
     assert len(str(info.value)) < 200
 
 
+def test_verify_strategy_refuses_a_game_beyond_the_guards(monkeypatch):
+    # P5 at h = 3 has 243 colorings, above the lowered guard: the tables
+    # are small, but the walk over every coloring must not start
+    monkeypatch.setattr(solver, "COLORING_GUARD", 100)
+    game = uniform_game(path_graph([f"p{i}" for i in range(5)]), 3)
+    strategy = {
+        v: dict.fromkeys(itertools.product(range(3), repeat=len(nb)), (0,))
+        for v, nb in zip(game.vertices, game.graph.adj)
+    }
+    with pytest.raises(GuardExceeded, match="more than 100 colorings"):
+        verify_strategy(game, strategy)
+
+
 # -- the clique route before the losing check ----------------------------
 
 
